@@ -82,67 +82,3 @@ from .squares import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "BATCH_SIZE",
-    "ChordModel",
-    "ChordSample",
-    "ConvergenceDiagnostics",
-    "CustomLaw",
-    "DegenerateEstimateError",
-    "DegenerateLaw",
-    "DenominatorLaw",
-    "Estimate",
-    "Experiment",
-    "GeometricFamily",
-    "GeometricLaw",
-    "IntervalModel",
-    "NeedleModel",
-    "NeedleSample",
-    "PiEstimate",
-    "PointXY",
-    "PoissonFamily",
-    "PoissonLaw",
-    "PolarRT",
-    "Rational",
-    "TangentAngles",
-    "TRIANGLE_EDGE",
-    "atom_probability",
-    "canonical_rationals",
-    "canonicalize",
-    "cartesian_to_polar",
-    "cdf",
-    "cdf_grid",
-    "chord_exceed_experiment",
-    "chord_length_from_midpoint",
-    "chord_length_from_polar",
-    "chord_length_from_tangent_angle",
-    "convergence_table",
-    "crosses",
-    "density",
-    "derive_stream_seed",
-    "estimate_pi",
-    "exact_cross_probability",
-    "exact_exceed_probability",
-    "exceed_probability",
-    "exceed_probability_under_measure",
-    "finite_counting_probability",
-    "harmonic_number",
-    "interval_probability",
-    "mean_reciprocal",
-    "needle_cross_experiment",
-    "polar_jacobian",
-    "polar_to_cartesian",
-    "pushforward_polar_density",
-    "pushforward_square_density",
-    "run",
-    "sample_chord",
-    "sample_chord_batch",
-    "sample_needle",
-    "sample_rational",
-    "sample_rational_batch",
-    "square_exceed_experiment",
-    "stream_generator",
-    "sup_pmf",
-    "wilson_interval",
-]

@@ -22,7 +22,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .geometry import (
     PointXY,
@@ -33,12 +32,11 @@ from .geometry import (
     chord_length_from_tangent_angle,
 )
 from .montecarlo import Experiment
+from .quadrature import gauss_legendre
 
 # Edge length of the equilateral triangle inscribed in the unit circle: the
 # classical threshold the random chord is compared against.
 TRIANGLE_EDGE = math.sqrt(3.0)
-
-_QUAD_OPTS = dict(epsabs=1e-12, epsrel=1e-12, limit=200)
 
 
 class ChordModel(enum.Enum):
@@ -136,48 +134,32 @@ def exceed_probability_under_measure(
     evaluating it in a foreign coordinate system requires the pushforward
     density rather than the foreign model's own uniform one.  Supported
     pairs: the three native (measure == evaluation_system) cases and
-    midpoint-uniform evaluated in polar coordinates.  Quadrature is accurate
-    to well below 1e-9 on these smooth integrands.
+    midpoint-uniform evaluated in polar coordinates, whose radial integral
+    is a Gauss-Legendre rule exact to rounding on this linear integrand.
     """
     if not 0.0 <= threshold <= 2.0:
         raise ValueError(f"threshold must lie in [0, 2], got {threshold}")
 
     if measure is evaluation_system:
+        # the native densities are uniform, so the event mass is the density
+        # times the event's area: a disc of radius rho, a band of tangent
+        # angles, or a strip of radii
         if measure is ChordModel.MIDPOINT_UNIFORM:
-            # disc of radius rho, integrated with the smooth substitution
-            # x = rho*sin(u) to keep the integrand analytic at the rim
-            rho = _event_radius(threshold)
-            val, _ = quad(
-                lambda u: (2.0 * rho * rho / math.pi) * math.cos(u) ** 2,
-                -math.pi / 2.0,
-                math.pi / 2.0,
-                **_QUAD_OPTS,
-            )
-            return val
+            return max(0.0, 1.0 - threshold * threshold / 4.0)
         if measure is ChordModel.TANGENT_ANGLE_UNIFORM:
             beta_lo = math.asin(min(1.0, threshold / 2.0))
-            beta_hi = math.pi - beta_lo
-            if beta_hi <= beta_lo:
-                return 0.0
-            alpha_mass, _ = quad(lambda a: 1.0 / (2.0 * math.pi**2), 0.0, 2.0 * math.pi, **_QUAD_OPTS)
-            val, _ = quad(lambda b: alpha_mass, beta_lo, beta_hi, **_QUAD_OPTS)
-            return val
-        r_max = _event_radius(threshold)
-        if r_max == 0.0:
-            return 0.0
-        theta_mass, _ = quad(lambda t: 1.0 / (2.0 * math.pi), -math.pi, math.pi, **_QUAD_OPTS)
-        val, _ = quad(lambda r: theta_mass, 0.0, r_max, **_QUAD_OPTS)
-        return val
+            return max(0.0, math.pi - 2.0 * beta_lo) / math.pi
+        return _event_radius(threshold)
 
     if (
         measure is ChordModel.MIDPOINT_UNIFORM
         and evaluation_system is ChordModel.POLAR_UNIFORM
     ):
-        r_max = _event_radius(threshold)
-        if r_max == 0.0:
-            return 0.0
-        val, _ = quad(lambda r: (r / math.pi) * 2.0 * math.pi, 0.0, r_max, **_QUAD_OPTS)
-        return val
+        # the pushforward density r/pi, integrated over theta in closed form
+        # and over r numerically
+        return gauss_legendre(
+            lambda r: (r / math.pi) * 2.0 * math.pi, 0.0, _event_radius(threshold)
+        )
 
     raise NotImplementedError(
         f"no pushforward available for measure={measure.value} "
@@ -186,28 +168,18 @@ def exceed_probability_under_measure(
 
 
 def density_total_mass(model: ChordModel) -> float:
-    """Integral of the model's density over its support (should be 1)."""
-    if model is ChordModel.MIDPOINT_UNIFORM:
-        val, _ = quad(
-            lambda u: (2.0 / math.pi) * math.cos(u) ** 2,
-            -math.pi / 2.0,
-            math.pi / 2.0,
-            **_QUAD_OPTS,
-        )
-        return val
-    if model is ChordModel.TANGENT_ANGLE_UNIFORM:
-        inner, _ = quad(lambda a: 1.0 / (2.0 * math.pi**2), 0.0, 2.0 * math.pi, **_QUAD_OPTS)
-        val, _ = quad(lambda b: inner, 0.0, math.pi, **_QUAD_OPTS)
-        return val
-    inner, _ = quad(lambda t: 1.0 / (2.0 * math.pi), -math.pi, math.pi, **_QUAD_OPTS)
-    val, _ = quad(lambda r: inner, 0.0, 1.0, **_QUAD_OPTS)
-    return val
+    """Integral of the model's density over its support (should be 1).
+
+    This is the event mass at threshold 0, which every chord meets.
+    """
+    return exceed_probability_under_measure(model, model, 0.0)
 
 
 def pushforward_total_mass() -> float:
     """Integral of the midpoint-to-polar pushforward density (should be 1)."""
-    val, _ = quad(lambda r: (r / math.pi) * 2.0 * math.pi, 0.0, 1.0, **_QUAD_OPTS)
-    return val
+    return exceed_probability_under_measure(
+        ChordModel.MIDPOINT_UNIFORM, ChordModel.POLAR_UNIFORM, 0.0
+    )
 
 
 def sample_chord(model: ChordModel, rng: np.random.Generator) -> ChordSample:

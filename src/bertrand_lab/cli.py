@@ -26,6 +26,8 @@ DEFAULT_SEED = 42
 SEED_ENV_VAR = "BERTRAND_LAB_SEED"
 DEFAULT_SAMPLES = 100_000
 DEFAULT_TOL = rationals.DEFAULT_TOL
+# isqrt(2**63 - 1): den * base + num fits in int64 for any base up to this
+_MAX_CODE_BASE = 3_037_000_499
 
 _CHORD_TOKENS = {
     "midpoint": bertrand.ChordModel.MIDPOINT_UNIFORM,
@@ -291,6 +293,8 @@ def cmd_rationals(args: argparse.Namespace) -> int:
         nums, dens = rationals.sample_rational_batch(law, rng, n)
         # encode (denominator, numerator) pairs so np.unique sorts them stably
         base = int(dens.max()) + 1
+        if base > _MAX_CODE_BASE:
+            raise CliError(f"drew denominator {base - 1}; sample tabulates up to {_MAX_CODE_BASE - 1}")
         codes, counts = np.unique(dens * base + nums, return_counts=True)
         rows = []
         for code, count in zip(codes.tolist(), counts.tolist()):

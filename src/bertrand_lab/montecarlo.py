@@ -14,12 +14,13 @@ combined as exact integer success counts, never as float averages.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from statistics import NormalDist
 from typing import Any, Callable
 
 import numpy as np
-from scipy.special import ndtri
 
 # Number of samples drawn from each logical generator stream.  Part of the
 # reproducibility contract: changing it changes every estimate.
@@ -86,6 +87,11 @@ class Estimate:
             raise ValueError("interval must contain the point estimate")
 
 
+def wilson_z(confidence: float) -> float:
+    """The z with P{|Z| <= z} = confidence for a standard normal Z (1.96 at 0.95)."""
+    return NormalDist().inv_cdf(0.5 * (1.0 + confidence))
+
+
 def wilson_interval(successes: int, n: int, confidence: float = 0.95) -> tuple[float, float]:
     """Wilson score interval for a binomial proportion.
 
@@ -97,7 +103,7 @@ def wilson_interval(successes: int, n: int, confidence: float = 0.95) -> tuple[f
         raise ValueError("successes must lie in [0, n]")
     if not 0.0 < confidence < 1.0:
         raise ValueError("confidence must lie in (0, 1)")
-    z = float(ndtri(0.5 * (1.0 + confidence)))
+    z = wilson_z(confidence)
     p = successes / n
     denom = 1.0 + z * z / n
     center = (p + z * z / (2.0 * n)) / denom
@@ -124,8 +130,9 @@ def run(
 ) -> Estimate:
     """Run ``n`` Bernoulli trials of ``experiment`` and estimate P(event).
 
-    ``shards`` workers may process batches concurrently; the result does not
-    depend on it (see module docstring).  Raises ValueError when n < 1,
+    Up to ``shards`` worker threads, but never more than there are batches
+    or CPUs, may process batches concurrently; the result does not depend on
+    it (see module docstring).  Raises ValueError when n < 1,
     shards < 1, or n is not divisible by shards.
     """
     if n < 1:
@@ -139,12 +146,13 @@ def run(
     n_batches = (n + BATCH_SIZE - 1) // BATCH_SIZE
     sizes = [min(BATCH_SIZE, n - b * BATCH_SIZE) for b in range(n_batches)]
 
-    if shards == 1 or n_batches == 1:
+    workers = min(shards, n_batches, os.cpu_count() or 1)
+    if workers == 1:
         successes = sum(
             _count_batch(experiment, seed, b, sizes[b]) for b in range(n_batches)
         )
     else:
-        with ThreadPoolExecutor(max_workers=shards) as pool:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             counts = pool.map(
                 lambda b: _count_batch(experiment, seed, b, sizes[b]), range(n_batches)
             )

@@ -26,11 +26,17 @@ from dataclasses import dataclass
 from typing import Callable, Iterator, Mapping
 
 import numpy as np
-from scipy.special import gammainc, gammaln
 
 DEFAULT_TOL = 1e-10
 
-_SEARCH_LIMIT = 1 << 40
+# Below this argument log-gamma comes from math.lgamma, above from Stirling's
+# series, whose first omitted term is about 1.4e-18 there.
+_STIRLING_FROM = 16.0
+_STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360)
+_HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
+
+# Tail mass below exp(-745) underflows to 0.0.
+_LOG_UNDERFLOW = 745.0
 
 
 @dataclass(frozen=True)
@@ -99,25 +105,9 @@ class DenominatorLaw(ABC):
     def sample(self, rng: np.random.Generator, size: int | None = None):
         """Draw denominators: a python int, or an int64 array when size is given."""
 
+    @abstractmethod
     def truncation_index(self, tol: float) -> int:
-        """Smallest m with tail(m) <= tol, by exponential search and bisection."""
-        if tol <= 0.0:
-            raise ValueError("tol must be > 0")
-        hi = 1
-        while self.tail(hi) > tol:
-            hi *= 2
-            if hi > _SEARCH_LIMIT:
-                raise RuntimeError(f"tail never dropped below {tol}")
-        if hi == 1:
-            return 1
-        lo = hi // 2  # tail(lo) > tol >= tail(hi)
-        while lo + 1 < hi:
-            mid = (lo + hi) // 2
-            if self.tail(mid) > tol:
-                lo = mid
-            else:
-                hi = mid
-        return hi
+        """Smallest m with tail(m) <= tol: the series length that certifies ``tol``."""
 
 
 class GeometricLaw(DenominatorLaw):
@@ -159,6 +149,20 @@ class GeometricLaw(DenominatorLaw):
         return f"GeometricLaw(w={self.w!r})"
 
 
+def _log_gamma(x: np.ndarray) -> np.ndarray:
+    """ln Gamma(x) elementwise for x >= 1 (+inf below 1)."""
+    out = np.empty_like(x)
+    small = x < _STIRLING_FROM
+    out[small] = [math.lgamma(v) if v >= 1.0 else math.inf for v in x[small].tolist()]
+    z = x[~small]
+    r = 1.0 / (z * z)
+    series = np.zeros_like(z)
+    for c in reversed(_STIRLING):
+        series = series * r + c
+    out[~small] = (z - 0.5) * np.log(z) - z + _HALF_LOG_2PI + series / z
+    return out
+
+
 class PoissonLaw(DenominatorLaw):
     """M = 1 + Poisson(mean): P{M = m} = exp(-mean) mean^(m-1) / (m-1)!."""
 
@@ -176,11 +180,38 @@ class PoissonLaw(DenominatorLaw):
     def pmf_array(self, ms: np.ndarray) -> np.ndarray:
         # log-space evaluation stays finite far into the tail and for large means
         ms = np.asarray(ms, dtype=np.float64)
-        return np.exp(-self.mean + (ms - 1.0) * self._log_mean - gammaln(ms))
+        return np.exp(-self.mean + (ms - 1.0) * self._log_mean - _log_gamma(ms))
+
+    def _bulk(self, log_slack: float) -> tuple[int, int]:
+        """Denominators [lo, hi] with under exp(-log_slack) of the mass on either side.
+
+        Bernstein's bound P{|Poisson - mean| >= t} <= exp(-t^2 / (2 (mean + t/3)))
+        on each side, solved for t.
+        """
+        c = log_slack
+        t = c / 3.0 + math.sqrt(c * c / 9.0 + 2.0 * c * self.mean)
+        return max(1, math.floor(1.0 + self.mean - t)), math.ceil(1.0 + self.mean + t)
 
     def tail(self, m: int) -> float:
-        # P{1 + Poisson > m} = P{Poisson >= m} = regularized lower gamma P(m, mean)
-        return float(gammainc(m, self.mean))
+        lo, hi = self._bulk(_LOG_UNDERFLOW)
+        if m > self.mean:
+            # upper sum over P{M = m+1..hi}, smallest terms first
+            return float(self.pmf_array(np.arange(hi, m, -1)).sum())
+        # one minus the lower sum over P{M = lo..m}, smallest terms first
+        return 1.0 - float(self.pmf_array(np.arange(lo, m + 1)).sum())
+
+    def truncation_index(self, tol: float) -> int:
+        """Smallest m with tail(m) <= tol, from one reverse cumulative sum over
+        the bulk, where the mass beyond is below tol * 1e-17."""
+        if tol <= 0.0:
+            raise ValueError("tol must be > 0")
+        if tol >= 1.0:
+            return 1
+        lo, hi = self._bulk(40.0 - math.log(tol))
+        ms = np.arange(lo, hi + 1)
+        # above[i] = P{ms[i] <= M <= hi}, which is tail(ms[i] - 1) up to the cut
+        above = np.cumsum(self.pmf_array(ms)[::-1])[::-1]
+        return max(1, lo - 1 + int(np.count_nonzero(above > tol)))
 
     def sup_pmf(self) -> float:
         # Poisson mode at floor(mean) (two tied modes for integer mean)

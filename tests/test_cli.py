@@ -2,8 +2,11 @@ import csv
 import io
 import json
 import math
+import os
 import subprocess
 import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -158,6 +161,28 @@ class TestRationalsCommand:
         assert [r["q"] for r in rows] == ["0/1", "1/1", "1/2"]
         assert sum(int(r["count"]) for r in rows) == 3000
 
+    def test_sample_rejects_denominators_too_large_to_tabulate(self, capsys):
+        # (den, num) pairs are packed into int64 codes; a denominator near
+        # 1e10 would overflow them and print negative "rationals"
+        code, out, err = run_cli(
+            ["rationals", "sample", "--law", "geometric:1e-10", "--samples", "5"], capsys
+        )
+        assert code == 2
+        assert out == ""
+        assert "denominator" in err
+
+    def test_sample_tabulates_large_denominators_exactly(self, capsys):
+        code, out, _ = run_cli(
+            ["rationals", "sample", "--law", "geometric:1e-8", "--samples", "5", "--seed", "3"],
+            capsys,
+        )
+        assert code == 0
+        rows = parse_csv(out)
+        for r in rows:
+            n, m = (int(part) for part in r["q"].split("/"))
+            assert 0 <= n <= m and math.gcd(n, m) == 1
+        assert sum(int(r["count"]) for r in rows) == 5
+
     def test_converge_table(self, capsys):
         code, out, _ = run_cli(
             [
@@ -276,3 +301,30 @@ class TestModuleEntryPoint:
         )
         assert proc.returncode == 0
         assert proc.stdout.splitlines()[0] == "model,threshold,probability"
+
+    def test_cli_runs_without_scipy(self):
+        # scipy is a test-only reference: importing the CLI and running
+        # commands that use every former scipy call site must not load it
+        script = textwrap.dedent(
+            """
+            import sys
+            from bertrand_lab import cli
+            for argv in (
+                ["squares"],
+                ["bertrand", "--pushforward"],
+                ["rationals", "cdf", "--x", "0.3", "--law", "poisson:4"],
+            ):
+                assert cli.main(argv) == 0
+            print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+            """
+        )
+        src = Path(__file__).resolve().parents[1] / "src"
+        path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=path),
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "[]"

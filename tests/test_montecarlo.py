@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from bertrand_lab import bertrand
+from bertrand_lab import bertrand, montecarlo
 from bertrand_lab.montecarlo import (
     BATCH_SIZE,
     Estimate,
@@ -92,6 +92,49 @@ class TestReproducibility:
     def test_seed_recorded(self):
         est = run(fair_coin(), 1000, seed=77)
         assert est.seed == 77
+
+
+class TestWorkerCap:
+    @pytest.fixture
+    def pools(self, monkeypatch):
+        """Replace the thread pool with a serial stand-in that records its size."""
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", SerialPool)
+        return sizes
+
+    @pytest.mark.parametrize(
+        "shards, n_batches, cpus, workers",
+        [
+            (1000, 4, 64, 4),  # no more workers than batches
+            (1000, 9, 8, 8),  # no more workers than CPUs
+            (3, 9, 8, 3),
+            (2, 5, 2, 2),
+            (8, 9, None, 1),  # unknown CPU count runs serially
+        ],
+    )
+    def test_workers_capped_by_batches_and_cpus(
+        self, pools, monkeypatch, shards, n_batches, cpus, workers
+    ):
+        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: cpus)
+        n = shards * (n_batches * BATCH_SIZE // shards)
+        assert (n + BATCH_SIZE - 1) // BATCH_SIZE == n_batches
+        est = run(fair_coin(), n, seed=21, shards=shards)
+        assert pools == ([workers] if workers > 1 else [])
+        assert est == run(fair_coin(), n, seed=21)
 
 
 class TestStreamSeeding:

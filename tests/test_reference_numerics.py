@@ -1,0 +1,61 @@
+"""The numpy/stdlib numerics against their references.
+
+scipy stays the reference for the special functions it used to supply at
+run time; the quadrature routes are checked against the closed forms.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from scipy.special import gammainc, gammaln, ndtri
+
+from bertrand_lab.bertrand import ChordModel, exceed_probability_under_measure
+from bertrand_lab.buffon import NeedleModel, cross_probability_by_quadrature, exact_cross_probability
+from bertrand_lab.montecarlo import wilson_z
+from bertrand_lab.rationals import PoissonLaw
+
+
+@pytest.mark.parametrize("confidence", [0.9, 0.95, 0.99])
+def test_wilson_z_matches_ndtri(confidence):
+    reference = float(ndtri(0.5 * (1.0 + confidence)))
+    assert wilson_z(confidence) == pytest.approx(reference, rel=1e-15, abs=0.0)
+
+
+def _poisson_support(mean):
+    """Denominators 0..L whose scipy pmf is a normal (not subnormal) double."""
+    ms = np.arange(0, PoissonLaw(mean).truncation_index(1e-250) + 1)
+    reference = np.exp(-mean + (ms - 1.0) * math.log(mean) - gammaln(ms))
+    keep = reference > 1e-300
+    return ms[keep], reference[keep]
+
+
+@pytest.mark.parametrize("mean", [0.1, 4.0, 100.0, 1e4])
+def test_poisson_pmf_matches_gammaln(mean):
+    ms, reference = _poisson_support(mean)
+    np.testing.assert_allclose(PoissonLaw(mean).pmf_array(ms), reference, rtol=1e-9, atol=0.0)
+
+
+@pytest.mark.parametrize("mean", [0.1, 4.0, 100.0, 1e4])
+def test_poisson_tail_matches_gammainc(mean):
+    law = PoissonLaw(mean)
+    ms, _ = _poisson_support(mean)
+    for m in [0, *ms[:: max(1, len(ms) // 200)].tolist(), int(ms[-1])]:
+        reference = float(gammainc(m, mean)) if m > 0 else 1.0
+        assert law.tail(m) == pytest.approx(reference, rel=1e-9, abs=0.0), m
+
+
+@pytest.mark.parametrize("threshold", [0.0, 0.5, 1.0, math.sqrt(3.0), 1.9, 2.0])
+def test_pushforward_quadrature_matches_closed_form(threshold):
+    # midpoint measure in polar coordinates: the disc of radius rho has mass rho^2
+    value = exceed_probability_under_measure(
+        ChordModel.MIDPOINT_UNIFORM, ChordModel.POLAR_UNIFORM, threshold
+    )
+    assert value == pytest.approx(1.0 - threshold * threshold / 4.0, abs=1e-14)
+
+
+@pytest.mark.parametrize("model", list(NeedleModel))
+def test_buffon_quadrature_matches_closed_form(model):
+    assert cross_probability_by_quadrature(model) == pytest.approx(
+        exact_cross_probability(model), abs=1e-14
+    )
