@@ -20,17 +20,11 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
-from .geometry import (
-    PointXY,
-    PolarRT,
-    TangentAngles,
-    chord_length_from_midpoint,
-    chord_length_from_polar,
-    chord_length_from_tangent_angle,
-)
+from .geometry import PointXY, PolarRT, TangentAngles
 from .montecarlo import Experiment
 from .quadrature import gauss_legendre
 
@@ -45,11 +39,100 @@ class ChordModel(enum.Enum):
     POLAR_UNIFORM = "polar_uniform"
 
 
-_COORD_TYPES = {
-    ChordModel.MIDPOINT_UNIFORM: PointXY,
-    ChordModel.TANGENT_ANGLE_UNIFORM: TangentAngles,
-    ChordModel.POLAR_UNIFORM: PolarRT,
+class _Chord(NamedTuple):
+    """One chord model: which coordinate pair it declares uniform, and where.
+
+    ``inside(coords, slack)`` is the support predicate, relaxed by ``slack``
+    (the coordinate type may already confine the point to the support);
+    ``exceed(t)`` is the native event mass P(length > t), the density times
+    the area of the event; ``sample(rng, size)`` draws the coordinate arrays
+    and ``length`` maps them to chord lengths.
+    """
+
+    coords: type
+    inside: Callable[[Any, float], bool]
+    density: float
+    exact: float
+    exceed: Callable[[float], float]
+    sample: Callable[[np.random.Generator, int], tuple[np.ndarray, np.ndarray]]
+    length: Callable[[np.ndarray, np.ndarray], np.ndarray]
+
+
+def _event_radius(threshold: float) -> float:
+    """Radius below which a chord's midpoint/intersection beats ``threshold``."""
+    return math.sqrt(max(0.0, 1.0 - threshold * threshold / 4.0))
+
+
+def _length_from_radius_sq(s: np.ndarray) -> np.ndarray:
+    return 2.0 * np.sqrt(np.maximum(0.0, 1.0 - s))
+
+
+def _disc_batch(rng: np.random.Generator, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Rejection from the bounding square [-1, 1]^2, about 4/pi proposals per point.
+
+    A radius transform is deliberately avoided because it would presuppose
+    the non-uniform r/pi law.
+    """
+    xs = np.empty(size)
+    ys = np.empty(size)
+    filled = 0
+    while filled < size:
+        pts = rng.uniform(-1.0, 1.0, size=(size - filled, 2))
+        acc = pts[pts[:, 0] ** 2 + pts[:, 1] ** 2 <= 1.0]
+        k = len(acc)
+        xs[filled : filled + k] = acc[:, 0]
+        ys[filled : filled + k] = acc[:, 1]
+        filled += k
+    return xs, ys
+
+
+def _polar_batch(rng: np.random.Generator, size: int) -> tuple[np.ndarray, np.ndarray]:
+    r = rng.uniform(0.0, 1.0, size)
+    theta = rng.uniform(-math.pi, math.pi, size)
+    theta[theta == -math.pi] = math.pi
+    return r, theta
+
+
+_CHORDS = {
+    ChordModel.MIDPOINT_UNIFORM: _Chord(
+        coords=PointXY,
+        inside=lambda p, slack: p.x * p.x + p.y * p.y <= 1.0 + slack,
+        density=1.0 / math.pi,
+        exact=0.25,
+        exceed=lambda t: max(0.0, 1.0 - t * t / 4.0),
+        sample=_disc_batch,
+        length=lambda x, y: _length_from_radius_sq(x * x + y * y),
+    ),
+    ChordModel.TANGENT_ANGLE_UNIFORM: _Chord(
+        coords=TangentAngles,
+        inside=lambda angles, slack: True,
+        density=1.0 / (2.0 * math.pi**2),
+        exact=1.0 / 3.0,
+        exceed=lambda t: max(0.0, math.pi - 2.0 * math.asin(min(1.0, t / 2.0))) / math.pi,
+        sample=lambda rng, size: (
+            rng.uniform(0.0, 2.0 * math.pi, size),
+            rng.uniform(0.0, math.pi, size),
+        ),
+        length=lambda alpha, beta: 2.0 * np.sin(beta),
+    ),
+    ChordModel.POLAR_UNIFORM: _Chord(
+        coords=PolarRT,
+        inside=lambda p, slack: p.r <= 1.0 + slack,
+        density=1.0 / (2.0 * math.pi),
+        exact=0.5,
+        exceed=_event_radius,
+        sample=_polar_batch,
+        length=lambda r, theta: _length_from_radius_sq(r * r),
+    ),
 }
+
+
+def _checked(model: ChordModel, coords: PointXY | TangentAngles | PolarRT) -> _Chord:
+    """The model's record, once ``coords`` is known to be its coordinate type."""
+    chord = _CHORDS[model]
+    if not isinstance(coords, chord.coords):
+        raise TypeError(f"{model.value} carries {chord.coords.__name__} coordinates")
+    return chord
 
 
 @dataclass(frozen=True)
@@ -61,25 +144,16 @@ class ChordSample:
     length: float
 
     def __post_init__(self) -> None:
-        expected = _COORD_TYPES[self.model]
-        if not isinstance(self.coords, expected):
-            raise TypeError(f"{self.model.value} carries {expected.__name__} coordinates")
+        chord = _checked(self.model, self.coords)
         if not 0.0 <= self.length <= 2.0:
             raise ValueError(f"chord length must lie in [0, 2], got {self.length}")
-        if isinstance(self.coords, PointXY):
-            if self.coords.x**2 + self.coords.y**2 > 1.0 + 1e-12:
-                raise ValueError("midpoint must lie in the closed unit disc")
-        elif isinstance(self.coords, PolarRT) and self.coords.r > 1.0 + 1e-12:
-            raise ValueError("intersection radius must be <= 1")
+        if not chord.inside(self.coords, 1e-12):
+            raise ValueError(f"{self.coords} lies outside the {self.model.value} support")
 
 
 def exact_exceed_probability(model: ChordModel) -> float:
     """Closed-form P(chord length > sqrt(3)) under the model's own measure."""
-    if model is ChordModel.MIDPOINT_UNIFORM:
-        return 0.25
-    if model is ChordModel.TANGENT_ANGLE_UNIFORM:
-        return 1.0 / 3.0
-    return 0.5
+    return _CHORDS[model].exact
 
 
 def density(model: ChordModel, point: PointXY | TangentAngles | PolarRT) -> float:
@@ -88,19 +162,8 @@ def density(model: ChordModel, point: PointXY | TangentAngles | PolarRT) -> floa
     Zero outside the support; the point type must match the model's
     coordinate system.
     """
-    if model is ChordModel.MIDPOINT_UNIFORM:
-        if not isinstance(point, PointXY):
-            raise TypeError("midpoint model expects a PointXY")
-        inside = point.x * point.x + point.y * point.y <= 1.0
-        return 1.0 / math.pi if inside else 0.0
-    if model is ChordModel.TANGENT_ANGLE_UNIFORM:
-        if not isinstance(point, TangentAngles):
-            raise TypeError("tangent-angle model expects TangentAngles")
-        # the type already constrains (alpha, beta) to the support rectangle
-        return 1.0 / (2.0 * math.pi**2)
-    if not isinstance(point, PolarRT):
-        raise TypeError("polar model expects a PolarRT")
-    return 1.0 / (2.0 * math.pi) if point.r <= 1.0 else 0.0
+    chord = _checked(model, point)
+    return chord.density if chord.inside(point, 0.0) else 0.0
 
 
 def pushforward_polar_density(point: PolarRT, base: ChordModel = ChordModel.MIDPOINT_UNIFORM) -> float:
@@ -116,11 +179,6 @@ def pushforward_polar_density(point: PolarRT, base: ChordModel = ChordModel.MIDP
             "closed-form pushforward is only available for the midpoint-uniform base"
         )
     return point.r / math.pi if point.r <= 1.0 else 0.0
-
-
-def _event_radius(threshold: float) -> float:
-    """Radius below which a chord's midpoint/intersection beats ``threshold``."""
-    return math.sqrt(max(0.0, 1.0 - threshold * threshold / 4.0))
 
 
 def exceed_probability_under_measure(
@@ -141,15 +199,7 @@ def exceed_probability_under_measure(
         raise ValueError(f"threshold must lie in [0, 2], got {threshold}")
 
     if measure is evaluation_system:
-        # the native densities are uniform, so the event mass is the density
-        # times the event's area: a disc of radius rho, a band of tangent
-        # angles, or a strip of radii
-        if measure is ChordModel.MIDPOINT_UNIFORM:
-            return max(0.0, 1.0 - threshold * threshold / 4.0)
-        if measure is ChordModel.TANGENT_ANGLE_UNIFORM:
-            beta_lo = math.asin(min(1.0, threshold / 2.0))
-            return max(0.0, math.pi - 2.0 * beta_lo) / math.pi
-        return _event_radius(threshold)
+        return _CHORDS[measure].exceed(threshold)
 
     if (
         measure is ChordModel.MIDPOINT_UNIFORM
@@ -185,43 +235,12 @@ def pushforward_total_mass() -> float:
 def sample_chord(model: ChordModel, rng: np.random.Generator) -> ChordSample:
     """Draw one chord from the model's uniform measure.
 
-    Midpoint-uniform sampling rejects from the bounding square [-1, 1]^2
-    (about 4/pi proposals per accepted point); a radius transform is
-    deliberately avoided because it would presuppose the non-uniform r/pi
-    law.  Each call consumes a deterministic, seed-reproducible amount of
-    the generator stream.
+    This is element 0 of ``sample_chord_batch(model, rng, 1)``: it consumes
+    the generator stream exactly as a size-1 batch does.
     """
-    if model is ChordModel.MIDPOINT_UNIFORM:
-        while True:
-            x = rng.uniform(-1.0, 1.0)
-            y = rng.uniform(-1.0, 1.0)
-            if x * x + y * y <= 1.0:
-                break
-        p = PointXY(x, y)
-        return ChordSample(model, p, chord_length_from_midpoint(p))
-    if model is ChordModel.TANGENT_ANGLE_UNIFORM:
-        angles = TangentAngles(rng.uniform(0.0, 2.0 * math.pi), rng.uniform(0.0, math.pi))
-        return ChordSample(model, angles, chord_length_from_tangent_angle(angles.beta))
-    r = rng.uniform(0.0, 1.0)
-    theta = rng.uniform(-math.pi, math.pi)
-    if theta == -math.pi:
-        theta = math.pi
-    pol = PolarRT(r, theta)
-    return ChordSample(model, pol, chord_length_from_polar(pol))
-
-
-def _disc_batch(rng: np.random.Generator, size: int) -> tuple[np.ndarray, np.ndarray]:
-    xs = np.empty(size)
-    ys = np.empty(size)
-    filled = 0
-    while filled < size:
-        pts = rng.uniform(-1.0, 1.0, size=(size - filled, 2))
-        acc = pts[pts[:, 0] ** 2 + pts[:, 1] ** 2 <= 1.0]
-        k = len(acc)
-        xs[filled : filled + k] = acc[:, 0]
-        ys[filled : filled + k] = acc[:, 1]
-        filled += k
-    return xs, ys
+    first, second, length = sample_chord_batch(model, rng, 1)
+    coords = _CHORDS[model].coords(float(first[0]), float(second[0]))
+    return ChordSample(model, coords, float(length[0]))
 
 
 def sample_chord_batch(
@@ -230,20 +249,12 @@ def sample_chord_batch(
     """Vectorized chord sampler: ``(first, second, length)`` arrays.
 
     The coordinate order matches the model: (x, y), (alpha, beta) or
-    (r, theta).  This path consumes the generator stream differently from
-    repeated ``sample_chord`` calls but is itself fully seed-deterministic.
+    (r, theta).  Midpoint-uniform chords are drawn by rejection from the
+    bounding square; the draws are fully seed-deterministic.
     """
-    if model is ChordModel.MIDPOINT_UNIFORM:
-        x, y = _disc_batch(rng, size)
-        return x, y, 2.0 * np.sqrt(np.maximum(0.0, 1.0 - (x * x + y * y)))
-    if model is ChordModel.TANGENT_ANGLE_UNIFORM:
-        alpha = rng.uniform(0.0, 2.0 * math.pi, size)
-        beta = rng.uniform(0.0, math.pi, size)
-        return alpha, beta, 2.0 * np.sin(beta)
-    r = rng.uniform(0.0, 1.0, size)
-    theta = rng.uniform(-math.pi, math.pi, size)
-    theta[theta == -math.pi] = math.pi
-    return r, theta, 2.0 * np.sqrt(np.maximum(0.0, 1.0 - r * r))
+    chord = _CHORDS[model]
+    first, second = chord.sample(rng, size)
+    return first, second, chord.length(first, second)
 
 
 def chord_exceed_experiment(model: ChordModel, threshold: float = TRIANGLE_EDGE) -> Experiment:

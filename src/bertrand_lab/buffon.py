@@ -13,6 +13,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -29,6 +30,63 @@ class DegenerateEstimateError(ArithmeticError):
     """Raised when no crossings were observed, so 2/p_hat is undefined."""
 
 
+class _Needle(NamedTuple):
+    """One needle model: which coordinate pair it declares uniform, and where.
+
+    The first coordinate ranges over ``first``; ``inside(a, b)`` is the rest
+    of the support.  ``crossing_measure(a)`` is the density times the length
+    of the crossing set of the second coordinate, for one value of the first.
+    """
+
+    first: tuple[float, float]
+    inside: Callable[[float, float], bool]
+    exact: float
+    sample: Callable[[np.random.Generator, int], tuple[np.ndarray, np.ndarray]]
+    crosses: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    crossing_measure: Callable[[np.ndarray], np.ndarray]
+
+
+def _center_angle_crosses(theta: np.ndarray, z: np.ndarray) -> np.ndarray:
+    half_span = 0.5 * np.cos(theta)
+    return (z <= half_span) | (z >= 1.0 - half_span)
+
+
+def _endpoints_batch(rng: np.random.Generator, size: int) -> tuple[np.ndarray, np.ndarray]:
+    x = rng.uniform(0.0, 1.0, size)
+    return x, rng.uniform(x - 1.0, x + 1.0)
+
+
+def _endpoints_crossing_measure(x: np.ndarray) -> np.ndarray:
+    lower = np.maximum(0.0, 0.0 - (x - 1.0))  # y in [x-1, 0]
+    upper = np.maximum(0.0, (x + 1.0) - 1.0)  # y in [1, x+1]
+    return 0.5 * (lower + upper)
+
+
+_NEEDLES = {
+    NeedleModel.CENTER_ANGLE: _Needle(
+        first=(-math.pi / 2.0, math.pi / 2.0),
+        inside=lambda theta, z: 0.0 <= z <= 1.0,
+        exact=2.0 / math.pi,
+        sample=lambda rng, size: (
+            rng.uniform(-math.pi / 2.0, math.pi / 2.0, size),
+            rng.uniform(0.0, 1.0, size),
+        ),
+        crosses=_center_angle_crosses,
+        # for a given tilt, the crossing z-values occupy two bands of total
+        # length cos(theta)
+        crossing_measure=lambda theta: np.cos(theta) / math.pi,
+    ),
+    NeedleModel.ENDPOINTS: _Needle(
+        first=(0.0, 1.0),
+        inside=lambda x, y: abs(x - y) <= 1.0,
+        exact=0.5,
+        sample=_endpoints_batch,
+        crosses=lambda x, y: (y <= 0.0) | (y >= 1.0),
+        crossing_measure=_endpoints_crossing_measure,
+    ),
+}
+
+
 @dataclass(frozen=True)
 class NeedleSample:
     """One needle throw.
@@ -43,24 +101,23 @@ class NeedleSample:
     coords: tuple[float, float]
 
     def __post_init__(self) -> None:
+        needle = _NEEDLES[self.model]
         a, b = self.coords
-        if self.model is NeedleModel.CENTER_ANGLE:
-            if not (-math.pi / 2.0 <= a <= math.pi / 2.0 and 0.0 <= b <= 1.0):
-                raise ValueError(f"(theta, z) = ({a}, {b}) outside the support")
-        else:
-            if not (0.0 <= a <= 1.0 and abs(a - b) <= 1.0):
-                raise ValueError(f"(x, y) = ({a}, {b}) outside the support")
+        lo, hi = needle.first
+        if not (lo <= a <= hi and needle.inside(a, b)):
+            raise ValueError(f"{self.model.value} coordinates ({a}, {b}) lie outside the support")
 
 
 def exact_cross_probability(model: NeedleModel) -> float:
     """Closed-form crossing probability: 2/pi or 1/2."""
-    if model is NeedleModel.CENTER_ANGLE:
-        return 2.0 / math.pi
-    return 0.5
+    return _NEEDLES[model].exact
 
 
 def crosses(sample: NeedleSample) -> bool:
-    """Whether the needle lies across a line; touching (equality) counts."""
+    """Whether the needle lies across a line; touching (equality) counts.
+
+    Scalar reference for ``crosses_batch``, written with ``math.cos``.
+    """
     a, b = sample.coords
     if sample.model is NeedleModel.CENTER_ANGLE:
         half_span = 0.5 * math.cos(a)
@@ -69,35 +126,25 @@ def crosses(sample: NeedleSample) -> bool:
 
 
 def sample_needle(model: NeedleModel, rng: np.random.Generator) -> NeedleSample:
-    """Draw one needle throw from the model's uniform measure."""
-    if model is NeedleModel.CENTER_ANGLE:
-        theta = rng.uniform(-math.pi / 2.0, math.pi / 2.0)
-        z = rng.uniform(0.0, 1.0)
-        return NeedleSample(model, (theta, z))
-    x = rng.uniform(0.0, 1.0)
-    y = rng.uniform(x - 1.0, x + 1.0)
-    return NeedleSample(model, (x, y))
+    """Draw one needle throw from the model's uniform measure.
+
+    This is element 0 of ``sample_needle_batch(model, rng, 1)``: it consumes
+    the generator stream exactly as a size-1 batch does.
+    """
+    first, second = sample_needle_batch(model, rng, 1)
+    return NeedleSample(model, (float(first[0]), float(second[0])))
 
 
 def sample_needle_batch(
     model: NeedleModel, rng: np.random.Generator, size: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized needle sampler: (theta, z) or (x, y) arrays."""
-    if model is NeedleModel.CENTER_ANGLE:
-        theta = rng.uniform(-math.pi / 2.0, math.pi / 2.0, size)
-        z = rng.uniform(0.0, 1.0, size)
-        return theta, z
-    x = rng.uniform(0.0, 1.0, size)
-    y = rng.uniform(x - 1.0, x + 1.0)
-    return x, y
+    return _NEEDLES[model].sample(rng, size)
 
 
 def crosses_batch(model: NeedleModel, first: np.ndarray, second: np.ndarray) -> np.ndarray:
     """Vectorized crossing predicate matching ``crosses``."""
-    if model is NeedleModel.CENTER_ANGLE:
-        half_span = 0.5 * np.cos(first)
-        return (second <= half_span) | (second >= 1.0 - half_span)
-    return (second <= 0.0) | (second >= 1.0)
+    return _NEEDLES[model].crosses(first, second)
 
 
 def cross_probability_by_quadrature(model: NeedleModel) -> float:
@@ -106,17 +153,8 @@ def cross_probability_by_quadrature(model: NeedleModel) -> float:
     Independent numerical route to the closed forms by Gauss-Legendre
     quadrature, accurate to about 1e-15.
     """
-    if model is NeedleModel.CENTER_ANGLE:
-        # for a given tilt, the crossing z-values occupy two bands of total
-        # length cos(theta)
-        return gauss_legendre(lambda t: np.cos(t) / math.pi, -math.pi / 2.0, math.pi / 2.0)
-
-    def crossing_measure(x: np.ndarray) -> np.ndarray:
-        lower = np.maximum(0.0, 0.0 - (x - 1.0))  # y in [x-1, 0]
-        upper = np.maximum(0.0, (x + 1.0) - 1.0)  # y in [1, x+1]
-        return 0.5 * (lower + upper)
-
-    return gauss_legendre(crossing_measure, 0.0, 1.0)
+    needle = _NEEDLES[model]
+    return gauss_legendre(needle.crossing_measure, *needle.first)
 
 
 def needle_cross_experiment(model: NeedleModel) -> Experiment:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import os
@@ -56,7 +57,8 @@ def _cell(value: Any) -> str:
     return str(value)
 
 
-def _render_csv(header: Sequence[str], rows: list[dict[str, Any]]) -> str:
+def _render_csv(rows: list[dict[str, Any]]) -> str:
+    header = list(rows[0])
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
@@ -65,20 +67,18 @@ def _render_csv(header: Sequence[str], rows: list[dict[str, Any]]) -> str:
     return buf.getvalue()
 
 
-def _render_json(header: Sequence[str], rows: list[dict[str, Any]]) -> str:
-    json_rows = []
-    for row in rows:
-        jr: dict[str, Any] = {}
-        for h in header:
-            v = row[h]
-            # pin floats to the same 9 significant digits the CSV shows
-            jr[h] = float(_fmt(v)) if isinstance(v, float) else v
-        json_rows.append(jr)
+def _render_json(rows: list[dict[str, Any]]) -> str:
+    # pin floats to the same 9 significant digits the CSV shows
+    json_rows = [
+        {h: float(_fmt(v)) if isinstance(v, float) else v for h, v in row.items()}
+        for row in rows
+    ]
     return json.dumps({"rows": json_rows}, indent=2) + "\n"
 
 
-def _emit(args: argparse.Namespace, header: Sequence[str], rows: list[dict[str, Any]]) -> int:
-    text = _render_csv(header, rows) if args.format == "csv" else _render_json(header, rows)
+def _emit(args: argparse.Namespace, rows: list[dict[str, Any]]) -> int:
+    """Write the rows, whose keys (the same for every row) are the header."""
+    text = _render_csv(rows) if args.format == "csv" else _render_json(rows)
     if args.out:
         with open(args.out, "w", newline="") as f:
             f.write(text)
@@ -105,41 +105,44 @@ def _check_samples(n: int, minimum: int = 1) -> int:
     return n
 
 
+def _estimate_row(
+    model: str, exact_p: float, est: montecarlo.Estimate | None, **extra: float
+) -> dict[str, Any]:
+    """A model's exact value beside its estimate; blank estimate cells without one."""
+
+    def field(name: str) -> Any:
+        return None if est is None else getattr(est, name)
+
+    return {
+        "model": model,
+        "exact_p": exact_p,
+        "p_hat": field("p_hat"),
+        "ci_low": field("ci_low"),
+        "ci_high": field("ci_high"),
+        **extra,
+        "n": field("n"),
+        "seed": field("seed"),
+    }
+
+
 def cmd_bertrand(args: argparse.Namespace) -> int:
     n = _check_samples(args.samples)
     seed = _resolve_seed(args)
     models = list(_CHORD_TOKENS.values()) if args.model == "all" else [_CHORD_TOKENS[args.model]]
-    rows: list[dict[str, Any]] = []
-    for model in models:
-        est = montecarlo.run(bertrand.chord_exceed_experiment(model), n, seed, args.shards)
-        rows.append(
-            {
-                "model": model.value,
-                "exact_p": bertrand.exact_exceed_probability(model),
-                "p_hat": est.p_hat,
-                "ci_low": est.ci_low,
-                "ci_high": est.ci_high,
-                "n": est.n,
-                "seed": est.seed,
-            }
+    rows = [
+        _estimate_row(
+            model.value,
+            bertrand.exact_exceed_probability(model),
+            montecarlo.run(bertrand.chord_exceed_experiment(model), n, seed, args.shards),
         )
+        for model in models
+    ]
     if args.pushforward:
         value = bertrand.exceed_probability_under_measure(
             bertrand.ChordModel.MIDPOINT_UNIFORM, bertrand.ChordModel.POLAR_UNIFORM
         )
-        rows.append(
-            {
-                "model": "midpoint_to_polar_pushforward",
-                "exact_p": value,
-                "p_hat": None,
-                "ci_low": None,
-                "ci_high": None,
-                "n": None,
-                "seed": None,
-            }
-        )
-    header = ["model", "exact_p", "p_hat", "ci_low", "ci_high", "n", "seed"]
-    return _emit(args, header, rows)
+        rows.append(_estimate_row("midpoint_to_polar_pushforward", value, None))
+    return _emit(args, rows)
 
 
 def cmd_buffon(args: argparse.Namespace) -> int:
@@ -149,84 +152,46 @@ def cmd_buffon(args: argparse.Namespace) -> int:
     rows = []
     for model in models:
         pi_est = buffon.estimate_pi(model, n, seed, args.shards)
-        est = pi_est.crossings
         rows.append(
-            {
-                "model": model.value,
-                "exact_p": buffon.exact_cross_probability(model),
-                "p_hat": est.p_hat,
-                "ci_low": est.ci_low,
-                "ci_high": est.ci_high,
-                "pi_estimate": pi_est.value,
-                "pi_ci_low": pi_est.ci_low,
-                "pi_ci_high": pi_est.ci_high,
-                "n": est.n,
-                "seed": est.seed,
-            }
+            _estimate_row(
+                model.value,
+                buffon.exact_cross_probability(model),
+                pi_est.crossings,
+                pi_estimate=pi_est.value,
+                pi_ci_low=pi_est.ci_low,
+                pi_ci_high=pi_est.ci_high,
+            )
         )
-    header = [
-        "model",
-        "exact_p",
-        "p_hat",
-        "ci_low",
-        "ci_high",
-        "pi_estimate",
-        "pi_ci_low",
-        "pi_ci_high",
-        "n",
-        "seed",
-    ]
-    return _emit(args, header, rows)
+    return _emit(args, rows)
 
 
 def cmd_squares(args: argparse.Namespace) -> int:
     t = args.threshold
     if not 0.0 <= t <= squares.X_MAX:
         raise CliError(f"--threshold must lie in [0, 100], got {t}")
-    rows = [
-        {
-            "model": squares.IntervalModel.UNIFORM_X.value,
-            "threshold": t,
-            "probability": squares.exceed_probability(squares.IntervalModel.UNIFORM_X, t),
-        },
-        {
-            "model": squares.IntervalModel.NAIVE_UNIFORM_SQUARE.value,
-            "threshold": t * t,
-            "probability": squares.exceed_probability(
-                squares.IntervalModel.NAIVE_UNIFORM_SQUARE, t * t
-            ),
-        },
-        {
-            "model": squares.IntervalModel.PUSHFORWARD_SQUARE.value,
-            "threshold": t * t,
-            "probability": squares.exceed_probability(
-                squares.IntervalModel.PUSHFORWARD_SQUARE, t * t
-            ),
-        },
-    ]
+    rows = []
+    for model in squares.IntervalModel:
+        threshold = squares.model_threshold(model, t)
+        rows.append(
+            {
+                "model": model.value,
+                "threshold": threshold,
+                "probability": squares.exceed_probability(model, threshold),
+            }
+        )
     if args.finite is not None:
         if args.finite < 1:
             raise CliError(f"--finite must be >= 1, got {args.finite}")
         if t != int(t):
             raise CliError(f"--threshold must be an integer for counting, got {t}")
         ti = int(t)
-        rows.append(
-            {
-                "model": "counting_plain",
-                "threshold": ti,
-                "probability": str(squares.finite_counting_probability(args.finite, ti, False)),
-            }
-        )
-        rows.append(
-            {
-                "model": "counting_squared",
-                "threshold": ti * ti,
-                "probability": str(
-                    squares.finite_counting_probability(args.finite, ti * ti, True)
-                ),
-            }
-        )
-    return _emit(args, ["model", "threshold", "probability"], rows)
+        for model, threshold, squared in (
+            ("counting_plain", ti, False),
+            ("counting_squared", ti * ti, True),
+        ):
+            probability = squares.finite_counting_probability(args.finite, threshold, squared)
+            rows.append({"model": model, "threshold": threshold, "probability": str(probability)})
+    return _emit(args, rows)
 
 
 def _parse_law(text: str) -> rationals.DenominatorLaw:
@@ -269,21 +234,17 @@ def cmd_rationals(args: argparse.Namespace) -> int:
         law = _parse_law(args.law)
         q = _parse_rational(args.q)
         value = rationals.atom_probability(q, law, args.tol)
-        return _emit(args, ["law", "q", "probability"], [{"law": args.law, "q": str(q), "probability": value}])
+        return _emit(args, [{"law": args.law, "q": str(q), "probability": value}])
 
     if args.mode == "cdf":
         law = _parse_law(args.law)
         value = rationals.cdf(args.x, law, args.tol)
-        return _emit(args, ["law", "x", "value"], [{"law": args.law, "x": args.x, "value": value}])
+        return _emit(args, [{"law": args.law, "x": args.x, "value": value}])
 
     if args.mode == "interval":
         law = _parse_law(args.law)
         value = rationals.interval_probability(args.a, args.b, law, args.tol)
-        return _emit(
-            args,
-            ["law", "a", "b", "probability"],
-            [{"law": args.law, "a": args.a, "b": args.b, "probability": value}],
-        )
+        return _emit(args, [{"law": args.law, "a": args.a, "b": args.b, "probability": value}])
 
     if args.mode == "sample":
         law = _parse_law(args.law)
@@ -309,7 +270,7 @@ def cmd_rationals(args: argparse.Namespace) -> int:
                     "seed": seed,
                 }
             )
-        return _emit(args, ["law", "q", "count", "frequency", "n", "seed"], rows)
+        return _emit(args, rows)
 
     # converge
     family = (
@@ -321,28 +282,7 @@ def cmd_rationals(args: argparse.Namespace) -> int:
     except ValueError as exc:
         raise CliError(f"bad --ks or --probe: {exc}") from exc
     table = rationals.convergence_table(family, ks, (a, b), args.tol)
-    rows = [
-        {
-            "family": args.family,
-            "k": d.k,
-            "pmf_sup": d.pmf_sup,
-            "pmf_sup_log_k": d.pmf_sup_log_k,
-            "harmonic_number": d.harmonic_number,
-            "mean_reciprocal": d.mean_reciprocal,
-            "interval_error": d.interval_error,
-        }
-        for d in table
-    ]
-    header = [
-        "family",
-        "k",
-        "pmf_sup",
-        "pmf_sup_log_k",
-        "harmonic_number",
-        "mean_reciprocal",
-        "interval_error",
-    ]
-    return _emit(args, header, rows)
+    return _emit(args, [{"family": args.family, **dataclasses.asdict(d)} for d in table])
 
 
 def _add_output_options(p: argparse.ArgumentParser) -> None:

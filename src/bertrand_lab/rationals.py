@@ -82,6 +82,11 @@ def canonical_rationals(max_denominator: int) -> Iterator[Rational]:
                 yield Rational(n, m)
 
 
+def _check_tol(tol: float) -> None:
+    if not tol > 0.0:  # NaN fails too
+        raise ValueError(f"tol must be > 0, got {tol}")
+
+
 class DenominatorLaw(ABC):
     """A probability mass function over denominators m = 1, 2, ..."""
 
@@ -102,8 +107,8 @@ class DenominatorLaw(ABC):
         """Supremum of the pmf over its support."""
 
     @abstractmethod
-    def sample(self, rng: np.random.Generator, size: int | None = None):
-        """Draw denominators: a python int, or an int64 array when size is given."""
+    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        """Draw ``size`` denominators as an int64 array."""
 
     @abstractmethod
     def truncation_index(self, tol: float) -> int:
@@ -134,15 +139,12 @@ class GeometricLaw(DenominatorLaw):
         return self.w
 
     def truncation_index(self, tol: float) -> int:
-        if tol <= 0.0:
-            raise ValueError("tol must be > 0")
+        _check_tol(tol)
         if tol >= 1.0:
             return 1
         return max(1, math.ceil(math.log(tol) / self._log_1mw))
 
-    def sample(self, rng: np.random.Generator, size: int | None = None):
-        if size is None:
-            return int(rng.geometric(self.w))
+    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         return rng.geometric(self.w, size).astype(np.int64)
 
     def __repr__(self) -> str:
@@ -203,8 +205,7 @@ class PoissonLaw(DenominatorLaw):
     def truncation_index(self, tol: float) -> int:
         """Smallest m with tail(m) <= tol, from one reverse cumulative sum over
         the bulk, where the mass beyond is below tol * 1e-17."""
-        if tol <= 0.0:
-            raise ValueError("tol must be > 0")
+        _check_tol(tol)
         if tol >= 1.0:
             return 1
         lo, hi = self._bulk(40.0 - math.log(tol))
@@ -218,9 +219,7 @@ class PoissonLaw(DenominatorLaw):
         candidates = {max(1, math.floor(self.mean)), math.floor(self.mean) + 1}
         return max(self.pmf(m) for m in candidates)
 
-    def sample(self, rng: np.random.Generator, size: int | None = None):
-        if size is None:
-            return 1 + int(rng.poisson(self.mean))
+    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         return (1 + rng.poisson(self.mean, size)).astype(np.int64)
 
     def __repr__(self) -> str:
@@ -248,13 +247,10 @@ class DegenerateLaw(DenominatorLaw):
         return 1.0
 
     def truncation_index(self, tol: float) -> int:
-        if tol <= 0.0:
-            raise ValueError("tol must be > 0")
+        _check_tol(tol)
         return self.value
 
-    def sample(self, rng: np.random.Generator, size: int | None = None):
-        if size is None:
-            return self.value
+    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         return np.full(size, self.value, dtype=np.int64)
 
     def __repr__(self) -> str:
@@ -271,41 +267,36 @@ class CustomLaw(DenominatorLaw):
         if ms[0] < 1:
             raise ValueError("denominators must be >= 1")
         ps = np.array([table[int(m)] for m in ms], dtype=np.float64)
-        if np.any(ps < 0.0):
-            raise ValueError("probabilities must be >= 0")
+        if not np.all(np.isfinite(ps) & (ps >= 0.0)):
+            raise ValueError("probabilities must be finite and >= 0")
         total = float(ps.sum())
         if abs(total - 1.0) > 1e-12:
             raise ValueError(f"table sums to {total}, not 1")
         self._ms = ms
         self._ps = ps
-        self._lookup = {int(m): float(p) for m, p in zip(ms, ps)}
+        # _above[i] = P{M >= ms[i]}, with a trailing 0 for P{M > ms[-1]}
+        self._above = np.append(np.cumsum(ps[::-1])[::-1], 0.0)
 
     def pmf(self, m: int) -> float:
-        return self._lookup.get(m, 0.0)
+        return float(self.pmf_array(np.array([m]))[0])
 
     def pmf_array(self, ms: np.ndarray) -> np.ndarray:
-        out = np.zeros(len(ms), dtype=np.float64)
-        for m, p in self._lookup.items():
-            out[np.asarray(ms) == m] = p
-        return out
+        ms = np.asarray(ms)
+        i = np.minimum(np.searchsorted(self._ms, ms), len(self._ms) - 1)
+        return np.where(self._ms[i] == ms, self._ps[i], 0.0)
 
     def tail(self, m: int) -> float:
-        return float(self._ps[np.searchsorted(self._ms, m, side="right") :].sum())
+        return float(self._above[np.searchsorted(self._ms, m, side="right")])
 
     def sup_pmf(self) -> float:
         return float(self._ps.max())
 
     def truncation_index(self, tol: float) -> int:
-        if tol <= 0.0:
-            raise ValueError("tol must be > 0")
-        for i, m in enumerate(self._ms):
-            if float(self._ps[i + 1 :].sum()) <= tol:
-                return int(m)
-        return int(self._ms[-1])
+        _check_tol(tol)
+        # the first table entry whose tail P{M > m} = _above[i + 1] is <= tol
+        return int(self._ms[np.count_nonzero(self._above[1:] > tol)])
 
-    def sample(self, rng: np.random.Generator, size: int | None = None):
-        if size is None:
-            return int(rng.choice(self._ms, p=self._ps))
+    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         return rng.choice(self._ms, p=self._ps, size=size).astype(np.int64)
 
     def __repr__(self) -> str:
@@ -323,8 +314,7 @@ def atom_probability(q: Rational, law: DenominatorLaw, tol: float = DEFAULT_TOL)
     dropped term is at most its pmf factor, so the truncation error is at
     most ``tol``.
     """
-    if tol <= 0.0:
-        raise ValueError("tol must be > 0")
+    _check_tol(tol)
     limit = law.truncation_index(tol)
     count = limit // q.denominator
     if count == 0:
@@ -340,8 +330,9 @@ def cdf(x: float, law: DenominatorLaw, tol: float = DEFAULT_TOL) -> float:
     For 0 <= x < 1 the per-denominator factor is (floor(m x) + 1)/(m + 1),
     counting the numerators 0..m that keep n/m <= x.
     """
-    if tol <= 0.0:
-        raise ValueError("tol must be > 0")
+    _check_tol(tol)
+    if math.isnan(x):
+        raise ValueError("x must not be NaN")
     if x < 0.0:
         return 0.0
     if x >= 1.0:
@@ -354,9 +345,10 @@ def cdf(x: float, law: DenominatorLaw, tol: float = DEFAULT_TOL) -> float:
 
 def cdf_grid(xs: np.ndarray, law: DenominatorLaw, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Vectorized ``cdf`` over a grid, chunked over denominators to bound memory."""
-    if tol <= 0.0:
-        raise ValueError("tol must be > 0")
+    _check_tol(tol)
     xs = np.asarray(xs, dtype=np.float64)
+    if np.isnan(xs).any():
+        raise ValueError("xs must not contain NaN")
     out = np.zeros_like(xs)
     inside = (xs >= 0.0) & (xs < 1.0)
     out[xs >= 1.0] = 1.0
@@ -387,8 +379,7 @@ def interval_probability(a: float, b: float, law: DenominatorLaw, tol: float = D
     m + 1 equiprobable numerators, which is exactly F_Q(b) - F_Q(a) term by
     term.
     """
-    if tol <= 0.0:
-        raise ValueError("tol must be > 0")
+    _check_tol(tol)
     if not (0.0 <= a < b <= 1.0):
         raise ValueError(f"need 0 <= a < b <= 1, got a={a}, b={b}")
     ms = _series_denominators(law, tol)
@@ -404,8 +395,7 @@ def mean_reciprocal(law: DenominatorLaw, tol: float = DEFAULT_TOL) -> float:
     Every atom probability is below it, and interval probabilities differ
     from interval length by at most (1 + length) times it.
     """
-    if tol <= 0.0:
-        raise ValueError("tol must be > 0")
+    _check_tol(tol)
     ms = _series_denominators(law, tol)
     terms = law.pmf_array(ms) / ms.astype(np.float64)
     return float(terms.sum())
@@ -424,10 +414,13 @@ def harmonic_number(k: int) -> float:
 
 
 def sample_rational(law: DenominatorLaw, rng: np.random.Generator) -> Rational:
-    """Draw M from the law, N uniform on {0..M}, and reduce to canonical form."""
-    m = int(law.sample(rng))
-    n = int(rng.integers(0, m + 1))
-    return canonicalize(n, m)
+    """Draw M from the law, N uniform on {0..M}, and reduce to canonical form.
+
+    This is element 0 of ``sample_rational_batch(law, rng, 1)``: it consumes
+    the generator stream exactly as a size-1 batch does.
+    """
+    nums, dens = sample_rational_batch(law, rng, 1)
+    return Rational(int(nums[0]), int(dens[0]))
 
 
 def sample_rational_batch(

@@ -13,6 +13,7 @@ from __future__ import annotations
 import enum
 import math
 from fractions import Fraction
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -28,8 +29,25 @@ class IntervalModel(enum.Enum):
     PUSHFORWARD_SQUARE = "pushforward_square"
 
 
-def _support_upper(model: IntervalModel) -> float:
-    return X_MAX if model is IntervalModel.UNIFORM_X else Y_MAX
+class _Interval(NamedTuple):
+    """One convention: the coordinate it reads off X on [0, 100], and its P(> t)."""
+
+    coordinate: Callable[[float], float]
+    exceed: Callable[[float], float]
+
+
+_INTERVALS = {
+    IntervalModel.UNIFORM_X: _Interval(lambda x: x, lambda t: (X_MAX - t) / X_MAX),
+    IntervalModel.NAIVE_UNIFORM_SQUARE: _Interval(lambda x: x * x, lambda t: (Y_MAX - t) / Y_MAX),
+    IntervalModel.PUSHFORWARD_SQUARE: _Interval(
+        lambda x: x * x, lambda t: 1.0 - math.sqrt(t) / X_MAX
+    ),
+}
+
+
+def model_threshold(model: IntervalModel, x_threshold: float) -> float:
+    """The threshold on the model's own scale that ``x_threshold`` on [0, 100] means."""
+    return _INTERVALS[model].coordinate(x_threshold)
 
 
 def exceed_probability(model: IntervalModel, threshold: float) -> float:
@@ -39,14 +57,10 @@ def exceed_probability(model: IntervalModel, threshold: float) -> float:
     NAIVE_UNIFORM_SQUARE treats its square as uniform on [0, 10000];
     PUSHFORWARD_SQUARE uses the actual law of X^2 for X uniform on [0, 100].
     """
-    hi = _support_upper(model)
+    hi = model_threshold(model, X_MAX)
     if not 0.0 <= threshold <= hi:
         raise ValueError(f"threshold {threshold} outside [0, {hi:g}] for {model.value}")
-    if model is IntervalModel.UNIFORM_X:
-        return (X_MAX - threshold) / X_MAX
-    if model is IntervalModel.NAIVE_UNIFORM_SQUARE:
-        return (Y_MAX - threshold) / Y_MAX
-    return 1.0 - math.sqrt(threshold) / X_MAX
+    return _INTERVALS[model].exceed(threshold)
 
 
 def pushforward_square_density(y: float) -> float:

@@ -205,6 +205,27 @@ class TestRationalsCommand:
         assert code == 2
         assert "law" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["atom", "--q", "1/2", "--law", "custom:1=0.5,2=nan"],
+            ["cdf", "--x", "0.5", "--law", "custom:1=0.5,2=nan"],
+            ["interval", "--a", "0", "--b", "0.5", "--law", "custom:1=0.5,2=nan"],
+            ["cdf", "--x", "nan", "--law", "geometric:0.5"],
+            ["atom", "--q", "1/2", "--law", "custom:1=0.5,2=0.5", "--tol", "nan"],
+        ],
+    )
+    def test_nan_input_is_a_config_error(self, argv, capsys):
+        code, out, err = run_cli(["rationals", *argv], capsys)
+        assert code == 2
+        assert out == ""
+        assert "nan" in err.lower()
+
+    def test_minus_infinity_point_has_cdf_zero(self, capsys):
+        code, out, _ = run_cli(["rationals", "cdf", "--x=-inf", "--law", "geometric:0.5"], capsys)
+        assert code == 0
+        assert parse_csv(out)[0]["value"] == "0"
+
     def test_bad_ks(self, capsys):
         code, _, _ = run_cli(
             ["rationals", "converge", "--ks", "100,10"], capsys

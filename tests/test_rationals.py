@@ -166,6 +166,13 @@ class TestCdf:
         assert cdf(1.0, GeometricLaw(0.2), TOL) == 1.0
         assert cdf(7.0, DegenerateLaw(3), TOL) == 1.0
 
+    def test_nan_point_is_rejected(self):
+        with pytest.raises(ValueError):
+            cdf(float("nan"), GeometricLaw(0.2), TOL)
+        with pytest.raises(ValueError):
+            cdf_grid(np.array([0.25, float("nan")]), GeometricLaw(0.2), TOL)
+        assert cdf(float("-inf"), GeometricLaw(0.2), TOL) == 0.0
+
     def test_right_continuous_at_atoms(self):
         law = DegenerateLaw(2)
         at = cdf(0.5, law, TOL)
@@ -341,6 +348,8 @@ class TestLawMechanics:
             CustomLaw({1: 0.5, 2: 0.6})
         with pytest.raises(ValueError):
             CustomLaw({1: -0.1, 2: 1.1})
+        with pytest.raises(ValueError):
+            CustomLaw({1: 0.5, 2: float("nan")})
 
 
 class TestSampling:
