@@ -80,6 +80,31 @@ GOLDEN = {
         "geometric,10,0.1,0.230258509,2.92896825,0.255842788,0.137836463\n"
         "geometric,100,0.01,0.0460517019,5.18737752,0.0465168706,0.0284342821\n"
     ),
+    # series long enough to span many denominator chunks
+    "rationals cdf --x 0.37 --law geometric:1e-5": (
+        "law,x,value\n"
+        "geometric:1e-5,0.37,0.370014318\n"
+    ),
+    "rationals interval --a 0.2 --b 0.7 --law geometric:1e-5": (
+        "law,a,b,probability\n"
+        "geometric:1e-5,0.2,0.7,0.499939543\n"
+    ),
+    "rationals atom --q 3/7 --law geometric:1e-5": (
+        "law,q,probability\n"
+        "geometric:1e-5,3/7,1.33628671e-05\n"
+    ),
+    "rationals cdf --x 0.37 --law poisson:10000": (
+        "law,x,value\n"
+        "poisson:10000,0.37,0.370013499\n"
+    ),
+    "rationals converge --ks 10,100,1000,10000,100000": (
+        "family,k,pmf_sup,pmf_sup_log_k,harmonic_number,mean_reciprocal,interval_error\n"
+        "geometric,10,0.1,0.230258509,2.92896825,0.255842788,0.137836463\n"
+        "geometric,100,0.01,0.0460517019,5.18737752,0.0465168706,0.0284342821\n"
+        "geometric,1000,0.001,0.00690775528,7.48547086,0.00691466995,0.0045171846\n"
+        "geometric,10000,0.0001,0.000921034037,9.78760604,0.00092112615,0.000623577858\n"
+        "geometric,100000,1e-05,0.000115129255,12.0901461,0.000115130406,7.96157778e-05\n"
+    ),
 }
 
 
