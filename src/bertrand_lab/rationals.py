@@ -15,7 +15,10 @@ probabilities converge to interval length: the law becomes asymptotically
 equiprobable even though no uniform distribution on the rationals exists.
 All series are truncated where the denominator law's exact tail mass drops
 below ``tol``, which bounds the truncation error by ``tol`` because every
-summand is dominated by its pmf factor.
+summand is dominated by its pmf factor.  They stream over the denominators in
+chunks of ``_CHUNK_CELLS`` cells (denominators times evaluation points), so
+memory does not grow with the truncation index L; a series of more than
+``_BUDGET_CELLS`` cells raises ``ValueError`` before any work, naming its range.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from __future__ import annotations
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Callable, Iterator, Mapping
+from typing import Iterator, Mapping
 
 import numpy as np
 
@@ -37,6 +40,10 @@ _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 
 # Tail mass below exp(-745) underflows to 0.0.
 _LOG_UNDERFLOW = 745.0
+
+# A series is summed 2**16 cells at a time, and refused beyond 2**32 cells.
+_CHUNK_CELLS = 1 << 16
+_BUDGET_CELLS = 1 << 32
 
 
 @dataclass(frozen=True)
@@ -85,6 +92,29 @@ def canonical_rationals(max_denominator: int) -> Iterator[Rational]:
 def _check_tol(tol: float) -> None:
     if not tol > 0.0:  # NaN fails too
         raise ValueError(f"tol must be > 0, got {tol}")
+
+
+def _chunks(
+    law: DenominatorLaw, ms: range, points: int = 1
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Yield ``(m, law.pmf_array(m))`` over the denominators ``ms`` in order,
+    ``_CHUNK_CELLS // points`` denominators at a time.
+
+    Raises ValueError before the first chunk when the walk exceeds
+    ``_BUDGET_CELLS`` cells (denominators times evaluation points).
+    """
+    cells = len(ms) * points
+    if cells > _BUDGET_CELLS:
+        lo, hi = sorted((ms[0], ms[-1]))
+        raise ValueError(
+            f"series over m = {lo}..{hi} at {points} point(s) is {cells} cells, "
+            f"over the budget of {_BUDGET_CELLS}"
+        )
+    rows = max(1, _CHUNK_CELLS // points)
+    for i in range(0, len(ms), rows):
+        part = ms[i : i + rows]
+        m = np.arange(part.start, part.stop, part.step, dtype=np.int64)
+        yield m, law.pmf_array(m)
 
 
 class DenominatorLaw(ABC):
@@ -198,21 +228,25 @@ class PoissonLaw(DenominatorLaw):
         lo, hi = self._bulk(_LOG_UNDERFLOW)
         if m > self.mean:
             # upper sum over P{M = m+1..hi}, smallest terms first
-            return float(self.pmf_array(np.arange(hi, m, -1)).sum())
+            return math.fsum(float(p.sum()) for _, p in _chunks(self, range(hi, m, -1)))
         # one minus the lower sum over P{M = lo..m}, smallest terms first
-        return 1.0 - float(self.pmf_array(np.arange(lo, m + 1)).sum())
+        return 1.0 - math.fsum(float(p.sum()) for _, p in _chunks(self, range(lo, m + 1)))
 
     def truncation_index(self, tol: float) -> int:
-        """Smallest m with tail(m) <= tol, from one reverse cumulative sum over
-        the bulk, where the mass beyond is below tol * 1e-17."""
+        """Smallest m with tail(m) <= tol, from one running sum down the bulk,
+        where the mass beyond is below tol * 1e-17."""
         _check_tol(tol)
         if tol >= 1.0:
             return 1
         lo, hi = self._bulk(40.0 - math.log(tol))
-        ms = np.arange(lo, hi + 1)
-        # above[i] = P{ms[i] <= M <= hi}, which is tail(ms[i] - 1) up to the cut
-        above = np.cumsum(self.pmf_array(ms)[::-1])[::-1]
-        return max(1, lo - 1 + int(np.count_nonzero(above > tol)))
+        # above = P{m <= M <= hi} = tail(m - 1) up to the cut, for m = hi, hi-1, ...;
+        # a cumsum per chunk from the carry adds in the same order as one cumsum
+        above, count = 0.0, 0
+        for _, p in _chunks(self, range(hi, lo - 1, -1)):
+            run = np.cumsum(np.concatenate(([above], p)))
+            count += int(np.count_nonzero(run[1:] > tol))
+            above = float(run[-1])
+        return max(1, lo - 1 + count)
 
     def sup_pmf(self) -> float:
         # Poisson mode at floor(mean) (two tied modes for integer mean)
@@ -303,10 +337,6 @@ class CustomLaw(DenominatorLaw):
         return f"CustomLaw({dict(zip(map(int, self._ms), map(float, self._ps)))!r})"
 
 
-def _series_denominators(law: DenominatorLaw, tol: float) -> np.ndarray:
-    return np.arange(1, law.truncation_index(tol) + 1, dtype=np.int64)
-
-
 def atom_probability(q: Rational, law: DenominatorLaw, tol: float = DEFAULT_TOL) -> float:
     """P{Q = q}: the series over all representations l*n / l*m of q.
 
@@ -314,14 +344,31 @@ def atom_probability(q: Rational, law: DenominatorLaw, tol: float = DEFAULT_TOL)
     dropped term is at most its pmf factor, so the truncation error is at
     most ``tol``.
     """
+    ms = range(q.denominator, law.truncation_index(tol) + 1, q.denominator)
+    return math.fsum(float((p / (m + 1.0)).sum()) for m, p in _chunks(law, ms))
+
+
+def _cdf(xs: np.ndarray, law: DenominatorLaw, tol: float) -> np.ndarray:
+    """F_Q at each point of ``xs``; the series behind ``cdf`` and ``cdf_grid``."""
     _check_tol(tol)
-    limit = law.truncation_index(tol)
-    count = limit // q.denominator
-    if count == 0:
-        return 0.0
-    multiples = np.arange(1, count + 1, dtype=np.int64) * q.denominator
-    terms = law.pmf_array(multiples) / (multiples + 1.0)
-    return float(terms.sum())
+    xs = np.asarray(xs, dtype=np.float64)
+    if np.isnan(xs).any():
+        raise ValueError("x must not be NaN")
+    out = np.zeros_like(xs)
+    inside = (xs >= 0.0) & (xs < 1.0)
+    out[xs >= 1.0] = 1.0
+    xin = xs[inside]
+    if xin.size == 0:
+        return out
+    acc, buf = np.zeros_like(xin), None
+    for m, p in _chunks(law, range(1, law.truncation_index(tol) + 1), xin.size):
+        # chunks never grow, so the first chunk's buffer serves every later one
+        buf = np.empty((len(m), xin.size)) if buf is None else buf[: len(m)]
+        np.floor(np.multiply(m[:, None], xin, out=buf), out=buf)
+        buf += 1.0
+        acc += (p / (m + 1.0)) @ buf
+    out[inside] = acc
+    return out
 
 
 def cdf(x: float, law: DenominatorLaw, tol: float = DEFAULT_TOL) -> float:
@@ -330,46 +377,12 @@ def cdf(x: float, law: DenominatorLaw, tol: float = DEFAULT_TOL) -> float:
     For 0 <= x < 1 the per-denominator factor is (floor(m x) + 1)/(m + 1),
     counting the numerators 0..m that keep n/m <= x.
     """
-    _check_tol(tol)
-    if math.isnan(x):
-        raise ValueError("x must not be NaN")
-    if x < 0.0:
-        return 0.0
-    if x >= 1.0:
-        return 1.0
-    ms = _series_denominators(law, tol)
-    msf = ms.astype(np.float64)
-    terms = law.pmf_array(ms) * (np.floor(msf * x) + 1.0) / (msf + 1.0)
-    return float(terms.sum())
+    return float(_cdf(np.array([x]), law, tol)[0])
 
 
 def cdf_grid(xs: np.ndarray, law: DenominatorLaw, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Vectorized ``cdf`` over a grid, chunked over denominators to bound memory."""
-    _check_tol(tol)
-    xs = np.asarray(xs, dtype=np.float64)
-    if np.isnan(xs).any():
-        raise ValueError("xs must not contain NaN")
-    out = np.zeros_like(xs)
-    inside = (xs >= 0.0) & (xs < 1.0)
-    out[xs >= 1.0] = 1.0
-    xin = xs[inside]
-    if xin.size == 0:
-        return out
-    ms = _series_denominators(law, tol)
-    msf = ms.astype(np.float64)
-    coef = law.pmf_array(ms) / (msf + 1.0)
-    acc = np.zeros_like(xin)
-    chunk = max(1, (1 << 22) // max(1, xin.size))  # ~32 MB working set
-    buf = np.empty((chunk, xin.size), dtype=np.float64)
-    for lo in range(0, len(ms), chunk):
-        mc = msf[lo : lo + chunk]
-        b = buf[: len(mc)]
-        np.multiply(mc[:, None], xin[None, :], out=b)
-        np.floor(b, out=b)
-        b += 1.0
-        acc += coef[lo : lo + chunk] @ b
-    out[inside] = acc
-    return out
+    """Vectorized ``cdf`` over a grid."""
+    return _cdf(xs, law, tol)
 
 
 def interval_probability(a: float, b: float, law: DenominatorLaw, tol: float = DEFAULT_TOL) -> float:
@@ -379,14 +392,13 @@ def interval_probability(a: float, b: float, law: DenominatorLaw, tol: float = D
     m + 1 equiprobable numerators, which is exactly F_Q(b) - F_Q(a) term by
     term.
     """
-    _check_tol(tol)
     if not (0.0 <= a < b <= 1.0):
         raise ValueError(f"need 0 <= a < b <= 1, got a={a}, b={b}")
-    ms = _series_denominators(law, tol)
-    msf = ms.astype(np.float64)
-    counts = np.floor(msf * b) - np.floor(msf * a)
-    terms = law.pmf_array(ms) * counts / (msf + 1.0)
-    return float(terms.sum())
+    ms = range(1, law.truncation_index(tol) + 1)
+    return math.fsum(
+        float((p * (np.floor(m * b) - np.floor(m * a)) / (m + 1.0)).sum())
+        for m, p in _chunks(law, ms)
+    )
 
 
 def mean_reciprocal(law: DenominatorLaw, tol: float = DEFAULT_TOL) -> float:
@@ -395,15 +407,8 @@ def mean_reciprocal(law: DenominatorLaw, tol: float = DEFAULT_TOL) -> float:
     Every atom probability is below it, and interval probabilities differ
     from interval length by at most (1 + length) times it.
     """
-    _check_tol(tol)
-    ms = _series_denominators(law, tol)
-    terms = law.pmf_array(ms) / ms.astype(np.float64)
-    return float(terms.sum())
-
-
-def sup_pmf(law: DenominatorLaw) -> float:
-    """Supremum of the denominator pmf (the flatness measure of the law)."""
-    return law.sup_pmf()
+    ms = range(1, law.truncation_index(tol) + 1)
+    return math.fsum(float((p / m).sum()) for m, p in _chunks(law, ms))
 
 
 def harmonic_number(k: int) -> float:
@@ -434,39 +439,30 @@ def sample_rational_batch(
 
 
 class GeometricFamily:
-    """Geometric denominator laws whose success rate shrinks with k.
+    """Geometric denominator laws with success rate w_k = 1/k.
 
-    The default schedule w_k = 1/k flattens the pmf fast enough that
-    sup_pmf * ln k -> 0, the regime in which the induced rational laws
-    become asymptotically equiprobable.
+    This schedule flattens the pmf fast enough that sup_pmf * ln k -> 0, the
+    regime in which the induced rational laws become asymptotically
+    equiprobable.
     """
 
     kind = "geometric"
 
-    def __init__(self, rate_for: Callable[[int], float] | None = None):
-        self._rate_for = rate_for if rate_for is not None else lambda k: 1.0 / k
-
     def law(self, k: int) -> GeometricLaw:
         if k < 1:
             raise ValueError("k must be >= 1")
-        return GeometricLaw(self._rate_for(k))
+        return GeometricLaw(1.0 / k)
 
 
 class PoissonFamily:
-    """Shifted Poisson denominator laws with mean growing in k (default k)."""
+    """Shifted Poisson denominator laws with mean k."""
 
     kind = "poisson"
-
-    def __init__(self, mean_for: Callable[[int], float] | None = None):
-        self._mean_for = mean_for if mean_for is not None else lambda k: float(k)
 
     def law(self, k: int) -> PoissonLaw:
         if k < 1:
             raise ValueError("k must be >= 1")
-        return PoissonLaw(self._mean_for(k))
-
-
-LawFamily = GeometricFamily | PoissonFamily
+        return PoissonLaw(float(k))
 
 
 @dataclass(frozen=True)
@@ -482,7 +478,7 @@ class ConvergenceDiagnostics:
 
 
 def convergence_table(
-    family: LawFamily,
+    family: GeometricFamily | PoissonFamily,
     ks: list[int],
     probe: tuple[float, float] = (0.0, 0.5),
     tol: float = DEFAULT_TOL,

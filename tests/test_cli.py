@@ -19,6 +19,13 @@ def run_cli(argv, capsys):
     return code, captured.out, captured.err
 
 
+def src_env():
+    """The environment with this checkout's ``src`` first on PYTHONPATH, for subprocesses."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path)
+
+
 def parse_csv(text):
     rows = list(csv.DictReader(io.StringIO(text)))
     return rows
@@ -221,6 +228,23 @@ class TestRationalsCommand:
         assert out == ""
         assert "nan" in err.lower()
 
+    @pytest.mark.parametrize(
+        "argv, named",
+        [
+            # L = 23,025,850,919 denominators
+            (["interval", "--a", "0", "--b", "0.5", "--law", "geometric:1e-9"], "23025850919"),
+            # the Bernstein bulk behind L alone is about 2.2e10 terms
+            (["cdf", "--x", "0.5", "--law", "poisson:1e18"], "cells"),
+            (["atom", "--q", "1/2", "--law", "degenerate:1000000000000"], "1000000000000"),
+            (["converge", "--ks", "1000000000"], "23025850919"),
+        ],
+    )
+    def test_series_over_the_work_budget_is_a_config_error(self, argv, named, capsys):
+        code, out, err = run_cli(["rationals", *argv], capsys)
+        assert code == 2
+        assert out == ""
+        assert "budget" in err and named in err
+
     def test_minus_infinity_point_has_cdf_zero(self, capsys):
         code, out, _ = run_cli(["rationals", "cdf", "--x=-inf", "--law", "geometric:0.5"], capsys)
         assert code == 0
@@ -319,6 +343,7 @@ class TestModuleEntryPoint:
             [sys.executable, "-m", "bertrand_lab", "squares"],
             capture_output=True,
             text=True,
+            env=src_env(),
         )
         assert proc.returncode == 0
         assert proc.stdout.splitlines()[0] == "model,threshold,probability"
@@ -339,13 +364,8 @@ class TestModuleEntryPoint:
             print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
             """
         )
-        src = Path(__file__).resolve().parents[1] / "src"
-        path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
-            [sys.executable, "-c", script],
-            capture_output=True,
-            text=True,
-            env=dict(os.environ, PYTHONPATH=path),
+            [sys.executable, "-c", script], capture_output=True, text=True, env=src_env()
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[-1] == "[]"

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,7 +27,6 @@ from bertrand_lab.rationals import (
     mean_reciprocal,
     sample_rational,
     sample_rational_batch,
-    sup_pmf,
 )
 
 TOL = 1e-10
@@ -132,6 +132,15 @@ class TestAtomProbability:
         value = atom_probability(Rational(2, 5), PoissonLaw(lam), TOL)
         assert value == pytest.approx(oracle, abs=1e-9)
 
+    @pytest.mark.parametrize("q", [Rational(1, 3), Rational(3, 7)])
+    def test_many_chunk_geometric_atom_against_full_sum(self, q):
+        # the whole series in one array: L from the closed-form geometric tail
+        w = 1e-5
+        limit = math.ceil(math.log(TOL) / math.log1p(-w))
+        ms = np.arange(q.denominator, limit + 1, q.denominator, dtype=np.float64)
+        full = float(np.sum(w * np.exp((ms - 1.0) * math.log1p(-w)) / (ms + 1.0)))
+        assert atom_probability(q, GeometricLaw(w), TOL) == pytest.approx(full, rel=1e-13)
+
     def test_tol_must_be_positive(self):
         with pytest.raises(ValueError):
             atom_probability(Rational(1, 2), DegenerateLaw(2), 0.0)
@@ -187,11 +196,11 @@ class TestCdf:
         assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
 
     def test_grid_matches_scalar(self):
-        law = PoissonLaw(5.0)
         xs = np.array([-0.2, 0.0, 0.123, 0.5, 0.77, 0.999, 1.0, 1.5])
-        grid = cdf_grid(xs, law, TOL)
-        scalar = np.array([cdf(float(x), law, TOL) for x in xs])
-        np.testing.assert_allclose(grid, scalar, atol=1e-12)
+        for law in [PoissonLaw(5.0), GeometricLaw(1e-4), PoissonLaw(1e4)]:
+            grid = cdf_grid(xs, law, TOL)
+            scalar = np.array([cdf(float(x), law, TOL) for x in xs])
+            np.testing.assert_allclose(grid, scalar, atol=1e-12)
 
     def test_cdf_interval_agreement_on_random_pairs(self):
         law = GeometricLaw(0.25)
@@ -272,6 +281,12 @@ class TestMeanReciprocal:
             -w * math.log(w) / (1.0 - w), abs=1e-9
         )
 
+    def test_many_chunk_geometric_closed_form(self):
+        w = 1e-5
+        assert mean_reciprocal(GeometricLaw(w), TOL) == pytest.approx(
+            -w * math.log(w) / (1.0 - w), rel=1e-12
+        )
+
     def test_poisson_closed_form(self):
         # E[1/(1 + N)] = (1 - exp(-lam))/lam for N Poisson(lam)
         for lam in (1.0, 4.0, 10.0):
@@ -284,26 +299,49 @@ class TestMeanReciprocal:
             assert 0.0 < mean_reciprocal(law, TOL) <= 1.0
 
 
+class TestSeriesMemory:
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda law: atom_probability(Rational(1, 3), law, TOL),
+            lambda law: cdf(0.37, law, TOL),
+            lambda law: cdf_grid(np.linspace(0.0, 1.0, 17), law, TOL),
+            lambda law: interval_probability(0.2, 0.7, law, TOL),
+            lambda law: mean_reciprocal(law, TOL),
+        ],
+        ids=["atom", "cdf", "cdf_grid", "interval", "mean_reciprocal"],
+    )
+    def test_peak_is_bounded_for_a_long_series(self, call):
+        law = GeometricLaw(1e-5)  # L = 2,302,574 denominators
+        tracemalloc.start()
+        try:
+            call(law)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+
+
 class TestSupPmf:
     def test_geometric_mode_at_one(self):
-        assert sup_pmf(GeometricLaw(0.1)) == 0.1
+        assert GeometricLaw(0.1).sup_pmf() == 0.1
 
     def test_degenerate(self):
-        assert sup_pmf(DegenerateLaw(7)) == 1.0
+        assert DegenerateLaw(7).sup_pmf() == 1.0
 
     def test_poisson_at_integer_mean(self):
         # mode of the shifted pmf sits at m = 5 for mean 4
         brute = max(
             math.exp(-4.0) * 4.0 ** (m - 1) / math.factorial(m - 1) for m in range(1, 100)
         )
-        assert sup_pmf(PoissonLaw(4.0)) == pytest.approx(brute, abs=1e-15)
-        assert sup_pmf(PoissonLaw(4.0)) == pytest.approx(0.19536681481316456, abs=1e-12)
+        assert PoissonLaw(4.0).sup_pmf() == pytest.approx(brute, abs=1e-15)
+        assert PoissonLaw(4.0).sup_pmf() == pytest.approx(0.19536681481316456, abs=1e-12)
 
     def test_poisson_small_mean(self):
-        assert sup_pmf(PoissonLaw(0.5)) == pytest.approx(math.exp(-0.5), abs=1e-15)
+        assert PoissonLaw(0.5).sup_pmf() == pytest.approx(math.exp(-0.5), abs=1e-15)
 
     def test_custom(self):
-        assert sup_pmf(CustomLaw({1: 0.25, 3: 0.75})) == 0.75
+        assert CustomLaw({1: 0.25, 3: 0.75}).sup_pmf() == 0.75
 
 
 class TestLawMechanics:
@@ -438,18 +476,12 @@ class TestConvergence:
         row = rows[0]
         law = GeometricFamily().law(50)
         assert isinstance(row, ConvergenceDiagnostics)
-        assert row.pmf_sup == sup_pmf(law)
-        assert row.pmf_sup_log_k == pytest.approx(sup_pmf(law) * math.log(50), abs=1e-15)
+        assert row.pmf_sup == law.sup_pmf()
+        assert row.pmf_sup_log_k == pytest.approx(law.sup_pmf() * math.log(50), abs=1e-15)
         assert row.mean_reciprocal == pytest.approx(mean_reciprocal(law, TOL), abs=1e-15)
         assert row.interval_error == pytest.approx(
             abs(interval_probability(0.0, 0.5, law, TOL) - 0.5), abs=1e-15
         )
-
-    def test_custom_index_rules(self):
-        family = GeometricFamily(rate_for=lambda k: 1.0 / (k * k))
-        assert family.law(3).w == pytest.approx(1.0 / 9.0)
-        pois = PoissonFamily(mean_for=lambda k: 2.0 * k)
-        assert pois.law(3).mean == 6.0
 
     def test_ks_validation(self):
         with pytest.raises(ValueError):
