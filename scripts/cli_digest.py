@@ -1,0 +1,124 @@
+#!/usr/bin/env python3
+"""Digest the stdout of a fixed matrix of about 140 CLI commands.
+
+    python3 scripts/cli_digest.py [CHECKOUT] > digest.txt
+
+Each command runs cold as ``python -m bertrand_lab`` with ``PYTHONPATH`` set
+to ``CHECKOUT/src`` (by default the checkout holding this script) and prints
+one line, ``sha256-of-stdout  exit-code  argv``, in a fixed order.  Running it
+on two checkouts and diffing the outputs shows whether a change moved any
+output byte or exit code.  Standard library only.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import os
+import shlex
+import subprocess
+import sys
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
+
+SEEDS = ("7311", "7312", "7313")
+LAWS = (
+    "geometric:0.5",
+    "geometric:0.001",
+    "geometric:1e-4",
+    "geometric:1e-5",
+    "poisson:4",
+    "poisson:10000",
+    "poisson:100000",
+    "degenerate:7",
+    "custom:2=0.5,3=0.25,7=0.25",
+)
+SAMPLE_LAWS = ("geometric:0.5", "geometric:0.001", "poisson:4", "degenerate:7")
+
+
+def commands() -> list[list[str]]:
+    out: list[list[str]] = []
+    for family in ("bertrand", "buffon"):
+        for seed in SEEDS:
+            for shards in ("1", "2"):
+                for fmt in ("csv", "json"):
+                    out.append([family, "--seed", seed, "--shards", shards, "--format", fmt])
+    for family, models in (
+        ("bertrand", ("midpoint", "tangent", "polar")),
+        ("buffon", ("center-angle", "endpoints")),
+    ):
+        for model in models:
+            for seed in ("0", str(2**64 - 1)):
+                out.append([family, "--model", model, "--seed", seed])
+            out.append([family, "--model", model, "--samples", "65537"])
+    out += [
+        ["bertrand", "--pushforward"],
+        ["bertrand", "--pushforward", "--format", "json"],
+        ["squares"],
+        ["squares", "--threshold", "25"],
+        ["squares", "--threshold", "0"],
+        ["squares", "--threshold", "100"],
+        ["squares", "--finite", "100"],
+        ["squares", "--finite", "7", "--threshold", "3"],
+        ["squares", "--finite", "100", "--format", "json"],
+    ]
+    for law in LAWS:
+        for fmt in ("csv", "json"):
+            out += [
+                ["rationals", "atom", "--q", "1/2", "--law", law, "--format", fmt],
+                ["rationals", "cdf", "--x", "0.37", "--law", law, "--format", fmt],
+                ["rationals", "interval", "--a", "0.2", "--b", "0.7", "--law", law, "--format", fmt],
+            ]
+        out += [
+            ["rationals", "atom", "--q", "3/7", "--law", law],
+            ["rationals", "cdf", "--x", "0.7", "--law", law],
+        ]
+    for law in SAMPLE_LAWS:
+        for seed in SEEDS[:2]:
+            out.append(["rationals", "sample", "--law", law, "--seed", seed])
+        out.append(["rationals", "sample", "--law", law, "--samples", "1000", "--format", "json"])
+    out += [
+        ["rationals", "converge"],
+        ["rationals", "converge", "--ks", "10,100,1000,10000,100000"],
+        ["rationals", "converge", "--family", "poisson"],
+        ["rationals", "converge", "--family", "poisson", "--ks", "10,100,1000", "--format", "json"],
+        ["rationals", "converge", "--probe", "0.2,0.7"],
+        ["rationals", "converge", "--format", "json"],
+    ]
+    out += [
+        ["bertrand", "--samples", "0"],
+        ["bertrand", "--samples", "1000", "--shards", "3"],
+        ["buffon", "--samples", "999"],
+        ["squares", "--threshold", "101"],
+        ["squares", "--finite", "0"],
+        ["rationals", "atom", "--q", "1/0", "--law", "geometric:0.5"],
+        ["rationals", "cdf", "--x", "0.5", "--law", "bogus:1"],
+        ["rationals", "cdf", "--x", "nan", "--law", "geometric:0.5"],
+        ["rationals", "sample", "--law", "geometric:1e-10", "--samples", "5"],
+        ["rationals", "converge", "--ks", "a"],
+    ]
+    return out
+
+
+def digest(src: Path, argv: list[str]) -> str:
+    env = dict(os.environ, PYTHONPATH=str(src))
+    env.pop("BERTRAND_LAB_SEED", None)
+    proc = subprocess.run(
+        [sys.executable, "-m", "bertrand_lab", *argv], env=env, capture_output=True
+    )
+    return f"{hashlib.sha256(proc.stdout).hexdigest()}  {proc.returncode}  {shlex.join(argv)}"
+
+
+def main() -> int:
+    checkout = Path(sys.argv[1]) if len(sys.argv) > 1 else Path(__file__).resolve().parent.parent
+    src = checkout.resolve() / "src"
+    if not (src / "bertrand_lab").is_dir():
+        print(f"no src/bertrand_lab under {checkout}", file=sys.stderr)
+        return 2
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        for line in pool.map(lambda argv: digest(src, argv), commands()):
+            print(line, flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
