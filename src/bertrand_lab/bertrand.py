@@ -20,7 +20,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Any, Callable, NamedTuple
+from typing import Any, Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -47,6 +47,10 @@ class _Chord(NamedTuple):
     ``exceed(t)`` is the native event mass P(length > t), the density times
     the area of the event; ``sample(rng, size)`` draws the coordinate arrays
     and ``length`` maps them to chord lengths.
+
+    ``event_sample(rng, size)`` consumes a PCG64 stream as ``sample`` does
+    but builds only the one array the event reads, and ``event(t)`` maps
+    that array to ``length > t``, bit for bit as the public arrays give it.
     """
 
     coords: type
@@ -56,6 +60,8 @@ class _Chord(NamedTuple):
     exceed: Callable[[float], float]
     sample: Callable[[np.random.Generator, int], tuple[np.ndarray, np.ndarray]]
     length: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    event_sample: Callable[[np.random.Generator, int], np.ndarray]
+    event: Callable[[float], Callable[[np.ndarray], np.ndarray]]
 
 
 def _event_radius(threshold: float) -> float:
@@ -67,23 +73,40 @@ def _length_from_radius_sq(s: np.ndarray) -> np.ndarray:
     return 2.0 * np.sqrt(np.maximum(0.0, 1.0 - s))
 
 
-def _disc_batch(rng: np.random.Generator, size: int) -> tuple[np.ndarray, np.ndarray]:
+def _disc_rounds(
+    rng: np.random.Generator, size: int
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Rejection from the bounding square [-1, 1]^2, about 4/pi proposals per point.
 
-    A radius transform is deliberately avoided because it would presuppose
-    the non-uniform r/pi law.
+    Each round proposes as many points as are still missing and yields the
+    proposals (shape (k, 2)), their squared radii ``s = x*x + y*y`` and the
+    mask ``s <= 1`` of the accepted ones; the rounds end once ``size``
+    points are accepted.  A radius transform is deliberately avoided
+    because it would presuppose the non-uniform r/pi law.
     """
-    xs = np.empty(size)
-    ys = np.empty(size)
-    filled = 0
-    while filled < size:
-        pts = rng.uniform(-1.0, 1.0, size=(size - filled, 2))
-        acc = pts[pts[:, 0] ** 2 + pts[:, 1] ** 2 <= 1.0]
-        k = len(acc)
-        xs[filled : filled + k] = acc[:, 0]
-        ys[filled : filled + k] = acc[:, 1]
-        filled += k
-    return xs, ys
+    missing = size
+    while True:
+        pts = rng.random((missing, 2))
+        pts *= 2.0
+        pts -= 1.0  # rng.uniform(-1.0, 1.0) bit for bit: -1 + 2u
+        s = pts[:, 0] * pts[:, 0]
+        s += pts[:, 1] * pts[:, 1]
+        accepted = s <= 1.0
+        yield pts, s, accepted
+        missing -= int(np.count_nonzero(accepted))
+        if missing == 0:
+            return
+
+
+def _disc_batch(rng: np.random.Generator, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """The ``size`` accepted points of ``_disc_rounds`` as (x, y) arrays."""
+    pts = np.concatenate([p[accepted] for p, _, accepted in _disc_rounds(rng, size)])
+    return pts[:, 0], pts[:, 1]
+
+
+def _disc_radius_sq(rng: np.random.Generator, size: int) -> np.ndarray:
+    """``x*x + y*y`` of the points ``_disc_batch`` draws from the same stream."""
+    return np.concatenate([s[accepted] for _, s, accepted in _disc_rounds(rng, size)])
 
 
 def _polar_batch(rng: np.random.Generator, size: int) -> tuple[np.ndarray, np.ndarray]:
@@ -91,6 +114,76 @@ def _polar_batch(rng: np.random.Generator, size: int) -> tuple[np.ndarray, np.nd
     theta = rng.uniform(-math.pi, math.pi, size)
     theta[theta == -math.pi] = math.pi
     return r, theta
+
+
+def _tangent_beta(rng: np.random.Generator, size: int) -> np.ndarray:
+    """The tangent angles of the tangent-model sampler; its alphas are skipped.
+
+    PCG64 takes one 64-bit step per double, so advancing ``size`` steps
+    leaves the stream where drawing the alphas would.
+    """
+    rng.bit_generator.advance(size)
+    beta = rng.random(size)
+    beta *= math.pi  # rng.uniform(0.0, math.pi) bit for bit
+    return beta
+
+
+def _cut_event(
+    length: Callable[[np.ndarray], np.ndarray], threshold: float
+) -> Callable[[np.ndarray], np.ndarray]:
+    """``length(u) > threshold`` as one comparison ``u < cut`` on [0, 1].
+
+    ``length`` must be non-increasing in float arithmetic, which holds when
+    it is built from correctly rounded monotone steps (products of
+    non-negatives, ``1 - s``, ``max``, ``sqrt``), and ``length(1)`` must not
+    exceed the threshold.  ``cut`` is the least float u in [0, 1] with
+    ``length(u) <= threshold``, found by bisection on the bit patterns,
+    which order non-negative floats.
+    """
+
+    def longer(bits: int) -> bool:
+        return bool(length(np.array([bits]).view(np.float64))[0] > threshold)
+
+    below, cut = -1, int(np.array([1.0]).view(np.int64)[0])
+    while cut - below > 1:
+        mid = (below + cut) // 2
+        if longer(mid):
+            below = mid
+        else:
+            cut = mid
+    cut_value = float(np.array([cut]).view(np.float64)[0])
+    return lambda u: u < cut_value
+
+
+# Half-width of the band around the tangent event's edges asin(t/2) and
+# pi - asin(t/2) where the sine decides, and the absolute error allowed on
+# 2*sin(beta) outside it: hundreds of ulps above what libm or numpy's sin make.
+_TANGENT_BAND = 1e-9
+_TANGENT_SLACK = 1e-13
+
+
+def _tangent_event(threshold: float) -> Callable[[np.ndarray], np.ndarray]:
+    """``2.0*np.sin(beta) > threshold`` without the sine where the answer is certain.
+
+    The chord beats the threshold when |beta - pi/2| < pi/2 - asin(t/2).  A
+    batch with no beta within ``_TANGENT_BAND`` of that edge is decided by
+    the comparison: there 2*sin(beta) is at least 2*band*cos(asin(t/2) + band)
+    away from t, which must exceed ``_TANGENT_SLACK``.  Near t = 2 it does
+    not, and a batch with a beta in the band falls back to the sine.
+    """
+    beta_low = math.asin(threshold / 2.0)
+    edge = math.pi / 2.0 - beta_low
+    certified = 2.0 * _TANGENT_BAND * math.cos(beta_low + _TANGENT_BAND) > _TANGENT_SLACK
+
+    def exceeds(beta: np.ndarray) -> np.ndarray:
+        if certified:
+            offset = np.abs(beta - math.pi / 2.0)
+            inside = offset < edge - _TANGENT_BAND
+            if np.count_nonzero(inside) == np.count_nonzero(offset < edge + _TANGENT_BAND):
+                return inside
+        return 2.0 * np.sin(beta) > threshold
+
+    return exceeds
 
 
 _CHORDS = {
@@ -102,6 +195,8 @@ _CHORDS = {
         exceed=lambda t: max(0.0, 1.0 - t * t / 4.0),
         sample=_disc_batch,
         length=lambda x, y: _length_from_radius_sq(x * x + y * y),
+        event_sample=_disc_radius_sq,
+        event=lambda t: _cut_event(_length_from_radius_sq, t),
     ),
     ChordModel.TANGENT_ANGLE_UNIFORM: _Chord(
         coords=TangentAngles,
@@ -114,6 +209,8 @@ _CHORDS = {
             rng.uniform(0.0, math.pi, size),
         ),
         length=lambda alpha, beta: 2.0 * np.sin(beta),
+        event_sample=_tangent_beta,
+        event=_tangent_event,
     ),
     ChordModel.POLAR_UNIFORM: _Chord(
         coords=PolarRT,
@@ -123,6 +220,9 @@ _CHORDS = {
         exceed=_event_radius,
         sample=_polar_batch,
         length=lambda r, theta: _length_from_radius_sq(r * r),
+        # r = rng.uniform(0.0, 1.0) bit for bit; theta, drawn after it, is never read
+        event_sample=lambda rng, size: rng.random(size),
+        event=lambda t: _cut_event(lambda r: _length_from_radius_sq(r * r), t),
     ),
 }
 
@@ -258,16 +358,16 @@ def sample_chord_batch(
 
 
 def chord_exceed_experiment(model: ChordModel, threshold: float = TRIANGLE_EDGE) -> Experiment:
-    """Bernoulli experiment: does a random chord beat ``threshold``?"""
+    """Bernoulli experiment: does a random chord beat ``threshold``?
+
+    Each batch consumes its stream as ``sample_chord_batch`` does and counts
+    the same chords, but draws and keeps only what the event reads.
+    """
     if not 0.0 <= threshold <= 2.0:
         raise ValueError(f"threshold must lie in [0, 2], got {threshold}")
-
-    def draw(rng: np.random.Generator, size: int):
-        return sample_chord_batch(model, rng, size)
-
-    def exceeds(batch) -> np.ndarray:
-        return batch[2] > threshold
-
+    chord = _CHORDS[model]
     return Experiment(
-        name=f"chord_{model.value}_exceeds_{threshold:.9g}", sample=draw, event=exceeds
+        name=f"chord_{model.value}_exceeds_{threshold:.9g}",
+        sample=chord.event_sample,
+        event=chord.event(threshold),
     )

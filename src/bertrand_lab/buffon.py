@@ -52,8 +52,17 @@ def _center_angle_crosses(theta: np.ndarray, z: np.ndarray) -> np.ndarray:
 
 
 def _endpoints_batch(rng: np.random.Generator, size: int) -> tuple[np.ndarray, np.ndarray]:
-    x = rng.uniform(0.0, 1.0, size)
-    return x, rng.uniform(x - 1.0, x + 1.0)
+    """x = rng.uniform(0, 1) and y = rng.uniform(x - 1, x + 1), bit for bit.
+
+    numpy's uniform computes ``low + (high - low) * u``, and for x in [0, 1)
+    the range ``(x + 1) - (x - 1)`` rounds to exactly 2, so y is
+    ``(x - 1) + 2u``, built here without the temporaries of the bounds.
+    """
+    x = rng.random(size)
+    y = rng.random(size)
+    y *= 2.0
+    y += x - 1.0
+    return x, y
 
 
 def _endpoints_crossing_measure(x: np.ndarray) -> np.ndarray:

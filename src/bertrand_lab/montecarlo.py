@@ -131,9 +131,10 @@ def run(
     """Run ``n`` Bernoulli trials of ``experiment`` and estimate P(event).
 
     Up to ``shards`` worker threads, but never more than there are batches
-    or CPUs, may process batches concurrently; the result does not depend on
-    it (see module docstring).  Raises ValueError when n < 1,
-    shards < 1, or n is not divisible by shards.
+    or CPUs, may process batches concurrently, worker ``w`` taking batches
+    ``w, w + workers, ...``; the result does not depend on it (see module
+    docstring).  Raises ValueError when n < 1, shards < 1, or n is not
+    divisible by shards.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -144,19 +145,20 @@ def run(
     seed &= _MASK64
 
     n_batches = (n + BATCH_SIZE - 1) // BATCH_SIZE
-    sizes = [min(BATCH_SIZE, n - b * BATCH_SIZE) for b in range(n_batches)]
-
     workers = min(shards, n_batches, os.cpu_count() or 1)
-    if workers == 1:
-        successes = sum(
-            _count_batch(experiment, seed, b, sizes[b]) for b in range(n_batches)
+
+    def count(worker: int) -> int:
+        # one task per worker, so memory does not grow with the batch count
+        return sum(
+            _count_batch(experiment, seed, b, min(BATCH_SIZE, n - b * BATCH_SIZE))
+            for b in range(worker, n_batches, workers)
         )
+
+    if workers == 1:
+        successes = count(0)
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            counts = pool.map(
-                lambda b: _count_batch(experiment, seed, b, sizes[b]), range(n_batches)
-            )
-            successes = sum(counts)
+            successes = sum(pool.map(count, range(workers)))
 
     ci_low, ci_high = wilson_interval(successes, n, confidence)
     return Estimate(

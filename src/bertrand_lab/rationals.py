@@ -94,13 +94,11 @@ def _check_tol(tol: float) -> None:
         raise ValueError(f"tol must be > 0, got {tol}")
 
 
-def _chunks(
-    law: DenominatorLaw, ms: range, points: int = 1
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Yield ``(m, law.pmf_array(m))`` over the denominators ``ms`` in order,
-    ``_CHUNK_CELLS // points`` denominators at a time.
+def _blocks(ms: range, points: int = 1) -> Iterator[np.ndarray]:
+    """The denominators ``ms`` in order, as int64 arrays of
+    ``_CHUNK_CELLS // points`` denominators.
 
-    Raises ValueError before the first chunk when the walk exceeds
+    Raises ValueError before the first block when the walk exceeds
     ``_BUDGET_CELLS`` cells (denominators times evaluation points).
     """
     cells = len(ms) * points
@@ -113,7 +111,14 @@ def _chunks(
     rows = max(1, _CHUNK_CELLS // points)
     for i in range(0, len(ms), rows):
         part = ms[i : i + rows]
-        m = np.arange(part.start, part.stop, part.step, dtype=np.int64)
+        yield np.arange(part.start, part.stop, part.step, dtype=np.int64)
+
+
+def _chunks(
+    law: DenominatorLaw, ms: range, points: int = 1
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Yield ``(m, law.pmf_array(m))`` over ``_blocks(ms, points)``."""
+    for m in _blocks(ms, points):
         yield m, law.pmf_array(m)
 
 
@@ -412,10 +417,13 @@ def mean_reciprocal(law: DenominatorLaw, tol: float = DEFAULT_TOL) -> float:
 
 
 def harmonic_number(k: int) -> float:
-    """H_k = 1 + 1/2 + ... + 1/k."""
+    """H_k = 1 + 1/2 + ... + 1/k, summed in blocks like the series.
+
+    k above ``_BUDGET_CELLS`` raises ValueError.
+    """
     if k < 1:
         raise ValueError("k must be >= 1")
-    return float(np.sum(1.0 / np.arange(1, k + 1, dtype=np.float64)))
+    return math.fsum(float((1.0 / m).sum()) for m in _blocks(range(1, k + 1)))
 
 
 def sample_rational(law: DenominatorLaw, rng: np.random.Generator) -> Rational:

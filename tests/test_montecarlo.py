@@ -137,6 +137,23 @@ class TestWorkerCap:
         assert est == run(fair_coin(), n, seed=21)
 
 
+    def test_one_task_per_worker(self, pools, monkeypatch):
+        mapped = []
+
+        class RecordingPool(montecarlo.ThreadPoolExecutor):
+            def map(self, fn, items):
+                items = list(items)
+                mapped.append(len(items))
+                return super().map(fn, items)
+
+        monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", RecordingPool)
+        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 3)
+        n = 3 * (10 * BATCH_SIZE + 5)  # 31 batches, the last one ragged
+        est = run(fair_coin(), n, seed=21, shards=3)
+        assert pools == [3] and mapped == [3]
+        assert est == run(fair_coin(), n, seed=21)
+
+
 class TestStreamSeeding:
     def test_mixing_function_is_pinned(self):
         # frozen values; changing them silently would break reproducibility

@@ -471,6 +471,21 @@ class TestConvergence:
         with pytest.raises(ValueError):
             harmonic_number(0)
 
+    def test_harmonic_number_is_summed_in_blocks(self):
+        k = 10**7
+        tracemalloc.start()
+        try:
+            value = harmonic_number(k)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+        euler_gamma = 0.5772156649015329
+        asymptotic = math.log(k) + euler_gamma + 1.0 / (2 * k) - 1.0 / (12 * k * k)
+        assert value == pytest.approx(asymptotic, rel=1e-14, abs=0.0)
+        with pytest.raises(ValueError, match="over the budget"):
+            harmonic_number(2**32 + 1)
+
     def test_diagnostics_fields_recomputable(self):
         rows = convergence_table(GeometricFamily(), [50], (0.0, 0.5), TOL)
         row = rows[0]

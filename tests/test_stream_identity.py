@@ -89,3 +89,44 @@ def test_endpoints_batch_is_numpy_uniform(size, seed):
     y_ref = rng.uniform(x_ref - 1.0, x_ref + 1.0)
     assert np.array_equal(x, x_ref)
     assert np.array_equal(y, y_ref)
+
+
+def ulp_walk(center, steps):
+    """The floats within ``steps`` ulps of ``center`` that lie in [0, pi]."""
+    bits = np.array([center]).view(np.int64) + np.arange(-steps, steps + 1)
+    values = bits[bits >= 0].view(np.float64)
+    return values[values <= math.pi]
+
+
+@pytest.mark.parametrize(
+    "t", [0.0, 0.5, TRIANGLE_EDGE, 2.0 - 1e-8, 2.0 - 1e-12, math.nextafter(2.0, 0.0), 2.0]
+)
+def test_tangent_event_at_its_guard_band(t):
+    """Betas where the comparison and the sine could disagree, in batches of all and of one."""
+    event = chord_exceed_experiment(ChordModel.TANGENT_ANGLE_UNIFORM, t).event
+    edge = math.asin(t / 2.0)
+    centers = [edge + d for d in (-1e-9, 0.0, 1e-9)] + [math.pi - edge + d for d in (-1e-9, 0.0, 1e-9)]
+    beta = np.concatenate([ulp_walk(c, 5000) for c in centers])
+    reference = 2.0 * np.sin(beta) > t
+    assert np.array_equal(event(beta), reference)
+    single = np.array([event(beta[i : i + 1])[0] for i in range(len(beta))])
+    assert np.array_equal(single, reference)
+
+
+@pytest.mark.parametrize("t", THRESHOLDS)
+@pytest.mark.parametrize(
+    "model, length",
+    [
+        (ChordModel.MIDPOINT_UNIFORM, lambda s: 2.0 * np.sqrt(np.maximum(0.0, 1.0 - s))),
+        (ChordModel.POLAR_UNIFORM, lambda r: 2.0 * np.sqrt(np.maximum(0.0, 1.0 - r * r))),
+    ],
+    ids=["midpoint_s", "polar_r"],
+)
+def test_radial_event_at_its_cut(model, length, t):
+    """The midpoint event reads x*x + y*y and the polar event reads r; both
+    must agree with the length rule on every float near the cut."""
+    s_edge = max(0.0, 1.0 - t * t / 4.0)
+    center = s_edge if model is ChordModel.MIDPOINT_UNIFORM else math.sqrt(s_edge)
+    u = ulp_walk(center, 2000)
+    u = np.concatenate([u[u <= 1.0], [0.0, 1.0]])
+    assert np.array_equal(chord_exceed_experiment(model, t).event(u), length(u) > t)
