@@ -168,8 +168,9 @@ def _tangent_event(threshold: float) -> Callable[[np.ndarray], np.ndarray]:
     The chord beats the threshold when |beta - pi/2| < pi/2 - asin(t/2).  A
     batch with no beta within ``_TANGENT_BAND`` of that edge is decided by
     the comparison: there 2*sin(beta) is at least 2*band*cos(asin(t/2) + band)
-    away from t, which must exceed ``_TANGENT_SLACK``.  Near t = 2 it does
-    not, and a batch with a beta in the band falls back to the sine.
+    away from t, and that gap must exceed ``_TANGENT_SLACK``.  A batch with a
+    beta in the band, and every batch when t is so close to 2 that the gap
+    is smaller, falls back to the sine.
     """
     beta_low = math.asin(threshold / 2.0)
     edge = math.pi / 2.0 - beta_low

@@ -136,7 +136,6 @@ class TestWorkerCap:
         assert pools == ([workers] if workers > 1 else [])
         assert est == run(fair_coin(), n, seed=21)
 
-
     def test_one_task_per_worker(self, pools, monkeypatch):
         mapped = []
 
