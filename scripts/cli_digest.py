@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Digest the stdout of a fixed matrix of about 140 CLI commands.
+"""Digest the stdout of a fixed matrix of 157 CLI commands.
 
     python3 scripts/cli_digest.py [CHECKOUT] > digest.txt
 
@@ -95,6 +95,15 @@ def commands() -> list[list[str]]:
         ["rationals", "cdf", "--x", "nan", "--law", "geometric:0.5"],
         ["rationals", "sample", "--law", "geometric:1e-10", "--samples", "5"],
         ["rationals", "converge", "--ks", "a"],
+        ["rationals", "atom", "--q", "1/2", "--law", "poisson:1e300"],
+        ["rationals", "cdf", "--x", "0.3", "--law", "poisson:1e300"],
+        ["rationals", "atom", "--q", "1/2", "--law", "geometric:5e-324"],
+        ["rationals", "interval", "--a", "0", "--b", "0.5", "--law", "geometric:1e-300"],
+        ["rationals", "atom", "--q", "1/2", "--law", "degenerate:99999999999999999999"],
+        ["rationals", "sample", "--law", "degenerate:99999999999999999999", "--samples", "2"],
+        ["rationals", "atom", "--q", "1/2", "--law", "custom:99999999999999999999=1"],
+        ["rationals", "atom", "--q", "1/2", "--law", "poisson:inf"],
+        ["rationals", "converge", "--ks", "1"],
     ]
     return out
 

@@ -7,8 +7,7 @@ ruled paper, a number vs its square on [0, 100], and discrete laws on the
 rationals in [0, 1] that become asymptotically equiprobable.
 
 The API lives in the submodules (``bertrand_lab.bertrand``, ``.buffon``,
-``.squares``, ``.rationals``, ``.montecarlo``, ``.geometry``); import names
-from there.
+``.squares``, ``.rationals``, ``.montecarlo``); import names from there.
 """
 
 __version__ = "0.1.0"

@@ -19,12 +19,10 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
-from typing import Any, Callable, Iterator, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
-from .geometry import PointXY, PolarRT, TangentAngles
 from .montecarlo import Experiment
 from .quadrature import gauss_legendre
 
@@ -40,22 +38,17 @@ class ChordModel(enum.Enum):
 
 
 class _Chord(NamedTuple):
-    """One chord model: which coordinate pair it declares uniform, and where.
+    """One chord model: its exact answer, event mass and samplers.
 
-    ``inside(coords, slack)`` is the support predicate, relaxed by ``slack``
-    (the coordinate type may already confine the point to the support);
-    ``exceed(t)`` is the native event mass P(length > t), the density times
-    the area of the event; ``sample(rng, size)`` draws the coordinate arrays
-    and ``length`` maps them to chord lengths.
+    ``exceed(t)`` is the native event mass P(length > t), the model's uniform
+    density times the area of the event; ``sample(rng, size)`` draws the
+    coordinate arrays and ``length`` maps them to chord lengths.
 
     ``event_sample(rng, size)`` consumes a PCG64 stream as ``sample`` does
     but builds only the one array the event reads, and ``event(t)`` maps
     that array to ``length > t``, bit for bit as the public arrays give it.
     """
 
-    coords: type
-    inside: Callable[[Any, float], bool]
-    density: float
     exact: float
     exceed: Callable[[float], float]
     sample: Callable[[np.random.Generator, int], tuple[np.ndarray, np.ndarray]]
@@ -189,9 +182,6 @@ def _tangent_event(threshold: float) -> Callable[[np.ndarray], np.ndarray]:
 
 _CHORDS = {
     ChordModel.MIDPOINT_UNIFORM: _Chord(
-        coords=PointXY,
-        inside=lambda p, slack: p.x * p.x + p.y * p.y <= 1.0 + slack,
-        density=1.0 / math.pi,
         exact=0.25,
         exceed=lambda t: max(0.0, 1.0 - t * t / 4.0),
         sample=_disc_batch,
@@ -200,9 +190,6 @@ _CHORDS = {
         event=lambda t: _cut_event(_length_from_radius_sq, t),
     ),
     ChordModel.TANGENT_ANGLE_UNIFORM: _Chord(
-        coords=TangentAngles,
-        inside=lambda angles, slack: True,
-        density=1.0 / (2.0 * math.pi**2),
         exact=1.0 / 3.0,
         exceed=lambda t: max(0.0, math.pi - 2.0 * math.asin(min(1.0, t / 2.0))) / math.pi,
         sample=lambda rng, size: (
@@ -214,9 +201,6 @@ _CHORDS = {
         event=_tangent_event,
     ),
     ChordModel.POLAR_UNIFORM: _Chord(
-        coords=PolarRT,
-        inside=lambda p, slack: p.r <= 1.0 + slack,
-        density=1.0 / (2.0 * math.pi),
         exact=0.5,
         exceed=_event_radius,
         sample=_polar_batch,
@@ -228,58 +212,19 @@ _CHORDS = {
 }
 
 
-def _checked(model: ChordModel, coords: PointXY | TangentAngles | PolarRT) -> _Chord:
-    """The model's record, once ``coords`` is known to be its coordinate type."""
-    chord = _CHORDS[model]
-    if not isinstance(coords, chord.coords):
-        raise TypeError(f"{model.value} carries {chord.coords.__name__} coordinates")
-    return chord
-
-
-@dataclass(frozen=True)
-class ChordSample:
-    """One random chord, carrying its native coordinates and its length."""
-
-    model: ChordModel
-    coords: PointXY | TangentAngles | PolarRT
-    length: float
-
-    def __post_init__(self) -> None:
-        chord = _checked(self.model, self.coords)
-        if not 0.0 <= self.length <= 2.0:
-            raise ValueError(f"chord length must lie in [0, 2], got {self.length}")
-        if not chord.inside(self.coords, 1e-12):
-            raise ValueError(f"{self.coords} lies outside the {self.model.value} support")
-
-
 def exact_exceed_probability(model: ChordModel) -> float:
     """Closed-form P(chord length > sqrt(3)) under the model's own measure."""
     return _CHORDS[model].exact
 
 
-def density(model: ChordModel, point: PointXY | TangentAngles | PolarRT) -> float:
-    """Joint density of the model's native coordinate pair at ``point``.
-
-    Zero outside the support; the point type must match the model's
-    coordinate system.
-    """
-    chord = _checked(model, point)
-    return chord.density if chord.inside(point, 0.0) else 0.0
-
-
-def pushforward_polar_density(point: PolarRT, base: ChordModel = ChordModel.MIDPOINT_UNIFORM) -> float:
+def _pushforward_polar_density(r: np.ndarray) -> np.ndarray:
     """Density of (r, theta) when the chord midpoint is uniform on the disc.
 
     The polar map has Jacobian 1/r, so the disc-uniform density 1/pi becomes
-    r/pi on [0, 1] x [-pi, pi]: radii near the rim are more likely, and
-    (r, theta) is not uniform.  Only the midpoint-uniform base is available
-    in closed form.
+    r/pi on [0, 1] x (-pi, pi]: radii near the rim are more likely, and
+    (r, theta) is not uniform.
     """
-    if base is not ChordModel.MIDPOINT_UNIFORM:
-        raise NotImplementedError(
-            "closed-form pushforward is only available for the midpoint-uniform base"
-        )
-    return point.r / math.pi if point.r <= 1.0 else 0.0
+    return r / math.pi
 
 
 def exceed_probability_under_measure(
@@ -306,42 +251,15 @@ def exceed_probability_under_measure(
         measure is ChordModel.MIDPOINT_UNIFORM
         and evaluation_system is ChordModel.POLAR_UNIFORM
     ):
-        # the pushforward density r/pi, integrated over theta in closed form
-        # and over r numerically
+        # integrated over theta in closed form and over r numerically
         return gauss_legendre(
-            lambda r: (r / math.pi) * 2.0 * math.pi, 0.0, _event_radius(threshold)
+            lambda r: _pushforward_polar_density(r) * 2.0 * math.pi, 0.0, _event_radius(threshold)
         )
 
     raise NotImplementedError(
         f"no pushforward available for measure={measure.value} "
         f"in coordinates of {evaluation_system.value}"
     )
-
-
-def density_total_mass(model: ChordModel) -> float:
-    """Integral of the model's density over its support (should be 1).
-
-    This is the event mass at threshold 0, which every chord meets.
-    """
-    return exceed_probability_under_measure(model, model, 0.0)
-
-
-def pushforward_total_mass() -> float:
-    """Integral of the midpoint-to-polar pushforward density (should be 1)."""
-    return exceed_probability_under_measure(
-        ChordModel.MIDPOINT_UNIFORM, ChordModel.POLAR_UNIFORM, 0.0
-    )
-
-
-def sample_chord(model: ChordModel, rng: np.random.Generator) -> ChordSample:
-    """Draw one chord from the model's uniform measure.
-
-    This is element 0 of ``sample_chord_batch(model, rng, 1)``: it consumes
-    the generator stream exactly as a size-1 batch does.
-    """
-    first, second, length = sample_chord_batch(model, rng, 1)
-    coords = _CHORDS[model].coords(float(first[0]), float(second[0]))
-    return ChordSample(model, coords, float(length[0]))
 
 
 def sample_chord_batch(

@@ -31,15 +31,15 @@ class DegenerateEstimateError(ArithmeticError):
 
 
 class _Needle(NamedTuple):
-    """One needle model: which coordinate pair it declares uniform, and where.
+    """One needle model: its exact answer, sampler, crossing predicate and measure.
 
-    The first coordinate ranges over ``first``; ``inside(a, b)`` is the rest
-    of the support.  ``crossing_measure(a)`` is the density times the length
-    of the crossing set of the second coordinate, for one value of the first.
+    The first coordinate ranges over ``first``.  ``crosses(a, b)`` is the
+    crossing predicate, where touching (equality) counts.
+    ``crossing_measure(a)`` is the density times the length of the crossing
+    set of the second coordinate, for one value of the first.
     """
 
     first: tuple[float, float]
-    inside: Callable[[float, float], bool]
     exact: float
     sample: Callable[[np.random.Generator, int], tuple[np.ndarray, np.ndarray]]
     crosses: Callable[[np.ndarray, np.ndarray], np.ndarray]
@@ -74,7 +74,6 @@ def _endpoints_crossing_measure(x: np.ndarray) -> np.ndarray:
 _NEEDLES = {
     NeedleModel.CENTER_ANGLE: _Needle(
         first=(-math.pi / 2.0, math.pi / 2.0),
-        inside=lambda theta, z: 0.0 <= z <= 1.0,
         exact=2.0 / math.pi,
         sample=lambda rng, size: (
             rng.uniform(-math.pi / 2.0, math.pi / 2.0, size),
@@ -87,7 +86,6 @@ _NEEDLES = {
     ),
     NeedleModel.ENDPOINTS: _Needle(
         first=(0.0, 1.0),
-        inside=lambda x, y: abs(x - y) <= 1.0,
         exact=0.5,
         sample=_endpoints_batch,
         crosses=lambda x, y: (y <= 0.0) | (y >= 1.0),
@@ -96,63 +94,26 @@ _NEEDLES = {
 }
 
 
-@dataclass(frozen=True)
-class NeedleSample:
-    """One needle throw.
-
-    For CENTER_ANGLE the coordinates are (theta, z): tilt from the line
-    normal in [-pi/2, pi/2] and center distance from the left line in
-    [0, 1].  For ENDPOINTS they are (x, y): distances of the upper and lower
-    needle ends from the left line, with x in [0, 1] and |x - y| <= 1.
-    """
-
-    model: NeedleModel
-    coords: tuple[float, float]
-
-    def __post_init__(self) -> None:
-        needle = _NEEDLES[self.model]
-        a, b = self.coords
-        lo, hi = needle.first
-        if not (lo <= a <= hi and needle.inside(a, b)):
-            raise ValueError(f"{self.model.value} coordinates ({a}, {b}) lie outside the support")
-
-
 def exact_cross_probability(model: NeedleModel) -> float:
     """Closed-form crossing probability: 2/pi or 1/2."""
     return _NEEDLES[model].exact
 
 
-def crosses(sample: NeedleSample) -> bool:
-    """Whether the needle lies across a line; touching (equality) counts.
-
-    Scalar reference for ``crosses_batch``, written with ``math.cos``.
-    """
-    a, b = sample.coords
-    if sample.model is NeedleModel.CENTER_ANGLE:
-        half_span = 0.5 * math.cos(a)
-        return b <= half_span or b >= 1.0 - half_span
-    return b <= 0.0 or b >= 1.0
-
-
-def sample_needle(model: NeedleModel, rng: np.random.Generator) -> NeedleSample:
-    """Draw one needle throw from the model's uniform measure.
-
-    This is element 0 of ``sample_needle_batch(model, rng, 1)``: it consumes
-    the generator stream exactly as a size-1 batch does.
-    """
-    first, second = sample_needle_batch(model, rng, 1)
-    return NeedleSample(model, (float(first[0]), float(second[0])))
-
-
 def sample_needle_batch(
     model: NeedleModel, rng: np.random.Generator, size: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized needle sampler: (theta, z) or (x, y) arrays."""
+    """Vectorized needle sampler: (theta, z) or (x, y) arrays.
+
+    For CENTER_ANGLE, theta is the tilt from the line normal in
+    [-pi/2, pi/2] and z the center's distance from the left line in [0, 1].
+    For ENDPOINTS, x and y are the distances of the upper and lower needle
+    ends from the left line, with x in [0, 1] and |x - y| <= 1.
+    """
     return _NEEDLES[model].sample(rng, size)
 
 
 def crosses_batch(model: NeedleModel, first: np.ndarray, second: np.ndarray) -> np.ndarray:
-    """Vectorized crossing predicate matching ``crosses``."""
+    """Vectorized crossing predicate; touching (equality) counts."""
     return _NEEDLES[model].crosses(first, second)
 
 
@@ -168,14 +129,12 @@ def cross_probability_by_quadrature(model: NeedleModel) -> float:
 
 def needle_cross_experiment(model: NeedleModel) -> Experiment:
     """Bernoulli experiment: does a random needle cross a line?"""
-
-    def draw(rng: np.random.Generator, size: int):
-        return sample_needle_batch(model, rng, size)
-
-    def hit(batch) -> np.ndarray:
-        return crosses_batch(model, batch[0], batch[1])
-
-    return Experiment(name=f"needle_{model.value}_crosses", sample=draw, event=hit)
+    needle = _NEEDLES[model]
+    return Experiment(
+        name=f"needle_{model.value}_crosses",
+        sample=needle.sample,
+        event=lambda batch: needle.crosses(*batch),
+    )
 
 
 @dataclass(frozen=True)

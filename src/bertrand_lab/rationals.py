@@ -18,7 +18,8 @@ below ``tol``, which bounds the truncation error by ``tol`` because every
 summand is dominated by its pmf factor.  They stream over the denominators in
 chunks of ``_CHUNK_CELLS`` cells (denominators times evaluation points), so
 memory does not grow with the truncation index L; a series of more than
-``_BUDGET_CELLS`` cells raises ``ValueError`` before any work, naming its range.
+``_BUDGET_CELLS`` cells, or one past ``_MAX_DENOMINATOR``, raises ``ValueError``
+before any work, naming its range.
 """
 
 from __future__ import annotations
@@ -44,6 +45,10 @@ _LOG_UNDERFLOW = 745.0
 # A series is summed 2**16 cells at a time, and refused beyond 2**32 cells.
 _CHUNK_CELLS = 1 << 16
 _BUDGET_CELLS = 1 << 32
+
+# Denominators are int64; below 2**62 a walk m, m + step, ... with step <= m
+# ends within int64 one step past its last denominator.
+_MAX_DENOMINATOR = (1 << 62) - 1
 
 
 @dataclass(frozen=True)
@@ -99,14 +104,22 @@ def _blocks(ms: range, points: int = 1) -> Iterator[np.ndarray]:
     ``_CHUNK_CELLS // points`` denominators.
 
     Raises ValueError before the first block when the walk exceeds
-    ``_BUDGET_CELLS`` cells (denominators times evaluation points).
+    ``_BUDGET_CELLS`` cells (denominators times evaluation points) or
+    reaches past ``_MAX_DENOMINATOR``.
     """
-    cells = len(ms) * points
+    if not ms:
+        return
+    # from the ends, which stay exact where len() overflows sys.maxsize
+    lo, hi = sorted((ms[0], ms[-1]))
+    cells = ((hi - lo) // abs(ms.step) + 1) * points
     if cells > _BUDGET_CELLS:
-        lo, hi = sorted((ms[0], ms[-1]))
         raise ValueError(
             f"series over m = {lo}..{hi} at {points} point(s) is {cells} cells, "
             f"over the budget of {_BUDGET_CELLS}"
+        )
+    if hi > _MAX_DENOMINATOR:
+        raise ValueError(
+            f"series over m = {lo}..{hi} passes the largest denominator {_MAX_DENOMINATOR}"
         )
     rows = max(1, _CHUNK_CELLS // points)
     for i in range(0, len(ms), rows):
@@ -177,7 +190,10 @@ class GeometricLaw(DenominatorLaw):
         _check_tol(tol)
         if tol >= 1.0:
             return 1
-        return max(1, math.ceil(math.log(tol) / self._log_1mw))
+        index = math.log(tol) / self._log_1mw
+        if math.isinf(index):
+            raise ValueError(f"w = {self.w!r} is too small to truncate its series at tol = {tol}")
+        return max(1, math.ceil(index))
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         return rng.geometric(self.w, size).astype(np.int64)
@@ -204,8 +220,8 @@ class PoissonLaw(DenominatorLaw):
     """M = 1 + Poisson(mean): P{M = m} = exp(-mean) mean^(m-1) / (m-1)!."""
 
     def __init__(self, mean: float):
-        if not mean > 0.0:
-            raise ValueError(f"mean must be > 0, got {mean}")
+        if not 0.0 < mean < math.inf:
+            raise ValueError(f"mean must be finite and > 0, got {mean}")
         self.mean = float(mean)
         self._log_mean = math.log(self.mean)
 
@@ -269,8 +285,8 @@ class DegenerateLaw(DenominatorLaw):
     """All mass on a single denominator."""
 
     def __init__(self, value: int):
-        if value < 1:
-            raise ValueError(f"denominator must be >= 1, got {value}")
+        if not 1 <= value <= _MAX_DENOMINATOR:
+            raise ValueError(f"denominator must lie in 1..{_MAX_DENOMINATOR}, got {value}")
         self.value = int(value)
 
     def pmf(self, m: int) -> float:
@@ -302,9 +318,9 @@ class CustomLaw(DenominatorLaw):
     def __init__(self, table: Mapping[int, float]):
         if not table:
             raise ValueError("table must be non-empty")
+        if not 1 <= min(table) <= max(table) <= _MAX_DENOMINATOR:
+            raise ValueError(f"denominators must lie in 1..{_MAX_DENOMINATOR}")
         ms = np.array(sorted(table), dtype=np.int64)
-        if ms[0] < 1:
-            raise ValueError("denominators must be >= 1")
         ps = np.array([table[int(m)] for m in ms], dtype=np.float64)
         if not np.all(np.isfinite(ps) & (ps >= 0.0)):
             raise ValueError("probabilities must be finite and >= 0")
@@ -426,16 +442,6 @@ def harmonic_number(k: int) -> float:
     return math.fsum(float((1.0 / m).sum()) for m in _blocks(range(1, k + 1)))
 
 
-def sample_rational(law: DenominatorLaw, rng: np.random.Generator) -> Rational:
-    """Draw M from the law, N uniform on {0..M}, and reduce to canonical form.
-
-    This is element 0 of ``sample_rational_batch(law, rng, 1)``: it consumes
-    the generator stream exactly as a size-1 batch does.
-    """
-    nums, dens = sample_rational_batch(law, rng, 1)
-    return Rational(int(nums[0]), int(dens[0]))
-
-
 def sample_rational_batch(
     law: DenominatorLaw, rng: np.random.Generator, size: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -457,8 +463,8 @@ class GeometricFamily:
     kind = "geometric"
 
     def law(self, k: int) -> GeometricLaw:
-        if k < 1:
-            raise ValueError("k must be >= 1")
+        if k < 2:
+            raise ValueError(f"k must be >= 2 for the rate 1/k to lie in (0, 1), got {k}")
         return GeometricLaw(1.0 / k)
 
 

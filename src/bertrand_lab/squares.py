@@ -63,19 +63,6 @@ def exceed_probability(model: IntervalModel, threshold: float) -> float:
     return _INTERVALS[model].exceed(threshold)
 
 
-def pushforward_square_density(y: float) -> float:
-    """Density of Y = X^2 for X uniform on [0, 100]: 1/(200 sqrt(y)).
-
-    Defined pointwise for y > 0 (the singularity at 0 is integrable but the
-    point itself is excluded); zero beyond 10000.
-    """
-    if y <= 0.0:
-        raise ValueError(f"density is defined for y > 0, got {y}")
-    if y > Y_MAX:
-        return 0.0
-    return 1.0 / (200.0 * math.sqrt(y))
-
-
 def finite_counting_probability(n_max: int, threshold: float, squared: bool = False) -> Fraction:
     """Exact fraction of k in {1..n_max} with k > threshold (or k^2 > threshold).
 

@@ -7,23 +7,11 @@ from scipy import stats
 from bertrand_lab.bertrand import (
     TRIANGLE_EDGE,
     ChordModel,
+    _pushforward_polar_density,
     chord_exceed_experiment,
-    density,
-    density_total_mass,
     exact_exceed_probability,
     exceed_probability_under_measure,
-    pushforward_polar_density,
-    pushforward_total_mass,
-    sample_chord,
     sample_chord_batch,
-)
-from bertrand_lab.geometry import (
-    PointXY,
-    PolarRT,
-    TangentAngles,
-    chord_length_from_midpoint,
-    chord_length_from_polar,
-    chord_length_from_tangent_angle,
 )
 from bertrand_lab.montecarlo import run, stream_generator
 
@@ -42,46 +30,23 @@ class TestExactValues:
 
 
 class TestDensity:
-    def test_midpoint_density_values(self):
-        assert density(ChordModel.MIDPOINT_UNIFORM, PointXY(0.0, 0.0)) == 1.0 / math.pi
-        assert density(ChordModel.MIDPOINT_UNIFORM, PointXY(2.0, 0.0)) == 0.0
-
-    def test_polar_density_values(self):
-        assert density(ChordModel.POLAR_UNIFORM, PolarRT(0.3, 1.0)) == 1.0 / (2.0 * math.pi)
-        assert density(ChordModel.POLAR_UNIFORM, PolarRT(1.5, 0.0)) == 0.0
-
-    def test_tangent_density_value(self):
-        assert density(ChordModel.TANGENT_ANGLE_UNIFORM, TangentAngles(1.0, 1.0)) == 1.0 / (
-            2.0 * math.pi**2
-        )
-
-    def test_coordinate_type_must_match_model(self):
-        with pytest.raises(TypeError):
-            density(ChordModel.MIDPOINT_UNIFORM, PolarRT(0.5, 0.0))
-        with pytest.raises(TypeError):
-            density(ChordModel.POLAR_UNIFORM, PointXY(0.5, 0.0))
-
     @pytest.mark.parametrize("model", list(ChordModel))
     def test_normalization(self, model):
-        assert density_total_mass(model) == pytest.approx(1.0, abs=1e-6)
+        # every chord is longer than 0, so the event mass at 0 is the total mass
+        assert exceed_probability_under_measure(model, model, 0.0) == pytest.approx(1.0, abs=1e-6)
 
 
 class TestPushforward:
     def test_values(self):
-        assert pushforward_polar_density(PolarRT(0.5, 0.0)) == pytest.approx(
-            0.5 / math.pi, abs=1e-15
-        )
-        assert pushforward_polar_density(PolarRT(1.5, 0.0)) == 0.0
-        assert pushforward_polar_density(PolarRT(1.0, math.pi)) == pytest.approx(
-            1.0 / math.pi, abs=1e-15
-        )
-
-    def test_only_midpoint_base_supported(self):
-        with pytest.raises(NotImplementedError):
-            pushforward_polar_density(PolarRT(0.5, 0.0), base=ChordModel.POLAR_UNIFORM)
+        # the disc-uniform density 1/pi times r, the inverse of the polar Jacobian 1/r
+        assert _pushforward_polar_density(0.5) == pytest.approx(0.5 / math.pi, abs=1e-15)
+        assert _pushforward_polar_density(1.0) == pytest.approx(1.0 / math.pi, abs=1e-15)
 
     def test_normalization(self):
-        assert pushforward_total_mass() == pytest.approx(1.0, abs=1e-6)
+        value = exceed_probability_under_measure(
+            ChordModel.MIDPOINT_UNIFORM, ChordModel.POLAR_UNIFORM, 0.0
+        )
+        assert value == pytest.approx(1.0, abs=1e-6)
 
 
 class TestExceedUnderMeasure:
@@ -178,39 +143,13 @@ class TestSampling:
         a, b, length = sample_chord_batch(model, rng, 1000)
         for i in range(0, 1000, 97):
             if model is ChordModel.MIDPOINT_UNIFORM:
-                expected = chord_length_from_midpoint(PointXY(a[i], b[i]))
+                # the chord is orthogonal to the radius through its midpoint
+                expected = 2.0 * math.sqrt(1.0 - (a[i] ** 2 + b[i] ** 2))
             elif model is ChordModel.TANGENT_ANGLE_UNIFORM:
-                expected = chord_length_from_tangent_angle(b[i])
+                expected = 2.0 * math.sin(b[i])
             else:
-                expected = chord_length_from_polar(PolarRT(a[i], b[i]))
+                expected = 2.0 * math.sqrt(1.0 - a[i] ** 2)
             assert length[i] == pytest.approx(expected, abs=1e-12)
-
-    @pytest.mark.parametrize("model", list(ChordModel))
-    def test_scalar_sampler_is_seed_deterministic(self, model):
-        first = [sample_chord(model, stream_generator(3, 0)) for _ in range(1)]
-        run_a = []
-        run_b = []
-        rng_a = stream_generator(3, 0)
-        rng_b = stream_generator(3, 0)
-        for _ in range(200):
-            run_a.append(sample_chord(model, rng_a))
-            run_b.append(sample_chord(model, rng_b))
-        assert run_a == run_b
-        assert run_a[0] == first[0]
-
-    @pytest.mark.parametrize("model", list(ChordModel))
-    def test_scalar_sample_is_well_formed(self, model):
-        rng = stream_generator(8, 0)
-        for _ in range(500):
-            s = sample_chord(model, rng)
-            assert s.model is model
-            assert 0.0 <= s.length <= 2.0
-            if model is ChordModel.MIDPOINT_UNIFORM:
-                assert isinstance(s.coords, PointXY)
-            elif model is ChordModel.TANGENT_ANGLE_UNIFORM:
-                assert isinstance(s.coords, TangentAngles)
-            else:
-                assert isinstance(s.coords, PolarRT)
 
     def test_experiment_threshold_validated(self):
         with pytest.raises(ValueError):
@@ -218,25 +157,3 @@ class TestSampling:
 
     def test_triangle_edge_constant(self):
         assert TRIANGLE_EDGE == math.sqrt(3.0)
-
-
-class TestChordSampleInvariants:
-    def test_coordinates_must_match_the_model(self):
-        from bertrand_lab.bertrand import ChordSample
-
-        with pytest.raises(TypeError):
-            ChordSample(ChordModel.MIDPOINT_UNIFORM, PolarRT(0.5, 0.0), 1.0)
-
-    def test_length_range_enforced(self):
-        from bertrand_lab.bertrand import ChordSample
-
-        with pytest.raises(ValueError):
-            ChordSample(ChordModel.MIDPOINT_UNIFORM, PointXY(0.0, 0.0), 2.5)
-
-    def test_support_enforced(self):
-        from bertrand_lab.bertrand import ChordSample
-
-        with pytest.raises(ValueError):
-            ChordSample(ChordModel.MIDPOINT_UNIFORM, PointXY(0.9, 0.9), 1.0)
-        with pytest.raises(ValueError):
-            ChordSample(ChordModel.POLAR_UNIFORM, PolarRT(1.2, 0.0), 1.0)

@@ -6,15 +6,12 @@ import pytest
 from bertrand_lab.buffon import (
     DegenerateEstimateError,
     NeedleModel,
-    NeedleSample,
     _pi_from_crossings,
     cross_probability_by_quadrature,
-    crosses,
     crosses_batch,
     estimate_pi,
     exact_cross_probability,
     needle_cross_experiment,
-    sample_needle,
     sample_needle_batch,
 )
 from bertrand_lab.montecarlo import Estimate, run, stream_generator
@@ -26,25 +23,38 @@ def sigma(p: float, n: int) -> float:
     return math.sqrt(p * (1.0 - p) / n)
 
 
+def crosses(model: NeedleModel, a: float, b: float) -> bool:
+    """``crosses_batch`` on one needle."""
+    return bool(crosses_batch(model, np.array([a]), np.array([b]))[0])
+
+
+def crosses_reference(model: NeedleModel, a: float, b: float) -> bool:
+    """The crossing rule written out with ``math.cos``; touching counts."""
+    if model is NeedleModel.CENTER_ANGLE:
+        half_span = 0.5 * math.cos(a)
+        return b <= half_span or b >= 1.0 - half_span
+    return b <= 0.0 or b >= 1.0
+
+
 class TestCrossingPredicate:
     def test_vertical_needle_near_left_line_crosses(self):
         # z = 0.25 <= cos(0)/2 = 0.5
-        assert crosses(NeedleSample(NeedleModel.CENTER_ANGLE, (0.0, 0.25)))
+        assert crosses(NeedleModel.CENTER_ANGLE, 0.0, 0.25)
 
     def test_tilted_needle_in_the_middle_does_not_cross(self):
         # cos(pi/3)/2 = 0.25 < 0.3 < 0.75
-        assert not crosses(NeedleSample(NeedleModel.CENTER_ANGLE, (math.pi / 3.0, 0.3)))
+        assert not crosses(NeedleModel.CENTER_ANGLE, math.pi / 3.0, 0.3)
 
     def test_touching_counts_as_crossing(self):
-        assert crosses(NeedleSample(NeedleModel.CENTER_ANGLE, (0.0, 0.5)))
-        assert crosses(NeedleSample(NeedleModel.ENDPOINTS, (0.5, 0.0)))
-        assert crosses(NeedleSample(NeedleModel.ENDPOINTS, (0.3, 1.0)))
+        assert crosses(NeedleModel.CENTER_ANGLE, 0.0, 0.5)
+        assert crosses(NeedleModel.ENDPOINTS, 0.5, 0.0)
+        assert crosses(NeedleModel.ENDPOINTS, 0.3, 1.0)
 
     def test_lower_end_past_the_left_line_crosses(self):
-        assert crosses(NeedleSample(NeedleModel.ENDPOINTS, (0.5, -0.2)))
+        assert crosses(NeedleModel.ENDPOINTS, 0.5, -0.2)
 
     def test_both_ends_inside_the_strip_does_not_cross(self):
-        assert not crosses(NeedleSample(NeedleModel.ENDPOINTS, (0.5, 0.5)))
+        assert not crosses(NeedleModel.ENDPOINTS, 0.5, 0.5)
 
     def test_batch_predicate_agrees_with_scalar(self):
         for model in NeedleModel:
@@ -52,7 +62,7 @@ class TestCrossingPredicate:
             a, b = sample_needle_batch(model, rng, 2000)
             mask = crosses_batch(model, a, b)
             for i in range(0, 2000, 113):
-                assert mask[i] == crosses(NeedleSample(model, (a[i], b[i])))
+                assert mask[i] == crosses_reference(model, float(a[i]), float(b[i]))
 
 
 class TestExactProbabilities:
@@ -109,19 +119,6 @@ class TestSampling:
             bound = 4.0 * sigma(p_bin, n_i) + h * h / 24.0
             assert abs(p_hat - center) <= bound
 
-    @pytest.mark.parametrize("model", list(NeedleModel))
-    def test_scalar_sampler_is_seed_deterministic(self, model):
-        rng_a = stream_generator(6, 0)
-        rng_b = stream_generator(6, 0)
-        a = [sample_needle(model, rng_a) for _ in range(300)]
-        b = [sample_needle(model, rng_b) for _ in range(300)]
-        assert a == b
-
-    def test_sample_validation(self):
-        with pytest.raises(ValueError):
-            NeedleSample(NeedleModel.CENTER_ANGLE, (2.0, 0.5))
-        with pytest.raises(ValueError):
-            NeedleSample(NeedleModel.ENDPOINTS, (0.5, 1.8))
 
 
 class TestPiEstimate:

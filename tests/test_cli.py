@@ -245,6 +245,35 @@ class TestRationalsCommand:
         assert out == ""
         assert "budget" in err and named in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # denominators or series ends beyond 2**62 - 1
+            ["atom", "--q", "1/2", "--law", "poisson:1e300"],
+            ["cdf", "--x", "0.3", "--law", "poisson:1e300"],
+            ["atom", "--q", "1/2", "--law", "geometric:5e-324"],
+            ["interval", "--a", "0", "--b", "0.5", "--law", "geometric:1e-300"],
+            ["atom", "--q", "1/2", "--law", "degenerate:99999999999999999999"],
+            ["sample", "--law", "degenerate:99999999999999999999", "--samples", "2"],
+            ["atom", "--q", "1/2", "--law", "custom:99999999999999999999=1"],
+            # laws that do not exist
+            ["atom", "--q", "1/2", "--law", "poisson:inf"],
+            ["converge", "--ks", "1"],
+        ],
+        ids=" ".join,
+    )
+    def test_law_out_of_range_exits_2_with_a_message(self, argv):
+        proc = subprocess.run(
+            [sys.executable, "-m", "bertrand_lab", "rationals", *argv],
+            capture_output=True,
+            text=True,
+            env=src_env(),
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: ")
+        assert "Traceback" not in proc.stderr
+
     def test_minus_infinity_point_has_cdf_zero(self, capsys):
         code, out, _ = run_cli(["rationals", "cdf", "--x=-inf", "--law", "geometric:0.5"], capsys)
         assert code == 0

@@ -25,7 +25,6 @@ from bertrand_lab.rationals import (
     harmonic_number,
     interval_probability,
     mean_reciprocal,
-    sample_rational,
     sample_rational_batch,
 )
 
@@ -389,6 +388,33 @@ class TestLawMechanics:
         with pytest.raises(ValueError):
             CustomLaw({1: 0.5, 2: float("nan")})
 
+    def test_laws_beyond_int64_or_without_a_finite_mean_are_rejected(self):
+        top = 2**62 - 1  # the largest denominator
+        with pytest.raises(ValueError, match="denominator"):
+            DegenerateLaw(top + 1)
+        with pytest.raises(ValueError, match="denominators"):
+            CustomLaw({2: 0.5, top + 1: 0.5})
+        with pytest.raises(ValueError, match="finite"):
+            PoissonLaw(math.inf)
+        with pytest.raises(ValueError, match="k must be >= 2"):
+            GeometricFamily().law(1)
+
+    def test_series_beyond_int64_raise_value_error(self):
+        with pytest.raises(ValueError, match="too small"):
+            GeometricLaw(5e-324).truncation_index(TOL)
+        with pytest.raises(ValueError, match="budget"):
+            interval_probability(0.0, 0.5, GeometricLaw(1e-300), TOL)
+        # the Poisson bulk rounds to one denominator, 1e300
+        with pytest.raises(ValueError, match="largest denominator"):
+            atom_probability(Rational(1, 2), PoissonLaw(1e300), TOL)
+
+    def test_largest_denominator_is_summed(self):
+        top = 2**62 - 1
+        for law in (DegenerateLaw(top), CustomLaw({top: 1.0})):
+            assert atom_probability(Rational(1, top), law, TOL) == 1.0 / (top + 1.0)
+            # the series over m = top/3, 2 top/3 and top, where 3/top is 1/(top/3)
+            assert atom_probability(Rational(1, top // 3), law, TOL) == 1.0 / (top + 1.0)
+
 
 class TestSampling:
     def test_samples_are_always_canonical(self):
@@ -396,13 +422,6 @@ class TestSampling:
         nums, dens = sample_rational_batch(GeometricLaw(0.2), rng, 100_000)
         assert np.all(np.gcd(nums, dens) == 1)
         assert np.all((nums >= 0) & (nums <= dens) & (dens >= 1))
-
-    def test_scalar_sampler_matches_type_contract(self):
-        rng = stream_generator(13, 0)
-        for _ in range(500):
-            q = sample_rational(CustomLaw({2: 0.5, 3: 0.5}), rng)
-            assert isinstance(q, Rational)
-            assert q.denominator in (1, 2, 3)
 
     def test_degenerate_two_has_three_equally_likely_atoms(self):
         n = 200_000

@@ -1,0 +1,32 @@
+"""The scripts in ``scripts/`` run to completion and report no violated bound."""
+
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from test_cli import src_env
+
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["headline_numbers.py", "--samples", "10000", "--pi-samples", "100000"],
+        ["rational_uniform_limit.py", "--ks", "10,100", "--grid", "50"],
+        ["rational_uniform_limit.py", "--ks", "10,100", "--grid", "50", "--family", "poisson"],
+    ],
+    ids=lambda argv: " ".join(argv),
+)
+def test_script_runs_clean(argv):
+    proc = subprocess.run(
+        [sys.executable, str(SCRIPTS / argv[0]), *argv[1:]],
+        capture_output=True,
+        text=True,
+        env=src_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout
+    assert "VIOLATED" not in proc.stdout

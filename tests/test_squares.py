@@ -11,7 +11,6 @@ from bertrand_lab.squares import (
     IntervalModel,
     exceed_probability,
     finite_counting_probability,
-    pushforward_square_density,
     square_exceed_experiment,
 )
 
@@ -37,29 +36,27 @@ class TestContinuousModels:
             exceed_probability(IntervalModel.UNIFORM_X, -1.0)
 
 
+def square_density(y: float) -> float:
+    """Density of Y = X^2 for X uniform on [0, 100], on (0, 10000]."""
+    return 1.0 / (200.0 * math.sqrt(y))
+
+
+def density_mass(a: float, b: float) -> float:
+    mass, _ = quad(square_density, a, b, epsabs=1e-12, epsrel=1e-12, limit=200)
+    return mass
+
+
 class TestPushforwardDensity:
-    def test_values(self):
-        assert pushforward_square_density(2500.0) == 1.0e-4
-        assert pushforward_square_density(10_000.0) == 5.0e-5
-        assert pushforward_square_density(20_000.0) == 0.0
-
-    def test_nonpositive_rejected(self):
-        with pytest.raises(ValueError):
-            pushforward_square_density(0.0)
-        with pytest.raises(ValueError):
-            pushforward_square_density(-3.0)
-
     @pytest.mark.parametrize("t", [1.0, 10.0, 100.0, 2500.0, 5000.0, 10_000.0])
     def test_mass_below_t_matches_sqrt_law(self, t):
-        # independent quadrature of the density against P(X^2 <= t) = sqrt(t)/100
-        mass, _ = quad(pushforward_square_density, 0.0, t, epsabs=1e-12, epsrel=1e-12, limit=200)
-        assert mass == pytest.approx(math.sqrt(t) / 100.0, abs=1e-9)
+        # P(X^2 <= t) = sqrt(t)/100, and an independent quadrature of the density
+        exceed = exceed_probability(IntervalModel.PUSHFORWARD_SQUARE, t)
+        assert 1.0 - exceed == pytest.approx(math.sqrt(t) / 100.0, abs=1e-12)
+        assert density_mass(t, 10_000.0) == pytest.approx(exceed, abs=1e-9)
 
     def test_total_mass(self):
-        mass, _ = quad(
-            pushforward_square_density, 0.0, 10_000.0, epsabs=1e-12, epsrel=1e-12, limit=200
-        )
-        assert mass == pytest.approx(1.0, abs=1e-9)
+        assert exceed_probability(IntervalModel.PUSHFORWARD_SQUARE, 0.0) == 1.0
+        assert density_mass(0.0, 10_000.0) == pytest.approx(1.0, abs=1e-9)
 
 
 class TestFiniteCounting:
