@@ -5,6 +5,7 @@ import pytest
 from scipy import stats
 
 from bertrand_lab.bertrand import (
+    _CHORDS,
     TRIANGLE_EDGE,
     ChordModel,
     _pushforward_polar_density,
@@ -29,7 +30,40 @@ class TestExactValues:
         assert exact_exceed_probability(ChordModel.POLAR_UNIFORM) == 0.5
 
 
+def event_radius(t: float) -> float:
+    """Radius of the disc of midpoints (or intersections) whose chord beats ``t``."""
+    return math.sqrt(1.0 - t * t / 4.0)
+
+
 class TestDensity:
+    """Each native event mass is the model's uniform density times the event's area."""
+
+    THRESHOLDS = (0.0, 0.5, 1.0, TRIANGLE_EDGE, 1.9, 2.0)
+
+    def test_midpoint_density_values(self):
+        # 1/pi on the unit disc; the event is the inner disc of radius rho
+        model = ChordModel.MIDPOINT_UNIFORM
+        for t in self.THRESHOLDS:
+            area = math.pi * event_radius(t) ** 2
+            value = exceed_probability_under_measure(model, model, t)
+            assert value == pytest.approx(area / math.pi, abs=1e-15)
+
+    def test_polar_density_values(self):
+        # 1/(2 pi) on [0, 1] x (-pi, pi]; the event is the strip r < rho
+        model = ChordModel.POLAR_UNIFORM
+        for t in self.THRESHOLDS:
+            area = event_radius(t) * 2.0 * math.pi
+            value = exceed_probability_under_measure(model, model, t)
+            assert value == pytest.approx(area / (2.0 * math.pi), abs=1e-15)
+
+    def test_tangent_density_value(self):
+        # 1/(2 pi^2) on [0, 2pi] x [0, pi]; the event is asin(t/2) < beta < pi - asin(t/2)
+        model = ChordModel.TANGENT_ANGLE_UNIFORM
+        for t in self.THRESHOLDS:
+            area = 2.0 * math.pi * (math.pi - 2.0 * math.asin(t / 2.0))
+            value = exceed_probability_under_measure(model, model, t)
+            assert value == pytest.approx(area / (2.0 * math.pi**2), abs=1e-15)
+
     @pytest.mark.parametrize("model", list(ChordModel))
     def test_normalization(self, model):
         # every chord is longer than 0, so the event mass at 0 is the total mass
@@ -47,6 +81,17 @@ class TestPushforward:
             ChordModel.MIDPOINT_UNIFORM, ChordModel.POLAR_UNIFORM, 0.0
         )
         assert value == pytest.approx(1.0, abs=1e-6)
+
+    def test_only_midpoint_base_supported(self):
+        # r/pi is the midpoint measure read in polar coordinates, and nothing else
+        with pytest.raises(NotImplementedError):
+            exceed_probability_under_measure(
+                ChordModel.TANGENT_ANGLE_UNIFORM, ChordModel.POLAR_UNIFORM
+            )
+        with pytest.raises(NotImplementedError):
+            exceed_probability_under_measure(
+                ChordModel.MIDPOINT_UNIFORM, ChordModel.TANGENT_ANGLE_UNIFORM
+            )
 
 
 class TestExceedUnderMeasure:
@@ -151,9 +196,55 @@ class TestSampling:
                 expected = 2.0 * math.sqrt(1.0 - a[i] ** 2)
             assert length[i] == pytest.approx(expected, abs=1e-12)
 
+    @pytest.mark.parametrize("model", list(ChordModel))
+    def test_scalar_sampler_is_seed_deterministic(self, model):
+        first = sample_chord_batch(model, stream_generator(3, 0), 1)
+        rng_a = stream_generator(3, 0)
+        rng_b = stream_generator(3, 0)
+        run_a = np.array([sample_chord_batch(model, rng_a, 1) for _ in range(200)])
+        run_b = np.array([sample_chord_batch(model, rng_b, 1) for _ in range(200)])
+        assert np.array_equal(run_a, run_b)
+        assert np.array_equal(run_a[0], np.array(first))
+
+    @pytest.mark.parametrize("model", list(ChordModel))
+    def test_scalar_sample_is_well_formed(self, model):
+        rng = stream_generator(8, 0)
+        for _ in range(500):
+            a, b, length = sample_chord_batch(model, rng, 1)
+            for array in (a, b, length):
+                assert array.shape == (1,) and array.dtype == np.float64
+            assert 0.0 <= length[0] <= 2.0
+            if model is ChordModel.MIDPOINT_UNIFORM:
+                assert a[0] * a[0] + b[0] * b[0] <= 1.0
+            elif model is ChordModel.TANGENT_ANGLE_UNIFORM:
+                assert 0.0 <= a[0] <= 2.0 * math.pi and 0.0 <= b[0] <= math.pi
+            else:
+                assert 0.0 <= a[0] <= 1.0 and -math.pi < b[0] <= math.pi
+
     def test_experiment_threshold_validated(self):
         with pytest.raises(ValueError):
             chord_exceed_experiment(ChordModel.POLAR_UNIFORM, threshold=3.0)
 
     def test_triangle_edge_constant(self):
         assert TRIANGLE_EDGE == math.sqrt(3.0)
+
+
+class TestChordSampleInvariants:
+    def test_length_range_enforced(self):
+        # the kernels clamp at the rim, so no coordinate gives a length
+        # outside [0, 2] or a NaN, even a little past the support
+        s = np.linspace(0.0, 1.5, 3001)
+        radial = _CHORDS[ChordModel.POLAR_UNIFORM].length(np.sqrt(s), np.zeros_like(s))
+        assert np.all((radial >= 0.0) & (radial <= 2.0))
+        beta = np.linspace(0.0, math.pi, 3001)
+        tangent = _CHORDS[ChordModel.TANGENT_ANGLE_UNIFORM].length(np.zeros_like(beta), beta)
+        assert np.all((tangent >= 0.0) & (tangent <= 2.0))
+
+    def test_support_enforced(self):
+        # midpoints come from rejection, so none falls outside the disc
+        # however many rounds a batch takes
+        for seed in range(20):
+            x, y, _ = sample_chord_batch(ChordModel.MIDPOINT_UNIFORM, stream_generator(seed, 0), 7)
+            assert np.all(x * x + y * y <= 1.0)
+        r, _, _ = sample_chord_batch(ChordModel.POLAR_UNIFORM, stream_generator(0, 0), 50_000)
+        assert np.all(r <= 1.0)

@@ -119,6 +119,22 @@ class TestSampling:
             bound = 4.0 * sigma(p_bin, n_i) + h * h / 24.0
             assert abs(p_hat - center) <= bound
 
+    @pytest.mark.parametrize("model", list(NeedleModel))
+    def test_scalar_sampler_is_seed_deterministic(self, model):
+        rng_a = stream_generator(6, 0)
+        rng_b = stream_generator(6, 0)
+        a = [sample_needle_batch(model, rng_a, 1) for _ in range(300)]
+        b = [sample_needle_batch(model, rng_b, 1) for _ in range(300)]
+        assert np.array_equal(np.array(a), np.array(b))
+
+    def test_sample_validation(self):
+        # every throw drawn one at a time lies in its model's support
+        rng = stream_generator(6, 0)
+        for _ in range(500):
+            theta, z = sample_needle_batch(NeedleModel.CENTER_ANGLE, rng, 1)
+            assert -math.pi / 2.0 <= theta[0] <= math.pi / 2.0 and 0.0 <= z[0] <= 1.0
+            x, y = sample_needle_batch(NeedleModel.ENDPOINTS, rng, 1)
+            assert 0.0 <= x[0] <= 1.0 and abs(x[0] - y[0]) <= 1.0
 
 
 class TestPiEstimate:

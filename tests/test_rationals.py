@@ -423,6 +423,14 @@ class TestSampling:
         assert np.all(np.gcd(nums, dens) == 1)
         assert np.all((nums >= 0) & (nums <= dens) & (dens >= 1))
 
+    def test_scalar_sampler_matches_type_contract(self):
+        rng = stream_generator(13, 0)
+        for _ in range(500):
+            nums, dens = sample_rational_batch(CustomLaw({2: 0.5, 3: 0.5}), rng, 1)
+            assert nums.dtype == dens.dtype == np.int64
+            q = Rational(int(nums[0]), int(dens[0]))  # raises unless canonical
+            assert q.denominator in (1, 2, 3)
+
     def test_degenerate_two_has_three_equally_likely_atoms(self):
         n = 200_000
         rng = stream_generator(42, 0)

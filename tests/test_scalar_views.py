@@ -1,24 +1,25 @@
-"""The scalar samplers are size-1 draws of the batch samplers.
+"""A size-1 batch is the textbook scalar draw.
 
-Drawing one value with ``sample_chord``/``sample_needle``/``sample_rational``
-must equal element 0 of the batch sampler at size 1 and leave the generator
-in the same state, so a run of consecutive scalar draws reproduces the
-size-1 batch stream value for value.
+Drawing one value with ``sample_chord_batch``/``sample_needle_batch``/
+``sample_rational_batch`` at size 1 must equal the draw written out below
+with scalar generator calls and ``math``, and leave the generator in the
+same state, so consecutive size-1 batches reproduce the scalar stream
+value for value.
 """
 
-from dataclasses import astuple
+import math
 
 import pytest
 
-from bertrand_lab.bertrand import ChordModel, sample_chord, sample_chord_batch
-from bertrand_lab.buffon import NeedleModel, sample_needle, sample_needle_batch
+from bertrand_lab.bertrand import ChordModel, sample_chord_batch
+from bertrand_lab.buffon import NeedleModel, sample_needle_batch
 from bertrand_lab.montecarlo import stream_generator
 from bertrand_lab.rationals import (
     CustomLaw,
     DegenerateLaw,
     GeometricLaw,
     PoissonLaw,
-    sample_rational,
+    Rational,
     sample_rational_batch,
 )
 
@@ -38,14 +39,40 @@ def twin_streams(seed):
     return stream_generator(seed, 0), stream_generator(seed, 0)
 
 
+def scalar_chord(model, rng):
+    """One chord's coordinates and length, drawn a value at a time."""
+    if model is ChordModel.MIDPOINT_UNIFORM:
+        while True:  # rejection from the bounding square
+            x = 2.0 * rng.random() - 1.0
+            y = 2.0 * rng.random() - 1.0
+            s = x * x + y * y
+            if s <= 1.0:
+                return x, y, 2.0 * math.sqrt(1.0 - s)
+    if model is ChordModel.TANGENT_ANGLE_UNIFORM:
+        alpha = rng.uniform(0.0, 2.0 * math.pi)
+        beta = rng.uniform(0.0, math.pi)
+        return alpha, beta, 2.0 * math.sin(beta)
+    r = rng.uniform(0.0, 1.0)
+    theta = rng.uniform(-math.pi, math.pi)
+    return r, (math.pi if theta == -math.pi else theta), 2.0 * math.sqrt(1.0 - r * r)
+
+
+def scalar_needle(model, rng):
+    if model is NeedleModel.CENTER_ANGLE:
+        return rng.uniform(-math.pi / 2.0, math.pi / 2.0), rng.uniform(0.0, 1.0)
+    x = rng.uniform(0.0, 1.0)
+    return x, rng.uniform(x - 1.0, x + 1.0)
+
+
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("model", list(ChordModel))
 def test_chord(model, seed):
     scalar, batch = twin_streams(seed)
     for _ in range(DRAWS):
-        s = sample_chord(model, scalar)
-        first, second, length = sample_chord_batch(model, batch, 1)
-        assert (astuple(s.coords), s.length) == ((first[0], second[0]), length[0])
+        a, b, length = scalar_chord(model, scalar)
+        first, second, lengths = sample_chord_batch(model, batch, 1)
+        assert (first[0], second[0]) == (a, b)
+        assert lengths[0] == pytest.approx(length, rel=1e-15, abs=0.0)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -54,7 +81,7 @@ def test_needle(model, seed):
     scalar, batch = twin_streams(seed)
     for _ in range(DRAWS):
         first, second = sample_needle_batch(model, batch, 1)
-        assert sample_needle(model, scalar).coords == (first[0], second[0])
+        assert scalar_needle(model, scalar) == (first[0], second[0])
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -62,6 +89,9 @@ def test_needle(model, seed):
 def test_rational(law, seed):
     scalar, batch = twin_streams(seed)
     for _ in range(DRAWS):
-        q = sample_rational(law, scalar)
+        m = int(law.sample(scalar, 1)[0])
+        n = int(scalar.integers(0, m + 1))
+        g = math.gcd(n, m)
+        q = Rational(n // g, m // g)
         nums, dens = sample_rational_batch(law, batch, 1)
         assert (q.numerator, q.denominator) == (nums[0], dens[0])

@@ -47,6 +47,26 @@ def density_mass(a: float, b: float) -> float:
 
 
 class TestPushforwardDensity:
+    def test_values(self):
+        # the density is minus the slope of P(X^2 > y): 1/(200 sqrt y)
+        def slope(y, h):
+            upper = min(y + h, 10_000.0)
+            return (
+                exceed_probability(IntervalModel.PUSHFORWARD_SQUARE, y - h)
+                - exceed_probability(IntervalModel.PUSHFORWARD_SQUARE, upper)
+            ) / (upper - (y - h))
+
+        assert slope(2500.0, 1e-3) == pytest.approx(1.0e-4, rel=1e-6)
+        assert slope(10_000.0, 1e-3) == pytest.approx(5.0e-5, rel=1e-6)
+
+    def test_nonpositive_rejected(self):
+        # X^2 lives on [0, 10000]: no mass lies below 0, and thresholds there are refused
+        assert exceed_probability(IntervalModel.PUSHFORWARD_SQUARE, 0.0) == 1.0
+        with pytest.raises(ValueError):
+            exceed_probability(IntervalModel.PUSHFORWARD_SQUARE, -3.0)
+        with pytest.raises(ValueError):
+            exceed_probability(IntervalModel.PUSHFORWARD_SQUARE, 20_000.0)
+
     @pytest.mark.parametrize("t", [1.0, 10.0, 100.0, 2500.0, 5000.0, 10_000.0])
     def test_mass_below_t_matches_sqrt_law(self, t):
         # P(X^2 <= t) = sqrt(t)/100, and an independent quadrature of the density
