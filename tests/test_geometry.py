@@ -1,3 +1,12 @@
+"""Chord geometry on the unit circle, as the chord kernels compute it.
+
+Each model maps its coordinate pair to a chord length: the midpoint (x, y)
+to ``2 sqrt(1 - x^2 - y^2)``, the tangent angle beta to ``2 sin(beta)`` and
+the chord-diameter intersection (r, theta) to ``2 sqrt(1 - r^2)``.  The
+kernels clamp instead of raising; keeping coordinates inside their support
+is the samplers' job.
+"""
+
 import math
 
 import numpy as np
@@ -5,150 +14,180 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from bertrand_lab.geometry import (
-    GEOMETRY_TOL,
-    PointXY,
-    PolarRT,
-    TangentAngles,
-    cartesian_to_polar,
-    chord_length_from_midpoint,
-    chord_length_from_polar,
-    chord_length_from_tangent_angle,
-    polar_jacobian,
-    polar_to_cartesian,
+from bertrand_lab.bertrand import (
+    _CHORDS,
+    ChordModel,
+    _disc_batch,
+    _disc_radius_sq,
+    _disc_rounds,
+    _polar_batch,
+    _pushforward_polar_density,
+    _tangent_event,
+    sample_chord_batch,
 )
+from bertrand_lab.montecarlo import stream_generator
 
 SQRT3 = math.sqrt(3.0)
+GEOMETRY_TOL = 1e-12
+MIDPOINT = ChordModel.MIDPOINT_UNIFORM
+TANGENT = ChordModel.TANGENT_ANGLE_UNIFORM
+POLAR = ChordModel.POLAR_UNIFORM
+
+
+def length(model, a, b):
+    """The model's length kernel at one coordinate pair."""
+    return float(_CHORDS[model].length(np.array([a]), np.array([b]))[0])
+
+
+class Draws:
+    """A generator stand-in that hands out the given uniform draws in turn."""
+
+    def __init__(self, *draws):
+        self.draws = [np.array(d, dtype=float) for d in draws]
+
+    def uniform(self, low, high, size):
+        return self.draws.pop(0)
+
+    def random(self, shape):
+        return self.draws.pop(0)
 
 
 class TestChordLengths:
     def test_midpoint_at_center_gives_diameter(self):
-        assert chord_length_from_midpoint(PointXY(0.0, 0.0)) == 2.0
+        assert length(MIDPOINT, 0.0, 0.0) == 2.0
 
     def test_midpoint_at_half_radius_gives_triangle_edge(self):
-        assert chord_length_from_midpoint(PointXY(0.5, 0.0)) == pytest.approx(SQRT3, abs=1e-12)
+        assert length(MIDPOINT, 0.5, 0.0) == pytest.approx(SQRT3, abs=1e-12)
 
     def test_midpoint_on_rim_gives_degenerate_chord(self):
-        assert chord_length_from_midpoint(PointXY(1.0, 0.0)) == 0.0
+        assert length(MIDPOINT, 1.0, 0.0) == 0.0
 
     def test_midpoint_outside_disc_rejected(self):
-        with pytest.raises(ValueError):
-            chord_length_from_midpoint(PointXY(1.2, 0.3))
+        # the sampler rejects exactly the proposals outside the closed disc
+        rejected = 0
+        for pts, _, accepted in _disc_rounds(stream_generator(5, 0), 10_000):
+            outside = pts[:, 0] * pts[:, 0] + pts[:, 1] * pts[:, 1] > 1.0
+            assert np.array_equal(accepted, ~outside)
+            rejected += int(np.count_nonzero(outside))
+        assert rejected > 0
+        # a proposal at (0.9, 0.9) is redrawn; the next one, (0, 0), is kept
+        x, y = _disc_batch(Draws([[0.95, 0.95]], [[0.5, 0.5]]), 1)
+        assert (x[0], y[0]) == (0.0, 0.0)
 
     def test_tangent_angle_perpendicular_gives_diameter(self):
-        assert chord_length_from_tangent_angle(math.pi / 2.0) == 2.0
+        assert length(TANGENT, 0.0, math.pi / 2.0) == 2.0
 
     def test_tangent_angle_pi_third_gives_triangle_edge(self):
-        assert chord_length_from_tangent_angle(math.pi / 3.0) == pytest.approx(SQRT3, abs=1e-12)
+        assert length(TANGENT, 0.0, math.pi / 3.0) == pytest.approx(SQRT3, abs=1e-12)
 
     def test_tangent_angle_zero_gives_degenerate_chord(self):
-        assert chord_length_from_tangent_angle(0.0) == 0.0
+        assert length(TANGENT, 0.0, 0.0) == 0.0
 
     @pytest.mark.parametrize("beta", [-0.1, math.pi + 0.001])
     def test_tangent_angle_out_of_range_rejected(self, beta):
-        with pytest.raises(ValueError):
-            chord_length_from_tangent_angle(beta)
+        # an angle outside [0, pi] names no chord, and the event never counts it
+        assert length(TANGENT, 0.0, beta) < 0.0
+        for t in (0.0, 1.0, SQRT3, 1.99):
+            assert not _tangent_event(t)(np.array([beta]))[0]
 
     def test_polar_at_center_gives_diameter(self):
-        assert chord_length_from_polar(PolarRT(0.0, 1.3)) == 2.0
+        assert length(POLAR, 0.0, 1.3) == 2.0
 
     def test_polar_at_half_radius_gives_triangle_edge(self):
-        assert chord_length_from_polar(PolarRT(0.5, 0.0)) == pytest.approx(SQRT3, abs=1e-12)
+        assert length(POLAR, 0.5, 0.0) == pytest.approx(SQRT3, abs=1e-12)
 
     def test_polar_on_rim_gives_degenerate_chord(self):
-        assert chord_length_from_polar(PolarRT(1.0, math.pi)) == 0.0
+        assert length(POLAR, 1.0, math.pi) == 0.0
 
     def test_polar_radius_beyond_circle_rejected(self):
-        with pytest.raises(ValueError):
-            chord_length_from_polar(PolarRT(1.5, 0.0))
+        # clamped to the degenerate chord, which beats no threshold
+        assert length(POLAR, 1.5, 0.0) == 0.0
+        assert not _CHORDS[POLAR].event(0.0)(np.array([1.5]))[0]
 
 
 class TestTransforms:
+    """The polar angle convention (-pi, pi] and the midpoint-to-polar map.
+
+    The chord with midpoint (x, y) meets its orthogonal diameter at
+    r = hypot(x, y), theta = atan2(y, x): both kernels give it one length.
+    """
+
     def test_unit_x_axis(self):
-        p = cartesian_to_polar(PointXY(1.0, 0.0))
-        assert (p.r, p.theta) == (1.0, 0.0)
+        r, theta = _polar_batch(Draws([1.0], [0.0]), 1)
+        assert (r[0], theta[0]) == (math.hypot(1.0, 0.0), math.atan2(0.0, 1.0))
+        assert length(POLAR, r[0], theta[0]) == length(MIDPOINT, 1.0, 0.0) == 0.0
 
     def test_unit_y_axis(self):
-        p = cartesian_to_polar(PointXY(0.0, 1.0))
-        assert p.r == pytest.approx(1.0, abs=1e-15)
-        assert p.theta == pytest.approx(math.pi / 2.0, abs=1e-15)
+        r, theta = _polar_batch(Draws([1.0], [math.pi / 2.0]), 1)
+        assert theta[0] == math.atan2(1.0, 0.0)
+        assert length(POLAR, r[0], theta[0]) == length(MIDPOINT, 0.0, 1.0) == 0.0
 
     def test_negative_x_axis_maps_to_plus_pi(self):
-        p = cartesian_to_polar(PointXY(-1.0, 0.0))
-        assert p.theta == math.pi
+        assert math.atan2(0.0, -1.0) == math.pi
+        _, theta = _polar_batch(Draws([0.5], [math.pi]), 1)
+        assert theta[0] == math.pi
 
     def test_negative_zero_y_still_maps_to_plus_pi(self):
-        p = cartesian_to_polar(PointXY(-1.0, -0.0))
-        assert p.theta == math.pi
-
-    def test_origin_rejected(self):
-        with pytest.raises(ValueError):
-            cartesian_to_polar(PointXY(0.0, 0.0))
-
-    def test_polar_to_cartesian_examples(self):
-        assert polar_to_cartesian(PolarRT(1.0, 0.0)) == PointXY(1.0, 0.0)
-        p = polar_to_cartesian(PolarRT(2.0, math.pi / 2.0))
-        assert p.x == pytest.approx(0.0, abs=1e-15)
-        assert p.y == pytest.approx(2.0, abs=1e-15)
-        assert polar_to_cartesian(PolarRT(0.0, 1.3)) == PointXY(0.0, 0.0)
+        # atan2 puts (-1, -0.0) at -pi; the sampler folds a draw of -pi onto +pi
+        assert math.atan2(-0.0, -1.0) == -math.pi
+        _, theta = _polar_batch(Draws([0.5, 0.5], [-math.pi, -3.0]), 2)
+        assert list(theta) == [math.pi, -3.0]
 
     def test_round_trip_random_points(self):
-        rng = np.random.default_rng(2024)
-        checked = 0
-        while checked < 10_000:
-            x, y = rng.uniform(-1.0, 1.0, 2)
-            r = math.hypot(x, y)
-            if not 1e-9 < r <= 1.0:
-                continue
-            back = polar_to_cartesian(cartesian_to_polar(PointXY(x, y)))
-            assert abs(back.x - x) <= 1e-12
-            assert abs(back.y - y) <= 1e-12
-            checked += 1
+        rng = stream_generator(2024, 0)
+        x, y, lengths = sample_chord_batch(MIDPOINT, rng, 10_000)
+        r = np.hypot(x, y)
+        via_polar = _CHORDS[POLAR].length(r, np.arctan2(y, x))
+        # squared lengths, 4 (1 - r^2): the length itself amplifies the
+        # rounding of r^2 without bound at the rim
+        assert np.max(np.abs(via_polar**2 - lengths**2)) <= 1e-12
+        # the event-only kernel reads x*x + y*y of the same points, bit for bit
+        assert np.array_equal(_disc_radius_sq(stream_generator(2024, 0), 10_000), x * x + y * y)
 
     @given(
         r=st.floats(min_value=1e-9, max_value=1.0, exclude_min=True),
         theta=st.floats(min_value=-math.pi, max_value=math.pi, exclude_min=True),
     )
     def test_round_trip_polar_first(self, r, theta):
-        p = PolarRT(r, theta)
-        back = cartesian_to_polar(polar_to_cartesian(p))
-        assert back.r == pytest.approx(r, abs=1e-12)
-        # angle comparison modulo the (-pi, pi] fold at the branch cut
-        diff = abs(back.theta - theta)
-        assert min(diff, abs(diff - 2.0 * math.pi)) <= 1e-9
+        x, y = r * math.cos(theta), r * math.sin(theta)
+        # squared lengths, as in test_round_trip_random_points
+        squared = length(POLAR, r, theta) ** 2
+        assert length(MIDPOINT, x, y) ** 2 == pytest.approx(squared, abs=1e-12)
 
 
 class TestJacobian:
+    """The polar map's Jacobian 1/r turns the disc density 1/pi into r/pi."""
+
     def test_values(self):
-        assert polar_jacobian(PolarRT(1.0, 0.0)) == 1.0
-        assert polar_jacobian(PolarRT(0.5, 0.0)) == 2.0
+        for r, jacobian in ((1.0, 1.0), (0.5, 2.0)):
+            assert _pushforward_polar_density(r) == pytest.approx(
+                (1.0 / math.pi) / jacobian, abs=1e-15
+            )
 
     def test_singular_at_origin(self):
-        with pytest.raises(ZeroDivisionError):
-            polar_jacobian(PolarRT(0.0, 0.0))
+        # where 1/r blows up, the pushforward density vanishes
+        assert _pushforward_polar_density(0.0) == 0.0
 
 
 class TestThresholdEquivalence:
     """Exceeding sqrt(3) is equivalent to a simple condition on each coordinate."""
 
     def test_polar_radius_criterion(self):
-        # 1 ulp of slack at the exact boundary: the comparison tolerance for
-        # pure geometry is 1e-12
         for r in np.linspace(0.0, 1.0, 10_001):
-            length = chord_length_from_polar(PolarRT(float(r), 0.0))
-            if abs(length - SQRT3) <= GEOMETRY_TOL:
+            chord = length(POLAR, float(r), 0.0)
+            if abs(chord - SQRT3) <= GEOMETRY_TOL:
                 assert abs(r - 0.5) <= 1e-6
                 continue
-            assert (length > SQRT3) == (r < 0.5)
+            assert (chord > SQRT3) == (r < 0.5)
 
     def test_tangent_angle_criterion(self):
         lo, hi = math.pi / 3.0, 2.0 * math.pi / 3.0
         for beta in np.linspace(0.0, math.pi, 10_001):
-            length = chord_length_from_tangent_angle(float(beta))
-            if abs(length - SQRT3) <= GEOMETRY_TOL:
+            chord = length(TANGENT, 0.0, float(beta))
+            if abs(chord - SQRT3) <= GEOMETRY_TOL:
                 assert min(abs(beta - lo), abs(beta - hi)) <= 1e-6
                 continue
-            assert (length > SQRT3) == (lo < beta < hi)
+            assert (chord > SQRT3) == (lo < beta < hi)
 
 
 class TestConsistency:
@@ -158,30 +197,34 @@ class TestConsistency:
             x, y = rng.uniform(-0.7, 0.7, 2)
             if x == 0.0 and y == 0.0:
                 continue
-            p = PointXY(float(x), float(y))
-            via_polar = chord_length_from_polar(cartesian_to_polar(p))
-            assert abs(chord_length_from_midpoint(p) - via_polar) <= 1e-12
+            via_polar = length(POLAR, math.hypot(x, y), math.atan2(y, x))
+            assert abs(length(MIDPOINT, x, y) - via_polar) <= 1e-12
 
 
 class TestTypeInvariants:
+    """The coordinate ranges hold for every sampled chord, one at a time or in bulk."""
+
+    @staticmethod
+    def draws(model, size):
+        rng = stream_generator(9, 0)
+        single = [sample_chord_batch(model, rng, 1) for _ in range(500)]
+        bulk = sample_chord_batch(model, rng, size)
+        return [np.concatenate(parts) for parts in zip(*single, bulk)]
+
     def test_polar_rejects_negative_radius(self):
-        with pytest.raises(ValueError):
-            PolarRT(-0.1, 0.0)
+        r, _, _ = self.draws(POLAR, 50_000)
+        assert np.all((r >= 0.0) & (r <= 1.0))
 
     def test_polar_rejects_angle_outside_half_open_range(self):
-        with pytest.raises(ValueError):
-            PolarRT(1.0, -math.pi)
-        with pytest.raises(ValueError):
-            PolarRT(1.0, 3.2)
+        _, theta, _ = self.draws(POLAR, 50_000)
+        assert np.all((theta > -math.pi) & (theta <= math.pi))
 
     def test_tangent_angles_validated(self):
-        with pytest.raises(ValueError):
-            TangentAngles(-0.1, 1.0)
-        with pytest.raises(ValueError):
-            TangentAngles(1.0, 3.2)
+        alpha, beta, _ = self.draws(TANGENT, 50_000)
+        assert np.all((alpha >= 0.0) & (alpha <= 2.0 * math.pi))
+        assert np.all((beta >= 0.0) & (beta <= math.pi))
 
     def test_point_must_be_finite(self):
-        with pytest.raises(ValueError):
-            PointXY(math.nan, 0.0)
-        with pytest.raises(ValueError):
-            PointXY(0.0, math.inf)
+        x, y, lengths = self.draws(MIDPOINT, 50_000)
+        assert np.all(np.isfinite(x) & np.isfinite(y) & np.isfinite(lengths))
+        assert np.all(x * x + y * y <= 1.0)
