@@ -1,11 +1,12 @@
 #!/usr/bin/env python3
-"""Digest the stdout of a fixed matrix of 157 CLI commands.
+"""Digest the stdout of a fixed matrix of 172 CLI commands.
 
     python3 scripts/cli_digest.py [CHECKOUT] > digest.txt
 
 Each command runs cold as ``python -m bertrand_lab`` with ``PYTHONPATH`` set
 to ``CHECKOUT/src`` (by default the checkout holding this script) and prints
-one line, ``sha256-of-stdout  exit-code  argv``, in a fixed order.  Running it
+one line, ``sha256-of-stdout  exit-code  argv``, in a fixed order (``argv``
+shell-quoted, with newlines and non-ASCII characters backslash-escaped).  Running it
 on two checkouts and diffing the outputs shows whether a change moved any
 output byte or exit code.  Standard library only.
 """
@@ -33,6 +34,8 @@ LAWS = (
     "custom:2=0.5,3=0.25,7=0.25",
 )
 SAMPLE_LAWS = ("geometric:0.5", "geometric:0.001", "poisson:4", "degenerate:7")
+# law texts that CSV must quote (comma, newline) or JSON must escape (non-ASCII digit)
+ENCODING_LAWS = ("custom:1=0.5,3=0.5", "custom:1=1\n", "custom:\u0661=1")
 
 
 def commands() -> list[list[str]]:
@@ -77,6 +80,16 @@ def commands() -> list[list[str]]:
             out.append(["rationals", "sample", "--law", law, "--seed", seed])
         out.append(["rationals", "sample", "--law", law, "--samples", "1000", "--format", "json"])
     out += [
+        ["rationals", "sample", "--law", "geometric:0.001", "--samples", "1000000"],
+        ["rationals", "sample", "--law", "geometric:0.001", "--samples", "200000", "--format", "json"],
+    ]
+    for law in ENCODING_LAWS:
+        for fmt in ("csv", "json"):
+            out += [
+                ["rationals", "sample", "--law", law, "--samples", "20", "--seed", "7", "--format", fmt],
+                ["rationals", "atom", "--q", "1/2", "--law", law, "--format", fmt],
+            ]
+    out += [
         ["rationals", "converge"],
         ["rationals", "converge", "--ks", "10,100,1000,10000,100000"],
         ["rationals", "converge", "--family", "poisson"],
@@ -94,6 +107,7 @@ def commands() -> list[list[str]]:
         ["rationals", "cdf", "--x", "0.5", "--law", "bogus:1"],
         ["rationals", "cdf", "--x", "nan", "--law", "geometric:0.5"],
         ["rationals", "sample", "--law", "geometric:1e-10", "--samples", "5"],
+        ["rationals", "sample", "--law", "geometric:1e-300", "--samples", "2"],
         ["rationals", "converge", "--ks", "a"],
         ["rationals", "atom", "--q", "1/2", "--law", "poisson:1e300"],
         ["rationals", "cdf", "--x", "0.3", "--law", "poisson:1e300"],
@@ -114,7 +128,8 @@ def digest(src: Path, argv: list[str]) -> str:
     proc = subprocess.run(
         [sys.executable, "-m", "bertrand_lab", *argv], env=env, capture_output=True
     )
-    return f"{hashlib.sha256(proc.stdout).hexdigest()}  {proc.returncode}  {shlex.join(argv)}"
+    shown = shlex.join(argv).encode("unicode_escape").decode("ascii")
+    return f"{hashlib.sha256(proc.stdout).hexdigest()}  {proc.returncode}  {shown}"
 
 
 def main() -> int:

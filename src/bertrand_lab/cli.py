@@ -11,9 +11,6 @@ JSON output is a single object with a "rows" array carrying the same fields.
 from __future__ import annotations
 
 import argparse
-import csv
-import dataclasses
-import io
 import json
 import os
 import sys
@@ -45,46 +42,79 @@ class CliError(Exception):
     """A configuration problem that should exit with status 2."""
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".9g")
+# the characters that make Python 3.11's csv.writer(lineterminator="\n") quote a field;
+# a lone "\r" is written bare (tests/test_cli.py compares with csv.writer itself)
+_CSV_QUOTED = ',"\n'
 
 
-def _cell(value: Any) -> str:
-    if value is None:
-        return ""
+def _encode(value: Any, as_json: bool) -> str:
+    """One cell: floats at 9 significant digits, None blank in CSV and null in JSON."""
     if isinstance(value, float):
-        return _fmt(value)
-    return str(value)
+        text = format(value, ".9g")
+        return json.dumps(float(text)) if as_json else text
+    if as_json:
+        return json.dumps(value)
+    text = "" if value is None else str(value)
+    return '"' + text.replace('"', '""') + '"' if any(c in text for c in _CSV_QUOTED) else text
 
 
-def _render_csv(rows: list[dict[str, Any]]) -> str:
-    header = list(rows[0])
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([_cell(row[h]) for h in header])
-    return buf.getvalue()
+def _column(values: Any, as_json: bool) -> tuple[str, list[Any] | None]:
+    """A column as its %-format piece of the row and the values it takes (none if constant).
+
+    A column is a constant, a list of cells, or a float or integer array.
+    """
+    if not isinstance(values, (list, np.ndarray)):
+        return _encode(values, as_json).replace("%", "%%"), None
+    if isinstance(values, np.ndarray):
+        if values.dtype.kind != "f":
+            return "%d", values.tolist()
+        # each distinct value once; unique bit patterns keep -0.0 apart from 0.0
+        bits, inverse = np.unique(np.asarray(values, np.float64).view(np.int64), return_inverse=True)
+        texts = [_encode(v, as_json) for v in bits.view(np.float64).tolist()]
+        return "%s", np.array(texts, dtype=object)[inverse].tolist()
+    if set(map(type, values)) == {str}:
+        # quoting and escaping act per character, so the joined text decides for every cell
+        text = "".join(values)
+        if _encode(text, as_json) == (f'"{text}"' if as_json else text):
+            return '"%s"' if as_json else "%s", values
+    return "%s", [_encode(v, as_json) for v in values]
 
 
-def _render_json(rows: list[dict[str, Any]]) -> str:
-    # pin floats to the same 9 significant digits the CSV shows
-    json_rows = [
-        {h: float(_fmt(v)) if isinstance(v, float) else v for h, v in row.items()}
-        for row in rows
-    ]
-    return json.dumps({"rows": json_rows}, indent=2) + "\n"
+def _emit(args: argparse.Namespace, columns: dict[str, Any]) -> int:
+    r"""Write a table of two or more columns, each a constant or a sequence.
 
-
-def _emit(args: argparse.Namespace, rows: list[dict[str, Any]]) -> int:
-    """Write the rows, whose keys (the same for every row) are the header."""
-    text = _render_csv(rows) if args.format == "csv" else _render_json(rows)
+    The sequences share one length, the row count, of at least 1; a table of
+    constants is one row.  The text equals csv.writer(lineterminator="\n") or
+    json.dumps({"rows": [...]}, indent=2) + "\n" on the rows spelled out.
+    """
+    as_json = args.format == "json"
+    row, varying = "", []
+    for i, (name, values) in enumerate(columns.items()):
+        if as_json:
+            row += ("    {\n" if i == 0 else ",\n") + f"      {json.dumps(name)}: ".replace("%", "%%")
+        elif i:
+            row += ","
+        piece, cells = _column(values, as_json)
+        row += piece
+        if cells is not None:
+            varying.append(cells)
+    row += "\n    }" if as_json else "\n"
+    rows = map(row.__mod__, zip(*varying)) if varying else [row % ()]
+    if as_json:
+        parts = ['{\n  "rows": [\n', ",\n".join(rows), "\n  ]\n}\n"]
+    else:
+        parts = [",".join(_encode(name, False) for name in columns), "\n", "".join(rows)]
     if args.out:
         with open(args.out, "w", newline="") as f:
-            f.write(text)
+            f.writelines(parts)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(parts)
     return 0
+
+
+def _fields(records: Sequence[Any], *names: str) -> dict[str, list[Any]]:
+    """One column per attribute of the records, None where a record is None."""
+    return {name: [None if r is None else getattr(r, name) for r in records] for name in names}
 
 
 def _resolve_seed(args: argparse.Namespace) -> int:
@@ -105,80 +135,50 @@ def _check_samples(n: int, minimum: int = 1) -> int:
     return n
 
 
-def _estimate_row(
-    model: str, exact_p: float, est: montecarlo.Estimate | None, **extra: float
-) -> dict[str, Any]:
-    """A model's exact value beside its estimate; blank estimate cells without one."""
-
-    def field(name: str) -> Any:
-        return None if est is None else getattr(est, name)
-
-    return {
-        "model": model,
-        "exact_p": exact_p,
-        "p_hat": field("p_hat"),
-        "ci_low": field("ci_low"),
-        "ci_high": field("ci_high"),
-        **extra,
-        "n": field("n"),
-        "seed": field("seed"),
-    }
-
-
 def cmd_bertrand(args: argparse.Namespace) -> int:
     n = _check_samples(args.samples)
     seed = _resolve_seed(args)
     models = list(_CHORD_TOKENS.values()) if args.model == "all" else [_CHORD_TOKENS[args.model]]
-    rows = [
-        _estimate_row(
-            model.value,
-            bertrand.exact_exceed_probability(model),
-            montecarlo.run(bertrand.chord_exceed_experiment(model), n, seed, args.shards),
-        )
-        for model in models
-    ]
+    names = [model.value for model in models]
+    exact = [bertrand.exact_exceed_probability(model) for model in models]
+    ests = [montecarlo.run(bertrand.chord_exceed_experiment(m), n, seed, args.shards) for m in models]
     if args.pushforward:
-        value = bertrand.exceed_probability_under_measure(
-            bertrand.ChordModel.MIDPOINT_UNIFORM, bertrand.ChordModel.POLAR_UNIFORM
-        )
-        rows.append(_estimate_row("midpoint_to_polar_pushforward", value, None))
-    return _emit(args, rows)
+        midpoint, polar = bertrand.ChordModel.MIDPOINT_UNIFORM, bertrand.ChordModel.POLAR_UNIFORM
+        names.append("midpoint_to_polar_pushforward")
+        exact.append(bertrand.exceed_probability_under_measure(midpoint, polar))
+        ests.append(None)
+    columns = _fields(ests, "p_hat", "ci_low", "ci_high", "n", "seed")
+    return _emit(args, {"model": names, "exact_p": exact, **columns})
 
 
 def cmd_buffon(args: argparse.Namespace) -> int:
     n = _check_samples(args.samples, minimum=1000)
     seed = _resolve_seed(args)
     models = list(_NEEDLE_TOKENS.values()) if args.model == "all" else [_NEEDLE_TOKENS[args.model]]
-    rows = []
-    for model in models:
-        pi_est = buffon.estimate_pi(model, n, seed, args.shards)
-        rows.append(
-            _estimate_row(
-                model.value,
-                buffon.exact_cross_probability(model),
-                pi_est.crossings,
-                pi_estimate=pi_est.value,
-                pi_ci_low=pi_est.ci_low,
-                pi_ci_high=pi_est.ci_high,
-            )
-        )
-    return _emit(args, rows)
+    pis = [buffon.estimate_pi(model, n, seed, args.shards) for model in models]
+    ests = [pi.crossings for pi in pis]
+    columns = {
+        "model": [model.value for model in models],
+        "exact_p": [buffon.exact_cross_probability(model) for model in models],
+        **_fields(ests, "p_hat", "ci_low", "ci_high"),
+        "pi_estimate": [pi.value for pi in pis],
+        "pi_ci_low": [pi.ci_low for pi in pis],
+        "pi_ci_high": [pi.ci_high for pi in pis],
+    }
+    return _emit(args, {**columns, **_fields(ests, "n", "seed")})
 
 
 def cmd_squares(args: argparse.Namespace) -> int:
     t = args.threshold
     if not 0.0 <= t <= squares.X_MAX:
         raise CliError(f"--threshold must lie in [0, 100], got {t}")
-    rows = []
-    for model in squares.IntervalModel:
-        threshold = squares.model_threshold(model, t)
-        rows.append(
-            {
-                "model": model.value,
-                "threshold": threshold,
-                "probability": squares.exceed_probability(model, threshold),
-            }
-        )
+    models = list(squares.IntervalModel)
+    thresholds = [squares.model_threshold(model, t) for model in models]
+    columns = {
+        "model": [model.value for model in models],
+        "threshold": thresholds,
+        "probability": [squares.exceed_probability(m, th) for m, th in zip(models, thresholds)],
+    }
     if args.finite is not None:
         if args.finite < 1:
             raise CliError(f"--finite must be >= 1, got {args.finite}")
@@ -190,8 +190,9 @@ def cmd_squares(args: argparse.Namespace) -> int:
             ("counting_squared", ti * ti, True),
         ):
             probability = squares.finite_counting_probability(args.finite, threshold, squared)
-            rows.append({"model": model, "threshold": threshold, "probability": str(probability)})
-    return _emit(args, rows)
+            for name, value in zip(columns, (model, threshold, str(probability))):
+                columns[name].append(value)
+    return _emit(args, columns)
 
 
 def _parse_law(text: str) -> rationals.DenominatorLaw:
@@ -234,17 +235,17 @@ def cmd_rationals(args: argparse.Namespace) -> int:
         law = _parse_law(args.law)
         q = _parse_rational(args.q)
         value = rationals.atom_probability(q, law, args.tol)
-        return _emit(args, [{"law": args.law, "q": str(q), "probability": value}])
+        return _emit(args, {"law": args.law, "q": str(q), "probability": value})
 
     if args.mode == "cdf":
         law = _parse_law(args.law)
         value = rationals.cdf(args.x, law, args.tol)
-        return _emit(args, [{"law": args.law, "x": args.x, "value": value}])
+        return _emit(args, {"law": args.law, "x": args.x, "value": value})
 
     if args.mode == "interval":
         law = _parse_law(args.law)
         value = rationals.interval_probability(args.a, args.b, law, args.tol)
-        return _emit(args, [{"law": args.law, "a": args.a, "b": args.b, "probability": value}])
+        return _emit(args, {"law": args.law, "a": args.a, "b": args.b, "probability": value})
 
     if args.mode == "sample":
         law = _parse_law(args.law)
@@ -257,20 +258,10 @@ def cmd_rationals(args: argparse.Namespace) -> int:
         if base > _MAX_CODE_BASE:
             raise CliError(f"drew denominator {base - 1}; sample tabulates up to {_MAX_CODE_BASE - 1}")
         codes, counts = np.unique(dens * base + nums, return_counts=True)
-        rows = []
-        for code, count in zip(codes.tolist(), counts.tolist()):
-            den, num = divmod(code, base)
-            rows.append(
-                {
-                    "law": args.law,
-                    "q": f"{num}/{den}",
-                    "count": count,
-                    "frequency": count / n,
-                    "n": n,
-                    "seed": seed,
-                }
-            )
-        return _emit(args, rows)
+        den, num = np.divmod(codes, base)
+        q = list(map("{}/{}".format, num.tolist(), den.tolist()))
+        columns = {"q": q, "count": counts, "frequency": counts / n, "n": n, "seed": seed}
+        return _emit(args, {"law": args.law, **columns})
 
     # converge
     family = (
@@ -282,7 +273,10 @@ def cmd_rationals(args: argparse.Namespace) -> int:
     except ValueError as exc:
         raise CliError(f"bad --ks or --probe: {exc}") from exc
     table = rationals.convergence_table(family, ks, (a, b), args.tol)
-    return _emit(args, [{"family": args.family, **dataclasses.asdict(d)} for d in table])
+    columns = _fields(
+        table, "k", "pmf_sup", "pmf_sup_log_k", "harmonic_number", "mean_reciprocal", "interval_error"
+    )
+    return _emit(args, {"family": args.family, **columns})
 
 
 def _add_output_options(p: argparse.ArgumentParser) -> None:

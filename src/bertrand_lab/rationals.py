@@ -196,7 +196,11 @@ class GeometricLaw(DenominatorLaw):
         return max(1, math.ceil(index))
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        return rng.geometric(self.w, size).astype(np.int64)
+        # numpy's draws saturate at the int64 maximum for tiny w
+        ms = rng.geometric(self.w, size).astype(np.int64, copy=False)
+        if ms.max(initial=1) > _MAX_DENOMINATOR:
+            raise ValueError(f"{self!r} drew a denominator above {_MAX_DENOMINATOR}")
+        return ms
 
     def __repr__(self) -> str:
         return f"GeometricLaw(w={self.w!r})"

@@ -5,12 +5,18 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 import textwrap
+from argparse import Namespace
+from contextlib import redirect_stdout
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from bertrand_lab.cli import DEFAULT_SEED, SEED_ENV_VAR, main
+from bertrand_lab.cli import DEFAULT_SEED, SEED_ENV_VAR, _emit, main
 
 
 def run_cli(argv, capsys):
@@ -255,6 +261,8 @@ class TestRationalsCommand:
             ["interval", "--a", "0", "--b", "0.5", "--law", "geometric:1e-300"],
             ["atom", "--q", "1/2", "--law", "degenerate:99999999999999999999"],
             ["sample", "--law", "degenerate:99999999999999999999", "--samples", "2"],
+            # numpy's geometric draws saturate at the int64 maximum
+            ["sample", "--law", "geometric:1e-300", "--samples", "2"],
             ["atom", "--q", "1/2", "--law", "custom:99999999999999999999=1"],
             # laws that do not exist
             ["atom", "--q", "1/2", "--law", "poisson:inf"],
@@ -315,7 +323,79 @@ class TestDeterminism:
         assert outputs[0] == outputs[1] == outputs[2]
 
 
+def _reference_cell(value):
+    if value is None:
+        return ""
+    if isinstance(value, float):
+        return format(value, ".9g")
+    return str(value)
+
+
+def reference_text(rows, fmt):
+    """The row-at-a-time rendering: csv.writer, or json.dumps of floats rounded to 9 digits."""
+    if fmt == "csv":
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(list(rows[0]))
+        for row in rows:
+            writer.writerow([_reference_cell(v) for v in row.values()])
+        return buf.getvalue()
+    json_rows = [
+        {h: float(format(v, ".9g")) if isinstance(v, float) else v for h, v in row.items()}
+        for row in rows
+    ]
+    return json.dumps({"rows": json_rows}, indent=2) + "\n"
+
+
+# characters that CSV must quote or JSON must escape, beside plain ones
+TEXTS = st.text(st.sampled_from(list('ab1/:=.,"\r\n %\\\t\x7f\u00e9\u0661')), max_size=6)
+FLOATS = st.one_of(
+    st.sampled_from([1.0, 1e-05, 0.1234567895, 2.0000000005, 0.30000000000000004, -0.0, 0.0]),
+    st.floats(),
+)
+SCALARS = st.one_of(st.none(), FLOATS, st.integers(-(2**70), 2**70), TEXTS)
+SEQUENCE_CELLS = {"cells": SCALARS, "floats": FLOATS, "ints": st.integers(-(2**63), 2**63 - 1)}
+
+
+@st.composite
+def column_tables(draw):
+    """Tables of 2-5 columns; each a constant, a list of any cells, a float or int array, or texts."""
+    n = draw(st.integers(1, 5))
+    columns = {}
+    for name in draw(st.lists(TEXTS, min_size=2, max_size=5, unique=True)):
+        kind = draw(st.sampled_from(["constant", "cells", "floats", "ints", "texts"]))
+        if kind == "constant":
+            columns[name] = draw(SCALARS)
+        elif kind == "texts":
+            columns[name] = draw(st.lists(TEXTS, min_size=n, max_size=n))
+        else:
+            values = draw(st.lists(SEQUENCE_CELLS[kind], min_size=n, max_size=n))
+            columns[name] = values if kind == "cells" else np.array(values)
+    return columns
+
+
+def spelled_rows(columns):
+    """The table as row dicts, with each constant repeated in every row."""
+    columns = {h: v.tolist() if isinstance(v, np.ndarray) else v for h, v in columns.items()}
+    n = max((len(v) for v in columns.values() if isinstance(v, list)), default=1)
+    return [{h: v[i] if isinstance(v, list) else v for h, v in columns.items()} for i in range(n)]
+
+
 class TestOutputFormats:
+    @settings(max_examples=300, deadline=None)
+    @given(columns=column_tables(), fmt=st.sampled_from(["csv", "json"]))
+    def test_column_renderer_matches_row_reference(self, columns, fmt):
+        expected = reference_text(spelled_rows(columns), fmt)
+        buf = io.StringIO()
+        with redirect_stdout(buf):
+            assert _emit(Namespace(format=fmt, out=None), columns) == 0
+        assert buf.getvalue() == expected
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "table"
+            assert _emit(Namespace(format=fmt, out=str(path)), columns) == 0
+            with open(path, newline="") as f:
+                assert f.read() == expected
+
     def test_json_mirrors_csv_fields(self, capsys):
         argv = ["squares", "--finite", "4", "--threshold", "2"]
         _, csv_out, _ = run_cli(argv, capsys)

@@ -75,6 +75,52 @@ GOLDEN = {
         "degenerate:3,1/3,25,0.25,100,7\n"
         "degenerate:3,2/3,14,0.14,100,7\n"
     ),
+    # a law text with a comma: quoted in CSV, a plain string in JSON
+    "rationals sample --law custom:1=0.5,3=0.5 --samples 20 --seed 7": (
+        "law,q,count,frequency,n,seed\n"
+        '"custom:1=0.5,3=0.5",0/1,8,0.4,20,7\n'
+        '"custom:1=0.5,3=0.5",1/1,7,0.35,20,7\n'
+        '"custom:1=0.5,3=0.5",1/3,4,0.2,20,7\n'
+        '"custom:1=0.5,3=0.5",2/3,1,0.05,20,7\n'
+    ),
+    "rationals sample --law custom:1=0.5,3=0.5 --samples 20 --seed 7 --format json": (
+        "{\n"
+        '  "rows": [\n'
+        "    {\n"
+        '      "law": "custom:1=0.5,3=0.5",\n'
+        '      "q": "0/1",\n'
+        '      "count": 8,\n'
+        '      "frequency": 0.4,\n'
+        '      "n": 20,\n'
+        '      "seed": 7\n'
+        "    },\n"
+        "    {\n"
+        '      "law": "custom:1=0.5,3=0.5",\n'
+        '      "q": "1/1",\n'
+        '      "count": 7,\n'
+        '      "frequency": 0.35,\n'
+        '      "n": 20,\n'
+        '      "seed": 7\n'
+        "    },\n"
+        "    {\n"
+        '      "law": "custom:1=0.5,3=0.5",\n'
+        '      "q": "1/3",\n'
+        '      "count": 4,\n'
+        '      "frequency": 0.2,\n'
+        '      "n": 20,\n'
+        '      "seed": 7\n'
+        "    },\n"
+        "    {\n"
+        '      "law": "custom:1=0.5,3=0.5",\n'
+        '      "q": "2/3",\n'
+        '      "count": 1,\n'
+        '      "frequency": 0.05,\n'
+        '      "n": 20,\n'
+        '      "seed": 7\n'
+        "    }\n"
+        "  ]\n"
+        "}\n"
+    ),
     "rationals converge --ks 10,100": (
         "family,k,pmf_sup,pmf_sup_log_k,harmonic_number,mean_reciprocal,interval_error\n"
         "geometric,10,0.1,0.230258509,2.92896825,0.255842788,0.137836463\n"

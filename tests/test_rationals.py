@@ -449,6 +449,11 @@ class TestSampling:
         freq = np.count_nonzero((nums == 1) & (dens == 2)) / n
         assert abs(freq - p) <= 3.0 * math.sqrt(p * (1.0 - p) / n)
 
+    def test_saturated_geometric_draws_are_refused_with_the_law_and_cap(self):
+        # numpy's geometric returns the int64 maximum when w is this small
+        with pytest.raises(ValueError, match=r"GeometricLaw\(w=1e-300\).*4611686018427387903"):
+            sample_rational_batch(GeometricLaw(1e-300), stream_generator(4, 0), 2)
+
     def test_deterministic_per_seed(self):
         a = sample_rational_batch(PoissonLaw(3.0), stream_generator(4, 0), 1000)
         b = sample_rational_batch(PoissonLaw(3.0), stream_generator(4, 0), 1000)
