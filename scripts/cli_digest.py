@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Digest the stdout of a fixed matrix of 172 CLI commands.
+"""Digest the stdout of a fixed matrix of 177 CLI commands.
 
     python3 scripts/cli_digest.py [CHECKOUT] > digest.txt
 
@@ -34,7 +34,8 @@ LAWS = (
     "custom:2=0.5,3=0.25,7=0.25",
 )
 SAMPLE_LAWS = ("geometric:0.5", "geometric:0.001", "poisson:4", "degenerate:7")
-# law texts that CSV must quote (comma, newline) or JSON must escape (non-ASCII digit)
+# law texts that CSV must quote (comma), the CLI must refuse (newline) or JSON
+# must escape (non-ASCII digit)
 ENCODING_LAWS = ("custom:1=0.5,3=0.5", "custom:1=1\n", "custom:\u0661=1")
 
 
@@ -53,6 +54,10 @@ def commands() -> list[list[str]]:
             for seed in ("0", str(2**64 - 1)):
                 out.append([family, "--model", model, "--seed", seed])
             out.append([family, "--model", model, "--samples", "65537"])
+    # many batches per worker, so per-thread batch state is reused across batches
+    for family, model in (("bertrand", "midpoint"), ("buffon", "center-angle")):
+        for shards in ("1", "2"):
+            out.append([family, "--model", model, "--samples", "1000000", "--shards", shards])
     out += [
         ["bertrand", "--pushforward"],
         ["bertrand", "--pushforward", "--format", "json"],
@@ -116,6 +121,7 @@ def commands() -> list[list[str]]:
         ["rationals", "atom", "--q", "1/2", "--law", "degenerate:99999999999999999999"],
         ["rationals", "sample", "--law", "degenerate:99999999999999999999", "--samples", "2"],
         ["rationals", "atom", "--q", "1/2", "--law", "custom:99999999999999999999=1"],
+        ["rationals", "atom", "--q", "1/2", "--law", "custom:1=1\r"],
         ["rationals", "atom", "--q", "1/2", "--law", "poisson:inf"],
         ["rationals", "converge", "--ks", "1"],
     ]

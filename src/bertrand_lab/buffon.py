@@ -13,11 +13,11 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
-from .montecarlo import Estimate, Experiment, run
+from .montecarlo import Estimate, Experiment, _scratch, run
 from .quadrature import gauss_legendre
 
 
@@ -37,6 +37,11 @@ class _Needle(NamedTuple):
     crossing predicate, where touching (equality) counts.
     ``crossing_measure(a)`` is the density times the length of the crossing
     set of the second coordinate, for one value of the first.
+
+    ``event_sample(rng, size)`` consumes a PCG64 stream as ``sample`` does
+    but builds only what the event reads, in the calling thread's scratch,
+    and ``event`` maps that batch to the crossings, bit for bit as
+    ``crosses`` gives them on the public arrays.
     """
 
     first: tuple[float, float]
@@ -44,11 +49,68 @@ class _Needle(NamedTuple):
     sample: Callable[[np.random.Generator, int], tuple[np.ndarray, np.ndarray]]
     crosses: Callable[[np.ndarray, np.ndarray], np.ndarray]
     crossing_measure: Callable[[np.ndarray], np.ndarray]
+    event_sample: Callable[[np.random.Generator, int], Any]
+    event: Callable[[Any], np.ndarray]
 
 
 def _center_angle_crosses(theta: np.ndarray, z: np.ndarray) -> np.ndarray:
     half_span = 0.5 * np.cos(theta)
     return (z <= half_span) | (z >= 1.0 - half_span)
+
+
+def _center_angle_batch(rng: np.random.Generator, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """theta = rng.uniform(-pi/2, pi/2) and z = rng.uniform(0, 1), bit for bit.
+
+    numpy's uniform computes ``low + (high - low) * u``; here ``high - low``
+    is pi exactly and z is u.  Both arrays live in the calling thread's
+    scratch.
+    """
+    draws = rng.random(out=_scratch("draws", 2 * size))
+    theta, z = draws[:size], draws[size:]
+    theta *= math.pi
+    theta -= math.pi / 2.0
+    return theta, z
+
+
+# Half-width of the band of float32 margins that the center-angle event
+# re-decides in float64.
+_CENTER_ANGLE_BAND = 1e-5
+
+
+def _center_angle_event(batch: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """``_center_angle_crosses`` decided in float32, and in float64 near its edges.
+
+    The needle crosses when the margin |z - 1/2| + cos(theta)/2 - 1/2 is at
+    least 0.  Here it is computed in float32.  Rounding theta to float32
+    moves it by at most 2**-24, and z by at most 2**-25.  numpy's float32
+    cosine is taken to be within 2 ulps (2**-23 absolute) of the cosine of
+    its argument, so cos(theta)/2 is off by at most 1.5 * 2**-24.  The
+    three roundings after it (z - 1/2, + cos/2, - 1/2) add at most
+    2**-26 + 2**-25 + 2**-25.  So the float32 margin lies within
+    3.25 * 2**-24 < 2**-22 (about 2.4e-7) of the exact one, about 40 times
+    inside ``_CENTER_ANGLE_BAND``.
+    The float64 rule is exact to about 2**-52.  Trials whose float32 margin
+    lies inside the band, 4e-5 of them (1.3 per batch of 32768), are
+    re-decided by ``_center_angle_crosses``.  For all others the two
+    margins have the same sign.
+    """
+    theta, z = batch
+    half_cos = _scratch("event", len(z), np.float32)
+    np.copyto(half_cos, theta, casting="same_kind")
+    np.cos(half_cos, out=half_cos)
+    half_cos *= 0.5
+    margin = _scratch("event.margin", len(z), np.float32)
+    np.copyto(margin, z, casting="same_kind")
+    margin -= 0.5
+    np.abs(margin, out=margin)
+    margin += half_cos
+    margin -= 0.5
+    hits = margin >= 0.0
+    np.abs(margin, out=margin)
+    near = np.flatnonzero(margin <= _CENTER_ANGLE_BAND)
+    if near.size:
+        hits[near] = _center_angle_crosses(theta[near], z[near])
+    return hits
 
 
 def _endpoints_batch(rng: np.random.Generator, size: int) -> tuple[np.ndarray, np.ndarray]:
@@ -63,6 +125,20 @@ def _endpoints_batch(rng: np.random.Generator, size: int) -> tuple[np.ndarray, n
     y *= 2.0
     y += x - 1.0
     return x, y
+
+
+def _endpoints_y(rng: np.random.Generator, size: int) -> np.ndarray:
+    """The y of ``_endpoints_batch``, in the calling thread's scratch; x is not kept."""
+    draws = rng.random(out=_scratch("draws", 2 * size))
+    x, y = draws[:size], draws[size:]
+    x -= 1.0
+    y *= 2.0
+    y += x
+    return y
+
+
+def _endpoints_cross(y: np.ndarray) -> np.ndarray:
+    return (y <= 0.0) | (y >= 1.0)
 
 
 def _endpoints_crossing_measure(x: np.ndarray) -> np.ndarray:
@@ -83,13 +159,17 @@ _NEEDLES = {
         # for a given tilt, the crossing z-values occupy two bands of total
         # length cos(theta)
         crossing_measure=lambda theta: np.cos(theta) / math.pi,
+        event_sample=_center_angle_batch,
+        event=_center_angle_event,
     ),
     NeedleModel.ENDPOINTS: _Needle(
         first=(0.0, 1.0),
         exact=0.5,
         sample=_endpoints_batch,
-        crosses=lambda x, y: (y <= 0.0) | (y >= 1.0),
+        crosses=lambda x, y: _endpoints_cross(y),
         crossing_measure=_endpoints_crossing_measure,
+        event_sample=_endpoints_y,
+        event=_endpoints_cross,
     ),
 }
 
@@ -128,12 +208,16 @@ def cross_probability_by_quadrature(model: NeedleModel) -> float:
 
 
 def needle_cross_experiment(model: NeedleModel) -> Experiment:
-    """Bernoulli experiment: does a random needle cross a line?"""
+    """Bernoulli experiment: does a random needle cross a line?
+
+    Each batch consumes its stream as ``sample_needle_batch`` does and counts
+    the same crossings, but draws and keeps only what the event reads.
+    """
     needle = _NEEDLES[model]
     return Experiment(
         name=f"needle_{model.value}_crosses",
-        sample=needle.sample,
-        event=lambda batch: needle.crosses(*batch),
+        sample=needle.event_sample,
+        event=needle.event,
     )
 
 

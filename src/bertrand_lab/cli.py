@@ -196,6 +196,9 @@ def cmd_squares(args: argparse.Namespace) -> int:
 
 
 def _parse_law(text: str) -> rationals.DenominatorLaw:
+    # every table echoes the law text, and a lone \r there splits a CSV record
+    if any(c < " " or c == "\x7f" for c in text):
+        raise CliError(f"bad law {text!r}: control characters are not allowed")
     kind, _, rest = text.partition(":")
     try:
         if kind == "geometric":

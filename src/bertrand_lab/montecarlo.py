@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from statistics import NormalDist
@@ -25,6 +26,11 @@ import numpy as np
 # Number of samples drawn from each logical generator stream.  Part of the
 # reproducibility contract: changing it changes every estimate.
 BATCH_SIZE = 1 << 15
+
+# Largest request, in elements, that ``_scratch`` serves from a kept buffer:
+# two doubles per trial of a full batch.
+_SCRATCH_CAP = 2 * BATCH_SIZE
+_SCRATCH = threading.local()
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -50,13 +56,34 @@ def stream_generator(seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(derive_stream_seed(seed, index)))
 
 
+def _scratch(name: str, size: int, dtype: type = np.float64) -> np.ndarray:
+    """``size`` elements of the calling thread's reusable buffer ``name``.
+
+    The buffer is kept per thread and per (name, dtype), grows to the
+    largest request up to ``_SCRATCH_CAP`` elements and is freed when the
+    thread exits; larger requests get a fresh array.  The view is
+    overwritten by the thread's next request for the same buffer.  Names
+    are roles shared by every experiment, so a thread keeps one set: the
+    samplers draw into ``"draws"``, the events work in ``"event"``.
+    """
+    if size > _SCRATCH_CAP:
+        return np.empty(size, dtype)
+    buffers = _SCRATCH.__dict__
+    buf = buffers.get((name, dtype))
+    if buf is None or len(buf) < size:
+        buf = buffers[(name, dtype)] = np.empty(size, dtype)
+    return buf[:size]
+
+
 @dataclass(frozen=True)
 class Experiment:
     """A Bernoulli trial: a batch sampler plus a deterministic event predicate.
 
     ``sample(rng, size)`` draws ``size`` trials from the given generator and
     returns them in any batch form; ``event(batch)`` maps that batch to a
-    boolean array with one entry per trial.
+    boolean array with one entry per trial.  The batch may be a view into
+    the calling thread's scratch buffers (``_scratch``), valid until that
+    thread's next ``sample``: pass it to ``event`` before drawing again.
     """
 
     name: str

@@ -17,7 +17,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .montecarlo import Experiment
+from .montecarlo import Experiment, _scratch
 
 X_MAX = 100.0
 Y_MAX = X_MAX * X_MAX
@@ -89,10 +89,12 @@ def square_exceed_experiment(x_threshold: float = 50.0) -> Experiment:
     y_threshold = x_threshold * x_threshold
 
     def draw(rng: np.random.Generator, size: int) -> np.ndarray:
-        return rng.uniform(0.0, X_MAX, size)
+        xs = rng.random(out=_scratch("draws", size))
+        xs *= X_MAX  # rng.uniform(0.0, X_MAX) bit for bit: 0 + X_MAX * u
+        return xs
 
     def exceeds(xs: np.ndarray) -> np.ndarray:
-        return xs * xs > y_threshold
+        return np.multiply(xs, xs, out=_scratch("event", len(xs))) > y_threshold
 
     return Experiment(
         name=f"square_exceeds_{y_threshold:.9g}", sample=draw, event=exceeds

@@ -264,6 +264,10 @@ class TestRationalsCommand:
             # numpy's geometric draws saturate at the int64 maximum
             ["sample", "--law", "geometric:1e-300", "--samples", "2"],
             ["atom", "--q", "1/2", "--law", "custom:99999999999999999999=1"],
+            # law texts with control characters, which the tables would echo
+            ["atom", "--q", "1/2", "--law", "custom:1=1\r"],
+            ["sample", "--law", "custom:1=1\n", "--samples", "2"],
+            ["cdf", "--x", "0.5", "--law", "geometric:0.5\x7f"],
             # laws that do not exist
             ["atom", "--q", "1/2", "--law", "poisson:inf"],
             ["converge", "--ks", "1"],
