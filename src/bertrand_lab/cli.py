@@ -14,28 +14,25 @@ import argparse
 import json
 import os
 import sys
-from typing import Any, Sequence
+from typing import TYPE_CHECKING, Any, Sequence
 
 import numpy as np
 
-from . import bertrand, buffon, montecarlo, rationals, squares
+# handlers import the modules they run, so a cold command loads only those; this is for annotations
+if TYPE_CHECKING:
+    from . import rationals
 
 DEFAULT_SEED = 42
 SEED_ENV_VAR = "BERTRAND_LAB_SEED"
 DEFAULT_SAMPLES = 100_000
-DEFAULT_TOL = rationals.DEFAULT_TOL
 # isqrt(2**63 - 1): den * base + num fits in int64 for any base up to this
 _MAX_CODE_BASE = 3_037_000_499
 
+# CLI token -> enum member name, resolved by the handler
 _CHORD_TOKENS = {
-    "midpoint": bertrand.ChordModel.MIDPOINT_UNIFORM,
-    "tangent": bertrand.ChordModel.TANGENT_ANGLE_UNIFORM,
-    "polar": bertrand.ChordModel.POLAR_UNIFORM,
+    "midpoint": "MIDPOINT_UNIFORM", "tangent": "TANGENT_ANGLE_UNIFORM", "polar": "POLAR_UNIFORM"
 }
-_NEEDLE_TOKENS = {
-    "center-angle": buffon.NeedleModel.CENTER_ANGLE,
-    "endpoints": buffon.NeedleModel.ENDPOINTS,
-}
+_NEEDLE_TOKENS = {"center-angle": "CENTER_ANGLE", "endpoints": "ENDPOINTS"}
 
 
 class CliError(Exception):
@@ -58,30 +55,33 @@ def _encode(value: Any, as_json: bool) -> str:
     return '"' + text.replace('"', '""') + '"' if any(c in text for c in _CSV_QUOTED) else text
 
 
-def _column(values: Any, as_json: bool) -> tuple[str, list[Any] | None]:
-    """A column as its %-format piece of the row and the values it takes (none if constant).
+def _column(values: Any, as_json: bool) -> tuple[str, list[list[Any]]]:
+    """A column as its %-format piece of the row and the value lists it fills (none if constant).
 
-    A column is a constant, a list of cells, or a float or integer array.
+    A column is a constant, a list of cells, a float or integer array, or a
+    (numerators, denominators) pair of integer arrays printed as "n/m" strings.
     """
+    if isinstance(values, tuple):
+        return '"%d/%d"' if as_json else "%d/%d", [part.tolist() for part in values]
     if not isinstance(values, (list, np.ndarray)):
-        return _encode(values, as_json).replace("%", "%%"), None
+        return _encode(values, as_json).replace("%", "%%"), []
     if isinstance(values, np.ndarray):
         if values.dtype.kind != "f":
-            return "%d", values.tolist()
+            return "%d", [values.tolist()]
         # each distinct value once; unique bit patterns keep -0.0 apart from 0.0
         bits, inverse = np.unique(np.asarray(values, np.float64).view(np.int64), return_inverse=True)
         texts = [_encode(v, as_json) for v in bits.view(np.float64).tolist()]
-        return "%s", np.array(texts, dtype=object)[inverse].tolist()
+        return "%s", [np.array(texts, dtype=object)[inverse].tolist()]
     if set(map(type, values)) == {str}:
         # quoting and escaping act per character, so the joined text decides for every cell
         text = "".join(values)
         if _encode(text, as_json) == (f'"{text}"' if as_json else text):
-            return '"%s"' if as_json else "%s", values
-    return "%s", [_encode(v, as_json) for v in values]
+            return '"%s"' if as_json else "%s", [values]
+    return "%s", [[_encode(v, as_json) for v in values]]
 
 
 def _emit(args: argparse.Namespace, columns: dict[str, Any]) -> int:
-    r"""Write a table of two or more columns, each a constant or a sequence.
+    r"""Write a table of two or more columns, each a constant, a sequence or a fraction pair.
 
     The sequences share one length, the row count, of at least 1; a table of
     constants is one row.  The text equals csv.writer(lineterminator="\n") or
@@ -96,8 +96,7 @@ def _emit(args: argparse.Namespace, columns: dict[str, Any]) -> int:
             row += ","
         piece, cells = _column(values, as_json)
         row += piece
-        if cells is not None:
-            varying.append(cells)
+        varying += cells
     row += "\n    }" if as_json else "\n"
     rows = map(row.__mod__, zip(*varying)) if varying else [row % ()]
     if as_json:
@@ -136,9 +135,12 @@ def _check_samples(n: int, minimum: int = 1) -> int:
 
 
 def cmd_bertrand(args: argparse.Namespace) -> int:
+    from . import bertrand, montecarlo
+
     n = _check_samples(args.samples)
     seed = _resolve_seed(args)
-    models = list(_CHORD_TOKENS.values()) if args.model == "all" else [_CHORD_TOKENS[args.model]]
+    members = _CHORD_TOKENS.values() if args.model == "all" else [_CHORD_TOKENS[args.model]]
+    models = [bertrand.ChordModel[member] for member in members]
     names = [model.value for model in models]
     exact = [bertrand.exact_exceed_probability(model) for model in models]
     ests = [montecarlo.run(bertrand.chord_exceed_experiment(m), n, seed, args.shards) for m in models]
@@ -152,9 +154,12 @@ def cmd_bertrand(args: argparse.Namespace) -> int:
 
 
 def cmd_buffon(args: argparse.Namespace) -> int:
+    from . import buffon
+
     n = _check_samples(args.samples, minimum=1000)
     seed = _resolve_seed(args)
-    models = list(_NEEDLE_TOKENS.values()) if args.model == "all" else [_NEEDLE_TOKENS[args.model]]
+    members = _NEEDLE_TOKENS.values() if args.model == "all" else [_NEEDLE_TOKENS[args.model]]
+    models = [buffon.NeedleModel[member] for member in members]
     pis = [buffon.estimate_pi(model, n, seed, args.shards) for model in models]
     ests = [pi.crossings for pi in pis]
     columns = {
@@ -169,6 +174,8 @@ def cmd_buffon(args: argparse.Namespace) -> int:
 
 
 def cmd_squares(args: argparse.Namespace) -> int:
+    from . import squares
+
     t = args.threshold
     if not 0.0 <= t <= squares.X_MAX:
         raise CliError(f"--threshold must lie in [0, 100], got {t}")
@@ -196,6 +203,8 @@ def cmd_squares(args: argparse.Namespace) -> int:
 
 
 def _parse_law(text: str) -> rationals.DenominatorLaw:
+    from . import rationals
+
     # every table echoes the law text, and a lone \r there splits a CSV record
     if any(c < " " or c == "\x7f" for c in text):
         raise CliError(f"bad law {text!r}: control characters are not allowed")
@@ -224,6 +233,8 @@ def _parse_law(text: str) -> rationals.DenominatorLaw:
 
 
 def _parse_rational(text: str) -> rationals.Rational:
+    from . import rationals
+
     parts = text.split("/")
     if len(parts) != 2:
         raise CliError(f"expected a fraction like 1/2, got {text!r}")
@@ -234,23 +245,28 @@ def _parse_rational(text: str) -> rationals.Rational:
 
 
 def cmd_rationals(args: argparse.Namespace) -> int:
+    from . import rationals
+
+    tol = rationals.DEFAULT_TOL if getattr(args, "tol", None) is None else args.tol
     if args.mode == "atom":
         law = _parse_law(args.law)
         q = _parse_rational(args.q)
-        value = rationals.atom_probability(q, law, args.tol)
+        value = rationals.atom_probability(q, law, tol)
         return _emit(args, {"law": args.law, "q": str(q), "probability": value})
 
     if args.mode == "cdf":
         law = _parse_law(args.law)
-        value = rationals.cdf(args.x, law, args.tol)
+        value = rationals.cdf(args.x, law, tol)
         return _emit(args, {"law": args.law, "x": args.x, "value": value})
 
     if args.mode == "interval":
         law = _parse_law(args.law)
-        value = rationals.interval_probability(args.a, args.b, law, args.tol)
+        value = rationals.interval_probability(args.a, args.b, law, tol)
         return _emit(args, {"law": args.law, "a": args.a, "b": args.b, "probability": value})
 
     if args.mode == "sample":
+        from . import montecarlo
+
         law = _parse_law(args.law)
         n = _check_samples(args.samples)
         seed = _resolve_seed(args)
@@ -262,8 +278,7 @@ def cmd_rationals(args: argparse.Namespace) -> int:
             raise CliError(f"drew denominator {base - 1}; sample tabulates up to {_MAX_CODE_BASE - 1}")
         codes, counts = np.unique(dens * base + nums, return_counts=True)
         den, num = np.divmod(codes, base)
-        q = list(map("{}/{}".format, num.tolist(), den.tolist()))
-        columns = {"q": q, "count": counts, "frequency": counts / n, "n": n, "seed": seed}
+        columns = {"q": (num, den), "count": counts, "frequency": counts / n, "n": n, "seed": seed}
         return _emit(args, {"law": args.law, **columns})
 
     # converge
@@ -275,7 +290,7 @@ def cmd_rationals(args: argparse.Namespace) -> int:
         a, b = (float(part) for part in args.probe.split(","))
     except ValueError as exc:
         raise CliError(f"bad --ks or --probe: {exc}") from exc
-    table = rationals.convergence_table(family, ks, (a, b), args.tol)
+    table = rationals.convergence_table(family, ks, (a, b), tol)
     columns = _fields(
         table, "k", "pmf_sup", "pmf_sup_log_k", "harmonic_number", "mean_reciprocal", "interval_error"
     )
@@ -328,20 +343,20 @@ def build_parser() -> argparse.ArgumentParser:
     atom = rsub.add_parser("atom", help="probability of one rational value")
     atom.add_argument("--q", required=True, help="the rational, e.g. 1/2")
     atom.add_argument("--law", required=True, help="e.g. geometric:0.5, degenerate:2")
-    atom.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    atom.add_argument("--tol", type=float, default=None)
     _add_output_options(atom)
 
     cdfp = rsub.add_parser("cdf", help="cumulative distribution at a point")
     cdfp.add_argument("--x", type=float, required=True)
     cdfp.add_argument("--law", required=True)
-    cdfp.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    cdfp.add_argument("--tol", type=float, default=None)
     _add_output_options(cdfp)
 
     inter = rsub.add_parser("interval", help="probability of (a, b]")
     inter.add_argument("--a", type=float, required=True)
     inter.add_argument("--b", type=float, required=True)
     inter.add_argument("--law", required=True)
-    inter.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    inter.add_argument("--tol", type=float, default=None)
     _add_output_options(inter)
 
     samp = rsub.add_parser("sample", help="draw rationals and tabulate atom frequencies")
@@ -354,7 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
     conv.add_argument("--family", choices=["geometric", "poisson"], default="geometric")
     conv.add_argument("--ks", default="10,100,1000", help="comma-separated k schedule")
     conv.add_argument("--probe", default="0,0.5", help="probe interval a,b")
-    conv.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    conv.add_argument("--tol", type=float, default=None)
     _add_output_options(conv)
 
     r.set_defaults(handler=cmd_rationals)
@@ -370,7 +385,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return int(exc.code) if exc.code is not None else 0
     try:
         return args.handler(args)
-    except (CliError, ValueError) as exc:
+    except (CliError, ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -286,6 +286,20 @@ class TestRationalsCommand:
         assert proc.stderr.startswith("error: ")
         assert "Traceback" not in proc.stderr
 
+    def test_sample_out_of_memory_is_a_config_error(self, capsys, monkeypatch):
+        from bertrand_lab import rationals
+
+        def unable(law, rng, n):
+            # numpy's _ArrayMemoryError is a MemoryError; nothing is allocated here
+            raise MemoryError(f"Unable to allocate 72.8 TiB for an array with shape ({n},)")
+
+        monkeypatch.setattr(rationals, "sample_rational_batch", unable)
+        argv = ["rationals", "sample", "--law", "geometric:0.5", "--samples", "10000000000000"]
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2
+        assert out == ""
+        assert err == "error: Unable to allocate 72.8 TiB for an array with shape (10000000000000,)\n"
+
     def test_minus_infinity_point_has_cdf_zero(self, capsys):
         code, out, _ = run_cli(["rationals", "cdf", "--x=-inf", "--law", "geometric:0.5"], capsys)
         assert code == 0
@@ -358,20 +372,25 @@ FLOATS = st.one_of(
     st.floats(),
 )
 SCALARS = st.one_of(st.none(), FLOATS, st.integers(-(2**70), 2**70), TEXTS)
-SEQUENCE_CELLS = {"cells": SCALARS, "floats": FLOATS, "ints": st.integers(-(2**63), 2**63 - 1)}
+INT64S = st.integers(-(2**63), 2**63 - 1)
+SEQUENCE_CELLS = {"cells": SCALARS, "floats": FLOATS, "ints": INT64S}
 
 
 @st.composite
 def column_tables(draw):
-    """Tables of 2-5 columns; each a constant, a list of any cells, a float or int array, or texts."""
+    """Tables of 2-5 columns; each a constant, a list of any cells, a float or int array, texts,
+    or a (numerators, denominators) pair of int arrays."""
     n = draw(st.integers(1, 5))
     columns = {}
     for name in draw(st.lists(TEXTS, min_size=2, max_size=5, unique=True)):
-        kind = draw(st.sampled_from(["constant", "cells", "floats", "ints", "texts"]))
+        kind = draw(st.sampled_from(["constant", "cells", "floats", "ints", "texts", "fractions"]))
         if kind == "constant":
             columns[name] = draw(SCALARS)
         elif kind == "texts":
             columns[name] = draw(st.lists(TEXTS, min_size=n, max_size=n))
+        elif kind == "fractions":
+            pairs = draw(st.lists(st.tuples(INT64S, INT64S), min_size=n, max_size=n))
+            columns[name] = tuple(np.array(part, dtype=np.int64) for part in zip(*pairs))
         else:
             values = draw(st.lists(SEQUENCE_CELLS[kind], min_size=n, max_size=n))
             columns[name] = values if kind == "cells" else np.array(values)
@@ -379,8 +398,13 @@ def column_tables(draw):
 
 
 def spelled_rows(columns):
-    """The table as row dicts, with each constant repeated in every row."""
-    columns = {h: v.tolist() if isinstance(v, np.ndarray) else v for h, v in columns.items()}
+    """The table as row dicts, with each constant repeated in every row and fractions as "n/m"."""
+    columns = {
+        h: v.tolist() if isinstance(v, np.ndarray)
+        else [f"{num}/{den}" for num, den in zip(*v)] if isinstance(v, tuple)
+        else v
+        for h, v in columns.items()
+    }
     n = max((len(v) for v in columns.values() if isinstance(v, list)), default=1)
     return [{h: v[i] if isinstance(v, list) else v for h, v in columns.items()} for i in range(n)]
 
@@ -450,6 +474,24 @@ class TestSeedResolution:
         assert code == 2
 
 
+# the modules a subcommand must leave unloaded: the other subcommands' library code
+BERTRAND, BUFFON, RATIONALS, SQUARES, MONTECARLO = (
+    f"bertrand_lab.{name}" for name in ("bertrand", "buffon", "rationals", "squares", "montecarlo")
+)
+IMPORT_BOUNDARIES = [
+    pytest.param(
+        ["rationals", "cdf", "--x", "0.3", "--law", "poisson:4"],
+        [BERTRAND, BUFFON, SQUARES, MONTECARLO, "concurrent.futures"],
+        id="rationals-cdf",
+    ),
+    pytest.param(["squares", "--finite", "10"], [BERTRAND, BUFFON, RATIONALS], id="squares"),
+    pytest.param(
+        ["bertrand", "--samples", "1000", "--pushforward"], [BUFFON, RATIONALS, SQUARES], id="bertrand"
+    ),
+    pytest.param(["buffon", "--samples", "1000"], [BERTRAND, RATIONALS, SQUARES], id="buffon"),
+]
+
+
 class TestModuleEntryPoint:
     def test_python_dash_m_invocation(self):
         proc = subprocess.run(
@@ -475,6 +517,22 @@ class TestModuleEntryPoint:
             ):
                 assert cli.main(argv) == 0
             print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+            """
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=src_env()
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "[]"
+
+    @pytest.mark.parametrize("argv, unloaded", IMPORT_BOUNDARIES)
+    def test_subcommand_imports_only_its_own_modules(self, argv, unloaded):
+        script = textwrap.dedent(
+            f"""
+            import sys
+            from bertrand_lab import cli
+            assert cli.main({argv!r}) == 0
+            print(sorted(m for m in {unloaded!r} if m in sys.modules))
             """
         )
         proc = subprocess.run(
