@@ -1,14 +1,17 @@
 #!/usr/bin/env python3
-"""Digest the stdout of a fixed matrix of 177 CLI commands.
+"""Digest the stdout of a fixed matrix of 177 CLI commands and 2 script runs.
 
     python3 scripts/cli_digest.py [CHECKOUT] > digest.txt
 
 Each command runs cold as ``python -m bertrand_lab`` with ``PYTHONPATH`` set
 to ``CHECKOUT/src`` (by default the checkout holding this script) and prints
 one line, ``sha256-of-stdout  exit-code  argv``, in a fixed order (``argv``
-shell-quoted, with newlines and non-ASCII characters backslash-escaped).  Running it
-on two checkouts and diffing the outputs shows whether a change moved any
-output byte or exit code.  Standard library only.
+shell-quoted, with newlines and non-ASCII characters backslash-escaped).  The
+last two lines run ``CHECKOUT/scripts/rational_uniform_limit.py`` the same
+way, for both families at its default arguments, which covers ``cdf_grid``:
+no CLI command reaches it.  Running it on two checkouts and diffing the
+outputs shows whether a change moved any output byte or exit code.  Standard
+library only.
 """
 
 from __future__ import annotations
@@ -34,6 +37,11 @@ LAWS = (
     "custom:2=0.5,3=0.25,7=0.25",
 )
 SAMPLE_LAWS = ("geometric:0.5", "geometric:0.001", "poisson:4", "degenerate:7")
+# script runs, as argv after the interpreter, relative to the checkout
+SCRIPTS = (
+    ["scripts/rational_uniform_limit.py"],
+    ["scripts/rational_uniform_limit.py", "--family", "poisson"],
+)
 # law texts that CSV must quote (comma), the CLI must refuse (newline) or JSON
 # must escape (non-ASCII digit)
 ENCODING_LAWS = ("custom:1=0.5,3=0.5", "custom:1=1\n", "custom:\u0661=1")
@@ -128,24 +136,24 @@ def commands() -> list[list[str]]:
     return out
 
 
-def digest(src: Path, argv: list[str]) -> str:
-    env = dict(os.environ, PYTHONPATH=str(src))
+def digest(checkout: Path, argv: list[str], script: bool = False) -> str:
+    env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
     env.pop("BERTRAND_LAB_SEED", None)
-    proc = subprocess.run(
-        [sys.executable, "-m", "bertrand_lab", *argv], env=env, capture_output=True
-    )
+    head = [str(checkout / argv[0])] if script else ["-m", "bertrand_lab", argv[0]]
+    proc = subprocess.run([sys.executable, *head, *argv[1:]], env=env, capture_output=True)
     shown = shlex.join(argv).encode("unicode_escape").decode("ascii")
     return f"{hashlib.sha256(proc.stdout).hexdigest()}  {proc.returncode}  {shown}"
 
 
 def main() -> int:
     checkout = Path(sys.argv[1]) if len(sys.argv) > 1 else Path(__file__).resolve().parent.parent
-    src = checkout.resolve() / "src"
-    if not (src / "bertrand_lab").is_dir():
+    checkout = checkout.resolve()
+    if not (checkout / "src" / "bertrand_lab").is_dir():
         print(f"no src/bertrand_lab under {checkout}", file=sys.stderr)
         return 2
+    runs = [(argv, False) for argv in commands()] + [(argv, True) for argv in SCRIPTS]
     with ThreadPoolExecutor(max_workers=2) as pool:
-        for line in pool.map(lambda argv: digest(src, argv), commands()):
+        for line in pool.map(lambda run: digest(checkout, *run), runs):
             print(line, flush=True)
     return 0
 

@@ -16,9 +16,7 @@ from __future__ import annotations
 import math
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from statistics import NormalDist
 from typing import Any, Callable
 
 import numpy as np
@@ -116,6 +114,9 @@ class Estimate:
 
 def wilson_z(confidence: float) -> float:
     """The z with P{|Z| <= z} = confidence for a standard normal Z (1.96 at 0.95)."""
+    # imported here: statistics loads fractions and decimal, which stream users skip
+    from statistics import NormalDist
+
     return NormalDist().inv_cdf(0.5 * (1.0 + confidence))
 
 
@@ -184,6 +185,9 @@ def run(
     if workers == 1:
         successes = count(0)
     else:
+        # imported here, so a serial run does not load concurrent.futures and logging
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=workers) as pool:
             successes = sum(pool.map(count, range(workers)))
 

@@ -19,7 +19,9 @@ summand is dominated by its pmf factor.  They stream over the denominators in
 chunks of ``_CHUNK_CELLS`` cells (denominators times evaluation points), so
 memory does not grow with the truncation index L; a series of more than
 ``_BUDGET_CELLS`` cells, or one past ``_MAX_DENOMINATOR``, raises ``ValueError``
-before any work, naming its range.
+before any work, naming its range.  Each chunk is computed in place, in
+buffers allocated once per call, and a chunk whose pmf is 0 everywhere is
+skipped: it would add +0.0.
 """
 
 from __future__ import annotations
@@ -49,6 +51,9 @@ _BUDGET_CELLS = 1 << 32
 # Denominators are int64; below 2**62 a walk m, m + step, ... with step <= m
 # ends within int64 one step past its last denominator.
 _MAX_DENOMINATOR = (1 << 62) - 1
+
+# float64 holds every integer below 2**53 exactly
+_EXACT_FLOAT = 1 << 53
 
 
 @dataclass(frozen=True)
@@ -100,10 +105,12 @@ def _check_tol(tol: float) -> None:
 
 
 def _blocks(ms: range, points: int = 1) -> Iterator[np.ndarray]:
-    """The denominators ``ms`` in order, as int64 arrays of
-    ``_CHUNK_CELLS // points`` denominators.
+    """The denominators ``ms`` in order, as arrays of ``_CHUNK_CELLS // points``.
 
-    Raises ValueError before the first block when the walk exceeds
+    They are float64 while the walk stays below ``_EXACT_FLOAT``, and int64
+    from there on, so every denominator is exact.  Each is a view of one
+    buffer allocated once per walk: the caller may overwrite it, and the next
+    block does.  Raises ValueError before the first block when the walk exceeds
     ``_BUDGET_CELLS`` cells (denominators times evaluation points) or
     reaches past ``_MAX_DENOMINATOR``.
     """
@@ -122,17 +129,37 @@ def _blocks(ms: range, points: int = 1) -> Iterator[np.ndarray]:
             f"series over m = {lo}..{hi} passes the largest denominator {_MAX_DENOMINATOR}"
         )
     rows = max(1, _CHUNK_CELLS // points)
-    for i in range(0, len(ms), rows):
-        part = ms[i : i + rows]
-        yield np.arange(part.start, part.stop, part.step, dtype=np.int64)
+    dtype = np.float64 if hi < _EXACT_FLOAT else np.int64
+    steps = np.arange(min(rows, len(ms)), dtype=dtype) * ms.step
+    buf = np.empty_like(steps)
+    starts = ms[::rows]
+    for start in starts[:-1]:
+        yield np.add(steps, start, out=buf)
+    n = len(ms) - (len(starts) - 1) * rows
+    yield np.add(steps[:n], starts[-1], out=buf[:n])
 
 
 def _chunks(
     law: DenominatorLaw, ms: range, points: int = 1
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Yield ``(m, law.pmf_array(m))`` over ``_blocks(ms, points)``."""
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Yield ``(m, p, work)`` over ``_blocks(ms, points)``: ``p`` is
+    ``law.pmf_array(m)`` and ``work`` a free float64 array of the same
+    length, both reused like ``m``.
+
+    A block whose pmf is 0 everywhere (it underflowed) is skipped, because it
+    would add +0.0 to every series.
+    """
+    p = None
     for m in _blocks(ms, points):
-        yield m, law.pmf_array(m)
+        # the first block is the longest, so its buffer serves every later one
+        if p is None:
+            p, work = np.empty((2, len(m)))
+        elif len(m) < len(p):
+            p, work = p[: len(m)], work[: len(m)]
+        law.pmf_array(m, out=p)
+        # testing the ends first spares most blocks the full scan
+        if p[0] or p[-1] or p.any():
+            yield m, p, work
 
 
 class DenominatorLaw(ABC):
@@ -143,8 +170,9 @@ class DenominatorLaw(ABC):
         """P{M = m}."""
 
     @abstractmethod
-    def pmf_array(self, ms: np.ndarray) -> np.ndarray:
-        """Vectorized ``pmf`` over an integer array."""
+    def pmf_array(self, ms: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Vectorized ``pmf`` over an array of integers (integer or exact float
+        dtype), written into the float64 array ``out`` of its shape if given."""
 
     @abstractmethod
     def tail(self, m: int) -> float:
@@ -177,8 +205,13 @@ class GeometricLaw(DenominatorLaw):
             return 0.0
         return self.w * math.exp((m - 1) * self._log_1mw)
 
-    def pmf_array(self, ms: np.ndarray) -> np.ndarray:
-        return self.w * np.exp((np.asarray(ms, dtype=np.float64) - 1.0) * self._log_1mw)
+    def pmf_array(self, ms: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        ms = np.asarray(ms)
+        out = np.subtract(ms, 1.0, out=np.empty(ms.shape) if out is None else out)
+        out *= self._log_1mw
+        np.exp(out, out=out)
+        out *= self.w
+        return out
 
     def tail(self, m: int) -> float:
         return math.exp(m * self._log_1mw)
@@ -206,17 +239,26 @@ class GeometricLaw(DenominatorLaw):
         return f"GeometricLaw(w={self.w!r})"
 
 
-def _log_gamma(x: np.ndarray) -> np.ndarray:
-    """ln Gamma(x) elementwise for x >= 1 (+inf below 1)."""
-    out = np.empty_like(x)
-    small = x < _STIRLING_FROM
-    out[small] = [math.lgamma(v) if v >= 1.0 else math.inf for v in x[small].tolist()]
-    z = x[~small]
-    r = 1.0 / (z * z)
-    series = np.zeros_like(z)
-    for c in reversed(_STIRLING):
-        series = series * r + c
-    out[~small] = (z - 0.5) * np.log(z) - z + _HALF_LOG_2PI + series / z
+def _log_gamma(x: np.ndarray, out: np.ndarray, r: np.ndarray, series: np.ndarray) -> np.ndarray:
+    """ln Gamma(x) elementwise into ``out`` for x >= 1 (+inf below 1); ``r``
+    and ``series`` are float64 work arrays of ``x``'s shape."""
+    # Stirling's series everywhere, in place; arguments below _STIRLING_FROM
+    # are overwritten after it, so their warnings are moot
+    with np.errstate(divide="ignore", invalid="ignore"):
+        np.divide(1.0, np.multiply(x, x, out=r), out=r)
+        series.fill(0.0)
+        for c in reversed(_STIRLING):
+            series *= r
+            series += c
+        series /= x
+        np.subtract(x, 0.5, out=out)
+        out *= np.log(x, out=r)
+        out -= x
+        out += _HALF_LOG_2PI
+        out += series
+    if x.min(initial=_STIRLING_FROM) < _STIRLING_FROM:
+        small = x < _STIRLING_FROM
+        out[small] = [math.lgamma(v) if v >= 1.0 else math.inf for v in x[small].tolist()]
     return out
 
 
@@ -234,10 +276,17 @@ class PoissonLaw(DenominatorLaw):
             return 0.0
         return math.exp(-self.mean + (m - 1) * self._log_mean - math.lgamma(m))
 
-    def pmf_array(self, ms: np.ndarray) -> np.ndarray:
+    def pmf_array(self, ms: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         # log-space evaluation stays finite far into the tail and for large means
-        ms = np.asarray(ms, dtype=np.float64)
-        return np.exp(-self.mean + (ms - 1.0) * self._log_mean - _log_gamma(ms))
+        x = np.asarray(ms, dtype=np.float64)
+        buf = np.empty((2, *x.shape))
+        r, tilt = buf[0, ...], buf[1, ...]
+        out = _log_gamma(x, np.empty(x.shape) if out is None else out, r, tilt)
+        np.subtract(x, 1.0, out=tilt)
+        tilt *= self._log_mean
+        tilt += -self.mean
+        np.subtract(tilt, out, out=out)
+        return np.exp(out, out=out)
 
     def _bulk(self, log_slack: float) -> tuple[int, int]:
         """Denominators [lo, hi] with under exp(-log_slack) of the mass on either side.
@@ -253,9 +302,9 @@ class PoissonLaw(DenominatorLaw):
         lo, hi = self._bulk(_LOG_UNDERFLOW)
         if m > self.mean:
             # upper sum over P{M = m+1..hi}, smallest terms first
-            return math.fsum(float(p.sum()) for _, p in _chunks(self, range(hi, m, -1)))
+            return math.fsum(float(p.sum()) for _, p, _ in _chunks(self, range(hi, m, -1)))
         # one minus the lower sum over P{M = lo..m}, smallest terms first
-        return 1.0 - math.fsum(float(p.sum()) for _, p in _chunks(self, range(lo, m + 1)))
+        return 1.0 - math.fsum(float(p.sum()) for _, p, _ in _chunks(self, range(lo, m + 1)))
 
     def truncation_index(self, tol: float) -> int:
         """Smallest m with tail(m) <= tol, from one running sum down the bulk,
@@ -265,13 +314,16 @@ class PoissonLaw(DenominatorLaw):
             return 1
         lo, hi = self._bulk(40.0 - math.log(tol))
         # above = P{m <= M <= hi} = tail(m - 1) up to the cut, for m = hi, hi-1, ...;
-        # a cumsum per chunk from the carry adds in the same order as one cumsum
-        above, count = 0.0, 0
-        for _, p in _chunks(self, range(hi, lo - 1, -1)):
-            run = np.cumsum(np.concatenate(([above], p)))
-            count += int(np.count_nonzero(run[1:] > tol))
+        # a cumsum per chunk from the carry adds in the same order as one cumsum.
+        # It never falls, so the first m where it passes tol is the answer.
+        above = 0.0
+        for m, p, _ in _chunks(self, range(hi, lo - 1, -1)):
+            p[0] += above
+            run = np.cumsum(p, out=p)
+            if run[-1] > tol:
+                return max(1, int(m[np.searchsorted(run, tol, side="right")]))
             above = float(run[-1])
-        return max(1, lo - 1 + count)
+        return max(1, lo - 1)
 
     def sup_pmf(self) -> float:
         # Poisson mode at floor(mean) (two tied modes for integer mean)
@@ -296,8 +348,9 @@ class DegenerateLaw(DenominatorLaw):
     def pmf(self, m: int) -> float:
         return 1.0 if m == self.value else 0.0
 
-    def pmf_array(self, ms: np.ndarray) -> np.ndarray:
-        return (np.asarray(ms) == self.value).astype(np.float64)
+    def pmf_array(self, ms: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        ms = np.asarray(ms)
+        return np.equal(ms, self.value, out=np.empty(ms.shape) if out is None else out)
 
     def tail(self, m: int) -> float:
         return 1.0 if m < self.value else 0.0
@@ -339,10 +392,13 @@ class CustomLaw(DenominatorLaw):
     def pmf(self, m: int) -> float:
         return float(self.pmf_array(np.array([m]))[0])
 
-    def pmf_array(self, ms: np.ndarray) -> np.ndarray:
+    def pmf_array(self, ms: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         ms = np.asarray(ms)
         i = np.minimum(np.searchsorted(self._ms, ms), len(self._ms) - 1)
-        return np.where(self._ms[i] == ms, self._ps[i], 0.0)
+        out = np.empty(ms.shape) if out is None else out
+        out.fill(0.0)
+        np.copyto(out, self._ps[i], where=self._ms[i] == ms)
+        return out
 
     def tail(self, m: int) -> float:
         return float(self._above[np.searchsorted(self._ms, m, side="right")])
@@ -370,7 +426,9 @@ def atom_probability(q: Rational, law: DenominatorLaw, tol: float = DEFAULT_TOL)
     most ``tol``.
     """
     ms = range(q.denominator, law.truncation_index(tol) + 1, q.denominator)
-    return math.fsum(float((p / (m + 1.0)).sum()) for m, p in _chunks(law, ms))
+    return math.fsum(
+        float(np.divide(p, np.add(m, 1.0, out=w), out=w).sum()) for m, p, w in _chunks(law, ms)
+    )
 
 
 def _cdf(xs: np.ndarray, law: DenominatorLaw, tol: float) -> np.ndarray:
@@ -385,13 +443,28 @@ def _cdf(xs: np.ndarray, law: DenominatorLaw, tol: float) -> np.ndarray:
     xin = xs[inside]
     if xin.size == 0:
         return out
-    acc, buf = np.zeros_like(xin), None
-    for m, p in _chunks(law, range(1, law.truncation_index(tol) + 1), xin.size):
-        # chunks never grow, so the first chunk's buffer serves every later one
-        buf = np.empty((len(m), xin.size)) if buf is None else buf[: len(m)]
-        np.floor(np.multiply(m[:, None], xin, out=buf), out=buf)
-        buf += 1.0
-        acc += (p / (m + 1.0)) @ buf
+    points = xin.size
+    acc, dot, cells = np.zeros_like(xin), np.empty_like(xin), None
+    # at most _BUDGET_CELLS denominators from 1, so m is float64 and m[0] + i exact
+    for m, p, _ in _chunks(law, range(1, law.truncation_index(tol) + 1), points):
+        rows = len(m)
+        if cells is None:
+            # chunks never grow, so buffers sized by the first serve every later one
+            steps = np.repeat(np.arange(rows, dtype=np.float64), points)
+            xrow = np.tile(xin, rows)
+            cells = np.empty_like(xrow)
+            grid = cells.reshape(rows, points)
+        elif rows < len(grid):
+            n = rows * points
+            steps, xrow, cells, grid = steps[:n], xrow[:n], cells[:n], grid[:rows]
+        # row i of the block is floor((m[0] + i) * xin) + 1, built flat
+        np.add(steps, m[0], out=cells)
+        cells *= xrow
+        np.floor(cells, out=cells)
+        cells += 1.0
+        m += 1.0
+        p /= m
+        acc += np.matmul(p, grid, out=dot)
     out[inside] = acc
     return out
 
@@ -419,11 +492,18 @@ def interval_probability(a: float, b: float, law: DenominatorLaw, tol: float = D
     """
     if not (0.0 <= a < b <= 1.0):
         raise ValueError(f"need 0 <= a < b <= 1, got a={a}, b={b}")
-    ms = range(1, law.truncation_index(tol) + 1)
-    return math.fsum(
-        float((p * (np.floor(m * b) - np.floor(m * a)) / (m + 1.0)).sum())
-        for m, p in _chunks(law, ms)
-    )
+    sums, low = [], None
+    # at most _BUDGET_CELLS denominators from 1, so m is float64
+    for m, p, high in _chunks(law, range(1, law.truncation_index(tol) + 1)):
+        # p * (floor(m b) - floor(m a)) / (m + 1), in place and in that order
+        low = np.empty_like(high) if low is None else low[: len(m)]
+        np.floor(np.multiply(m, b, out=high), out=high)
+        high -= np.floor(np.multiply(m, a, out=low), out=low)
+        high *= p
+        m += 1.0
+        high /= m
+        sums.append(float(high.sum()))
+    return math.fsum(sums)
 
 
 def mean_reciprocal(law: DenominatorLaw, tol: float = DEFAULT_TOL) -> float:
@@ -433,7 +513,7 @@ def mean_reciprocal(law: DenominatorLaw, tol: float = DEFAULT_TOL) -> float:
     from interval length by at most (1 + length) times it.
     """
     ms = range(1, law.truncation_index(tol) + 1)
-    return math.fsum(float((p / m).sum()) for m, p in _chunks(law, ms))
+    return math.fsum(float(np.divide(p, m, out=p).sum()) for m, p, _ in _chunks(law, ms))
 
 
 def harmonic_number(k: int) -> float:
@@ -443,7 +523,7 @@ def harmonic_number(k: int) -> float:
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    return math.fsum(float((1.0 / m).sum()) for m in _blocks(range(1, k + 1)))
+    return math.fsum(float(np.divide(1.0, m, out=m).sum()) for m in _blocks(range(1, k + 1)))
 
 
 def sample_rational_batch(

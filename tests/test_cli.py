@@ -484,6 +484,12 @@ IMPORT_BOUNDARIES = [
         [BERTRAND, BUFFON, SQUARES, MONTECARLO, "concurrent.futures"],
         id="rationals-cdf",
     ),
+    # montecarlo for stream_generator alone, without the pool and the normal quantile
+    pytest.param(
+        ["rationals", "sample", "--law", "geometric:0.5", "--samples", "100"],
+        [BERTRAND, BUFFON, SQUARES, "concurrent.futures", "logging", "statistics", "fractions", "decimal"],
+        id="rationals-sample",
+    ),
     pytest.param(["squares", "--finite", "10"], [BERTRAND, BUFFON, RATIONALS], id="squares"),
     pytest.param(
         ["bertrand", "--samples", "1000", "--pushforward"], [BUFFON, RATIONALS, SQUARES], id="bertrand"

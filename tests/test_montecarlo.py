@@ -1,3 +1,4 @@
+import concurrent.futures
 import math
 
 import numpy as np
@@ -113,7 +114,7 @@ class TestWorkerCap:
             def map(self, fn, items):
                 return map(fn, items)
 
-        monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", SerialPool)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", SerialPool)
         return sizes
 
     @pytest.mark.parametrize(
@@ -139,13 +140,13 @@ class TestWorkerCap:
     def test_one_task_per_worker(self, pools, monkeypatch):
         mapped = []
 
-        class RecordingPool(montecarlo.ThreadPoolExecutor):
+        class RecordingPool(concurrent.futures.ThreadPoolExecutor):
             def map(self, fn, items):
                 items = list(items)
                 mapped.append(len(items))
                 return super().map(fn, items)
 
-        monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", RecordingPool)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordingPool)
         monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 3)
         n = 3 * (10 * BATCH_SIZE + 5)  # 31 batches, the last one ragged
         est = run(fair_coin(), n, seed=21, shards=3)

@@ -305,10 +305,12 @@ class TestSeriesMemory:
             lambda law: atom_probability(Rational(1, 3), law, TOL),
             lambda law: cdf(0.37, law, TOL),
             lambda law: cdf_grid(np.linspace(0.0, 1.0, 17), law, TOL),
+            # one denominator per chunk; the long law would pass the cell budget
+            lambda law: cdf_grid(np.linspace(0.0, 1.0, 70_000), GeometricLaw(0.02), TOL),
             lambda law: interval_probability(0.2, 0.7, law, TOL),
             lambda law: mean_reciprocal(law, TOL),
         ],
-        ids=["atom", "cdf", "cdf_grid", "interval", "mean_reciprocal"],
+        ids=["atom", "cdf", "cdf_grid", "cdf_grid_wide", "interval", "mean_reciprocal"],
     )
     def test_peak_is_bounded_for_a_long_series(self, call):
         law = GeometricLaw(1e-5)  # L = 2,302,574 denominators
@@ -352,6 +354,14 @@ class TestLawMechanics:
                 assert law.tail(idx) <= tol
                 if idx > 1:
                     assert law.tail(idx - 1) > tol
+
+    def test_pmf_array_writes_into_out(self):
+        ms = np.arange(1, 60, dtype=np.int64)
+        for law in [GeometricLaw(0.2), PoissonLaw(6.0), DegenerateLaw(3),
+                    CustomLaw({1: 0.5, 4: 0.5})]:
+            out = np.full(len(ms), np.nan)
+            assert law.pmf_array(ms, out=out) is out
+            assert out.tobytes() == law.pmf_array(ms).tobytes()
 
     def test_pmf_array_matches_scalar(self):
         ms = np.arange(1, 60, dtype=np.int64)

@@ -1,0 +1,250 @@
+"""The streamed series equal, bit for bit, a plain one-expression form of each.
+
+The references below build every chunk as a fresh array: the same chunk
+boundaries (``_CHUNK_CELLS`` cells), the same pmf formulas and the same
+operation and accumulation order as the library, written without its
+buffers.  Results must agree with ``==``, not within a tolerance.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from bertrand_lab import rationals
+from bertrand_lab.rationals import (
+    CustomLaw,
+    DegenerateLaw,
+    GeometricLaw,
+    PoissonLaw,
+    Rational,
+    atom_probability,
+    cdf,
+    cdf_grid,
+    interval_probability,
+    mean_reciprocal,
+)
+
+TOL = 1e-10
+CHUNK = 1 << 16
+
+
+# --- reference pmfs ------------------------------------------------------------
+
+
+def geometric_pmf(w: float):
+    log_1mw = math.log1p(-w)
+    return lambda ms: w * np.exp((np.asarray(ms, dtype=np.float64) - 1.0) * log_1mw)
+
+
+def log_gamma(x: np.ndarray) -> np.ndarray:
+    out = np.empty_like(x)
+    small = x < 16.0
+    out[small] = [math.lgamma(v) if v >= 1.0 else math.inf for v in x[small].tolist()]
+    z = x[~small]
+    r = 1.0 / (z * z)
+    series = np.zeros_like(z)
+    for c in reversed((1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360)):
+        series = series * r + c
+    out[~small] = (z - 0.5) * np.log(z) - z + 0.5 * math.log(2.0 * math.pi) + series / z
+    return out
+
+
+def poisson_pmf(mean: float):
+    log_mean = math.log(mean)
+
+    def pmf(ms):
+        ms = np.asarray(ms, dtype=np.float64)
+        return np.exp(-mean + (ms - 1.0) * log_mean - log_gamma(ms))
+
+    return pmf
+
+
+def degenerate_pmf(value: int):
+    return lambda ms: (np.asarray(ms) == value).astype(np.float64)
+
+
+def custom_pmf(table: dict[int, float]):
+    keys = np.array(sorted(table), dtype=np.int64)
+    probs = np.array([table[int(m)] for m in keys], dtype=np.float64)
+
+    def pmf(ms):
+        ms = np.asarray(ms)
+        i = np.minimum(np.searchsorted(keys, ms), len(keys) - 1)
+        return np.where(keys[i] == ms, probs[i], 0.0)
+
+    return pmf
+
+
+# mass strictly inside chunks of 65,536 denominators, and whole chunks without mass
+GAPPED = {3: 0.5, 100_000: 0.25, 200_000: 0.25}
+# law id -> (law, reference pmf); geometric 1e-4 has L = 230,249 denominators
+LAWS = {
+    "geometric:1e-4": (GeometricLaw(1e-4), geometric_pmf(1e-4)),
+    "geometric:0.05": (GeometricLaw(0.05), geometric_pmf(0.05)),
+    "poisson:1e4": (PoissonLaw(1e4), poisson_pmf(1e4)),
+    "poisson:1e5": (PoissonLaw(1e5), poisson_pmf(1e5)),
+    "poisson:3.5": (PoissonLaw(3.5), poisson_pmf(3.5)),
+    "degenerate:7": (DegenerateLaw(7), degenerate_pmf(7)),
+    "degenerate:100000": (DegenerateLaw(100_000), degenerate_pmf(100_000)),
+    "custom:small": (CustomLaw({2: 0.5, 3: 0.25, 7: 0.25}), custom_pmf({2: 0.5, 3: 0.25, 7: 0.25})),
+    "custom:gapped": (CustomLaw(GAPPED), custom_pmf(GAPPED)),
+    # few terms, none a power of two, so a reordered term shows in the sum
+    "custom:uneven": (CustomLaw({5: 0.3, 9: 0.7}), custom_pmf({5: 0.3, 9: 0.7})),
+}
+ONE_POINT_LAWS = list(LAWS)
+# 65,537 points give one denominator per chunk, so only short series
+SHORT_LAWS = ["geometric:0.05", "poisson:3.5", "degenerate:7", "custom:uneven"]
+
+
+# --- reference series ------------------------------------------------------------
+
+
+def blocks(ms: range, points: int = 1):
+    rows = max(1, CHUNK // points)
+    for i in range(0, len(ms), rows):
+        part = ms[i : i + rows]
+        yield np.arange(part.start, part.stop, part.step, dtype=np.int64)
+
+
+def ref_cdf(xs: np.ndarray, law, pmf) -> np.ndarray:
+    xs = np.asarray(xs, dtype=np.float64)
+    out = np.zeros_like(xs)
+    inside = (xs >= 0.0) & (xs < 1.0)
+    out[xs >= 1.0] = 1.0
+    xin = xs[inside]
+    if xin.size == 0:
+        return out
+    acc = np.zeros_like(xin)
+    for m in blocks(range(1, law.truncation_index(TOL) + 1), xin.size):
+        acc += (pmf(m) / (m + 1.0)) @ (np.floor(m[:, None] * xin) + 1.0)
+    out[inside] = acc
+    return out
+
+
+def ref_interval(a: float, b: float, law, pmf) -> float:
+    return math.fsum(
+        float((pmf(m) * (np.floor(m * b) - np.floor(m * a)) / (m + 1.0)).sum())
+        for m in blocks(range(1, law.truncation_index(TOL) + 1))
+    )
+
+
+def ref_atom(q: Rational, law, pmf) -> float:
+    ms = range(q.denominator, law.truncation_index(TOL) + 1, q.denominator)
+    return math.fsum(float((pmf(m) / (m + 1.0)).sum()) for m in blocks(ms))
+
+
+def ref_mean_reciprocal(law, pmf) -> float:
+    return math.fsum(
+        float((pmf(m) / m).sum()) for m in blocks(range(1, law.truncation_index(TOL) + 1))
+    )
+
+
+def ref_poisson_truncation_index(law: PoissonLaw, tol: float) -> int:
+    lo, hi = law._bulk(40.0 - math.log(tol))
+    pmf = poisson_pmf(law.mean)
+    above, count = 0.0, 0
+    for m in blocks(range(hi, lo - 1, -1)):
+        run = np.cumsum(np.concatenate(([above], pmf(m))))
+        count += int(np.count_nonzero(run[1:] > tol))
+        above = float(run[-1])
+    return max(1, lo - 1 + count)
+
+
+def ref_poisson_tail(law: PoissonLaw, m: int) -> float:
+    lo, hi = law._bulk(rationals._LOG_UNDERFLOW)
+    pmf = poisson_pmf(law.mean)
+    if m > law.mean:
+        return math.fsum(float(pmf(ms).sum()) for ms in blocks(range(hi, m, -1)))
+    return 1.0 - math.fsum(float(pmf(ms).sum()) for ms in blocks(range(lo, m + 1)))
+
+
+# --- grids -------------------------------------------------------------------------
+
+
+def grid(points: int) -> np.ndarray:
+    """``points`` evaluation points; from 7 on they include -0.25, 0, 1 and 1.5."""
+    if points == 1:
+        return np.array([0.37])
+    rng = np.random.default_rng(points)
+    xs = rng.uniform(-0.1, 1.1, points)
+    xs[:4] = (-0.25, 0.0, 1.0, 1.5)
+    xs[4:7] = (0.2, 0.5, 0.7)  # rationals where m x lands on an integer
+    return xs
+
+
+GRID_CASES = [
+    pytest.param(points, law_id, id=f"{points}-{law_id}")
+    for points in (1, 7, 1000)
+    for law_id in ("geometric:1e-4", "poisson:1e4", "degenerate:7", "custom:small")
+] + [
+    pytest.param(7, "poisson:1e5", id="7-poisson:1e5"),
+    pytest.param(7, "custom:gapped", id="7-custom:gapped"),
+] + [pytest.param(65_537, law_id, id=f"65537-{law_id}") for law_id in SHORT_LAWS]
+
+
+@pytest.mark.parametrize("law_id", ONE_POINT_LAWS)
+def test_pmf_array_is_bit_identical(law_id):
+    law, pmf = LAWS[law_id]
+    ms = np.arange(1, min(law.truncation_index(TOL), 300_000) + 1, dtype=np.int64)
+    want = pmf(ms).tobytes()
+    assert law.pmf_array(ms).tobytes() == want
+    assert law.pmf_array(ms.astype(np.float64)).tobytes() == want
+
+
+@pytest.mark.parametrize("points, law_id", GRID_CASES)
+def test_cdf_grid_is_bit_identical(points, law_id):
+    law, pmf = LAWS[law_id]
+    xs = grid(points)
+    got = cdf_grid(xs, law, TOL)
+    want = ref_cdf(xs, law, pmf)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("law_id", ONE_POINT_LAWS)
+class TestOnePointSeries:
+    def test_cdf(self, law_id):
+        law, pmf = LAWS[law_id]
+        for x in (0.0, 0.37, 0.7, 0.999):
+            assert cdf(x, law, TOL) == float(ref_cdf(np.array([x]), law, pmf)[0])
+
+    def test_interval_probability(self, law_id):
+        law, pmf = LAWS[law_id]
+        for a, b in ((0.2, 0.7), (0.0, 1.0), (0.37, 0.3700001), (0.1, 0.35), (0.37, 1.0)):
+            assert interval_probability(a, b, law, TOL) == ref_interval(a, b, law, pmf)
+
+    def test_atom_probability(self, law_id):
+        law, pmf = LAWS[law_id]
+        for q in (Rational(0, 1), Rational(1, 2), Rational(3, 7)):
+            assert atom_probability(q, law, TOL) == ref_atom(q, law, pmf)
+
+    def test_mean_reciprocal(self, law_id):
+        law, pmf = LAWS[law_id]
+        assert mean_reciprocal(law, TOL) == ref_mean_reciprocal(law, pmf)
+
+
+def test_atom_compares_int64_denominators_exactly():
+    # 2 * (2**61 - 1) and 2**62 - 1 round to the same float64
+    law = DegenerateLaw(2**62 - 1)
+    q = Rational(1, 2**61 - 1)
+    assert atom_probability(q, law, TOL) == ref_atom(q, law, degenerate_pmf(2**62 - 1)) == 0.0
+    q = Rational(1, 2**62 - 1)
+    assert atom_probability(q, law, TOL) == ref_atom(q, law, degenerate_pmf(2**62 - 1)) == 1.0 / 2**62
+
+
+def test_custom_law_beyond_exact_floats():
+    table = {1: 0.5, 2**60: 0.25, 2**60 + 2**59: 0.25}
+    law, pmf = CustomLaw(table), custom_pmf(table)
+    for q in (Rational(1, 2**59), Rational(1, 2**59 + 1), Rational(1, 2**60 + 2**59)):
+        assert atom_probability(q, law, TOL) == ref_atom(q, law, pmf)
+    assert atom_probability(Rational(1, 2**59), law, TOL) > 0.0
+
+
+@pytest.mark.parametrize("mean", [3.5, 1e4, 1e5])
+def test_poisson_truncation_and_tail_are_bit_identical(mean):
+    law = PoissonLaw(mean)
+    for tol in (1e-3, 1e-10, 1e-300):
+        assert law.truncation_index(tol) == ref_poisson_truncation_index(law, tol)
+    for m in (1, int(mean) // 2, int(mean), int(mean) + 3, 2 * int(mean) + 50):
+        assert law.tail(m) == ref_poisson_tail(law, m)
