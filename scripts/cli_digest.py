@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Digest the stdout of a fixed matrix of 177 CLI commands and 2 script runs.
+"""Digest the stdout of a fixed matrix of 185 CLI commands and 2 script runs.
 
     python3 scripts/cli_digest.py [CHECKOUT] > digest.txt
 
@@ -132,6 +132,18 @@ def commands() -> list[list[str]]:
         ["rationals", "atom", "--q", "1/2", "--law", "custom:1=1\r"],
         ["rationals", "atom", "--q", "1/2", "--law", "poisson:inf"],
         ["rationals", "converge", "--ks", "1"],
+        # a tol outside (0, 1) certifies nothing and is refused
+        ["rationals", "cdf", "--x", "0.5", "--law", "geometric:0.5", "--tol", "inf"],
+        ["rationals", "atom", "--q", "1/2", "--law", "poisson:4", "--tol", "5"],
+        ["rationals", "interval", "--a", "0.2", "--b", "0.7", "--law", "degenerate:7", "--tol", "1"],
+        ["rationals", "converge", "--tol", "1"],
+    ]
+    # a negative seed runs, and is echoed, as its residue modulo 2**64
+    for seed in ("-1", str(2**64 - 1)):
+        out.append(["rationals", "sample", "--law", "geometric:0.5", "--seed", seed])
+    out += [
+        ["bertrand", "--model", "polar", "--seed", "-1"],
+        ["buffon", "--model", "endpoints", "--seed", "-1"],
     ]
     return out
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import enum
 import math
-from typing import Callable, Iterator, NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -66,34 +66,26 @@ def _length_from_radius_sq(s: np.ndarray) -> np.ndarray:
     return 2.0 * np.sqrt(np.maximum(0.0, 1.0 - s))
 
 
-def _disc_rounds(
-    rng: np.random.Generator, size: int
-) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+def _disc_batch(rng: np.random.Generator, size: int) -> tuple[np.ndarray, np.ndarray]:
     """Rejection from the bounding square [-1, 1]^2, about 4/pi proposals per point.
 
-    Each round proposes as many points as are still missing and yields the
-    proposals (shape (k, 2)), their squared radii ``s = x*x + y*y`` and the
-    mask ``s <= 1`` of the accepted ones; the rounds end once ``size``
-    points are accepted.  A radius transform is deliberately avoided
+    Each round proposes as many points as are still missing and keeps those
+    with ``x*x + y*y <= 1``; the rounds end once ``size`` points are kept,
+    returned as (x, y) arrays.  A radius transform is deliberately avoided
     because it would presuppose the non-uniform r/pi law.
     """
-    missing = size
+    kept, missing = [], size
     while True:
         pts = rng.random((missing, 2))
         pts *= 2.0
         pts -= 1.0  # rng.uniform(-1.0, 1.0) bit for bit: -1 + 2u
         s = pts[:, 0] * pts[:, 0]
         s += pts[:, 1] * pts[:, 1]
-        accepted = s <= 1.0
-        yield pts, s, accepted
-        missing -= int(np.count_nonzero(accepted))
+        kept.append(pts[s <= 1.0])
+        missing -= len(kept[-1])
         if missing == 0:
-            return
-
-
-def _disc_batch(rng: np.random.Generator, size: int) -> tuple[np.ndarray, np.ndarray]:
-    """The ``size`` accepted points of ``_disc_rounds`` as (x, y) arrays."""
-    pts = np.concatenate([p[accepted] for p, _, accepted in _disc_rounds(rng, size)])
+            break
+    pts = np.concatenate(kept)
     return pts[:, 0], pts[:, 1]
 
 
@@ -105,7 +97,7 @@ _DISC_BLOCK = BATCH_SIZE // 2
 def _disc_radius_sq(rng: np.random.Generator, size: int) -> np.ndarray:
     """``x*x + y*y`` of the points ``_disc_batch`` draws from the same stream.
 
-    Each round of ``_disc_rounds`` proposes only as many points as are
+    Each round of ``_disc_batch`` proposes only as many points as are
     still missing, so together they keep exactly the first ``size``
     accepted proposals of the stream.  Here those are found in blocks
     drawn ahead: at most ``_DISC_BLOCK`` proposals, or about 4/pi per

@@ -31,23 +31,19 @@ class DegenerateEstimateError(ArithmeticError):
 
 
 class _Needle(NamedTuple):
-    """One needle model: its exact answer, sampler, crossing predicate and measure.
+    """One needle model: its exact answer, measure and batch sampler.
 
-    The first coordinate ranges over ``first``.  ``crosses(a, b)`` is the
-    crossing predicate, where touching (equality) counts.
-    ``crossing_measure(a)`` is the density times the length of the crossing
-    set of the second coordinate, for one value of the first.
+    The first coordinate ranges over ``first``.  ``crossing_measure(a)`` is
+    the density times the length of the crossing set of the second
+    coordinate, for one value of the first.
 
-    ``event_sample(rng, size)`` consumes a PCG64 stream as ``sample`` does
-    but builds only what the event reads, in the calling thread's scratch,
-    and ``event`` maps that batch to the crossings, bit for bit as
-    ``crosses`` gives them on the public arrays.
+    ``event_sample(rng, size)`` draws a batch from a PCG64 stream, building
+    only what the event reads in the calling thread's scratch, and ``event``
+    maps that batch to the crossings; touching (equality) counts.
     """
 
     first: tuple[float, float]
     exact: float
-    sample: Callable[[np.random.Generator, int], tuple[np.ndarray, np.ndarray]]
-    crosses: Callable[[np.ndarray, np.ndarray], np.ndarray]
     crossing_measure: Callable[[np.ndarray], np.ndarray]
     event_sample: Callable[[np.random.Generator, int], Any]
     event: Callable[[Any], np.ndarray]
@@ -113,22 +109,14 @@ def _center_angle_event(batch: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
     return hits
 
 
-def _endpoints_batch(rng: np.random.Generator, size: int) -> tuple[np.ndarray, np.ndarray]:
-    """x = rng.uniform(0, 1) and y = rng.uniform(x - 1, x + 1), bit for bit.
+def _endpoints_y(rng: np.random.Generator, size: int) -> np.ndarray:
+    """y of x = rng.uniform(0, 1) and y = rng.uniform(x - 1, x + 1), bit for bit.
 
     numpy's uniform computes ``low + (high - low) * u``, and for x in [0, 1)
     the range ``(x + 1) - (x - 1)`` rounds to exactly 2, so y is
-    ``(x - 1) + 2u``, built here without the temporaries of the bounds.
+    ``(x - 1) + 2u``.  x is not kept; y lives in the calling thread's
+    scratch.
     """
-    x = rng.random(size)
-    y = rng.random(size)
-    y *= 2.0
-    y += x - 1.0
-    return x, y
-
-
-def _endpoints_y(rng: np.random.Generator, size: int) -> np.ndarray:
-    """The y of ``_endpoints_batch``, in the calling thread's scratch; x is not kept."""
     draws = rng.random(out=_scratch("draws", 2 * size))
     x, y = draws[:size], draws[size:]
     x -= 1.0
@@ -151,11 +139,6 @@ _NEEDLES = {
     NeedleModel.CENTER_ANGLE: _Needle(
         first=(-math.pi / 2.0, math.pi / 2.0),
         exact=2.0 / math.pi,
-        sample=lambda rng, size: (
-            rng.uniform(-math.pi / 2.0, math.pi / 2.0, size),
-            rng.uniform(0.0, 1.0, size),
-        ),
-        crosses=_center_angle_crosses,
         # for a given tilt, the crossing z-values occupy two bands of total
         # length cos(theta)
         crossing_measure=lambda theta: np.cos(theta) / math.pi,
@@ -165,8 +148,6 @@ _NEEDLES = {
     NeedleModel.ENDPOINTS: _Needle(
         first=(0.0, 1.0),
         exact=0.5,
-        sample=_endpoints_batch,
-        crosses=lambda x, y: _endpoints_cross(y),
         crossing_measure=_endpoints_crossing_measure,
         event_sample=_endpoints_y,
         event=_endpoints_cross,
@@ -177,24 +158,6 @@ _NEEDLES = {
 def exact_cross_probability(model: NeedleModel) -> float:
     """Closed-form crossing probability: 2/pi or 1/2."""
     return _NEEDLES[model].exact
-
-
-def sample_needle_batch(
-    model: NeedleModel, rng: np.random.Generator, size: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized needle sampler: (theta, z) or (x, y) arrays.
-
-    For CENTER_ANGLE, theta is the tilt from the line normal in
-    [-pi/2, pi/2] and z the center's distance from the left line in [0, 1].
-    For ENDPOINTS, x and y are the distances of the upper and lower needle
-    ends from the left line, with x in [0, 1] and |x - y| <= 1.
-    """
-    return _NEEDLES[model].sample(rng, size)
-
-
-def crosses_batch(model: NeedleModel, first: np.ndarray, second: np.ndarray) -> np.ndarray:
-    """Vectorized crossing predicate; touching (equality) counts."""
-    return _NEEDLES[model].crosses(first, second)
 
 
 def cross_probability_by_quadrature(model: NeedleModel) -> float:
@@ -210,8 +173,10 @@ def cross_probability_by_quadrature(model: NeedleModel) -> float:
 def needle_cross_experiment(model: NeedleModel) -> Experiment:
     """Bernoulli experiment: does a random needle cross a line?
 
-    Each batch consumes its stream as ``sample_needle_batch`` does and counts
-    the same crossings, but draws and keeps only what the event reads.
+    Each batch draws theta = rng.uniform(-pi/2, pi/2, size) then
+    z = rng.uniform(0, 1, size), or x = rng.uniform(0, 1, size) then
+    y = rng.uniform(x - 1, x + 1), bit for bit, but keeps only what the
+    event reads.
     """
     needle = _NEEDLES[model]
     return Experiment(

@@ -1,10 +1,11 @@
 """Command-line front end: run the experiments and emit CSV or JSON tables.
 
 Every run is deterministic: the seed defaults to a fixed constant, can be
-overridden by the BERTRAND_LAB_SEED environment variable or --seed, and the
-output bytes depend only on the parsed arguments.  Floats are printed with 9
-significant digits (round-half-even); exact rationals are printed as "n/m"
-strings, never as decimals.  CSV uses RFC-4180 quoting with LF line endings;
+overridden by the BERTRAND_LAB_SEED environment variable or --seed, and is
+taken modulo 2**64, the value the tables echo.  The output bytes depend only
+on the parsed arguments.  Floats are printed with 9 significant digits
+(round-half-even); exact rationals are printed as "n/m" strings, never as
+decimals.  CSV uses RFC-4180 quoting with LF line endings;
 JSON output is a single object with a "rows" array carrying the same fields.
 """
 
@@ -117,15 +118,15 @@ def _fields(records: Sequence[Any], *names: str) -> dict[str, list[Any]]:
 
 
 def _resolve_seed(args: argparse.Namespace) -> int:
-    if getattr(args, "seed", None) is not None:
-        return args.seed
-    env = os.environ.get(SEED_ENV_VAR)
-    if env is not None:
+    """The run seed reduced modulo 2**64, as the streams read it and the tables echo it."""
+    seed = getattr(args, "seed", None)
+    if seed is None:
+        env = os.environ.get(SEED_ENV_VAR, str(DEFAULT_SEED))
         try:
-            return int(env)
+            seed = int(env)
         except ValueError as exc:
             raise CliError(f"{SEED_ENV_VAR} must be an integer, got {env!r}") from exc
-    return DEFAULT_SEED
+    return seed % 2**64
 
 
 def _check_samples(n: int, minimum: int = 1) -> int:

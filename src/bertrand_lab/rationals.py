@@ -41,9 +41,6 @@ _STIRLING_FROM = 16.0
 _STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360)
 _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
 
-# Tail mass below exp(-745) underflows to 0.0.
-_LOG_UNDERFLOW = 745.0
-
 # A series is summed 2**16 cells at a time, and refused beyond 2**32 cells.
 _CHUNK_CELLS = 1 << 16
 _BUDGET_CELLS = 1 << 32
@@ -100,8 +97,9 @@ def canonical_rationals(max_denominator: int) -> Iterator[Rational]:
 
 
 def _check_tol(tol: float) -> None:
-    if not tol > 0.0:  # NaN fails too
-        raise ValueError(f"tol must be > 0, got {tol}")
+    # a tol of 1 or more certifies nothing: every law's tail is below it from m = 1
+    if not 0.0 < tol < 1.0:  # NaN fails too
+        raise ValueError(f"tol must lie in (0, 1), got {tol}")
 
 
 def _blocks(ms: range, points: int = 1) -> Iterator[np.ndarray]:
@@ -166,17 +164,9 @@ class DenominatorLaw(ABC):
     """A probability mass function over denominators m = 1, 2, ..."""
 
     @abstractmethod
-    def pmf(self, m: int) -> float:
-        """P{M = m}."""
-
-    @abstractmethod
     def pmf_array(self, ms: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """Vectorized ``pmf`` over an array of integers (integer or exact float
+        """P{M = m} at each m of an array of integers (integer or exact float
         dtype), written into the float64 array ``out`` of its shape if given."""
-
-    @abstractmethod
-    def tail(self, m: int) -> float:
-        """Exact tail mass P{M > m}."""
 
     @abstractmethod
     def sup_pmf(self) -> float:
@@ -188,7 +178,8 @@ class DenominatorLaw(ABC):
 
     @abstractmethod
     def truncation_index(self, tol: float) -> int:
-        """Smallest m with tail(m) <= tol: the series length that certifies ``tol``."""
+        """Smallest m with tail mass P{M > m} <= tol: the series length that
+        certifies ``tol``, which must lie in (0, 1)."""
 
 
 class GeometricLaw(DenominatorLaw):
@@ -200,11 +191,6 @@ class GeometricLaw(DenominatorLaw):
         self.w = float(w)
         self._log_1mw = math.log1p(-self.w)
 
-    def pmf(self, m: int) -> float:
-        if m < 1:
-            return 0.0
-        return self.w * math.exp((m - 1) * self._log_1mw)
-
     def pmf_array(self, ms: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         ms = np.asarray(ms)
         out = np.subtract(ms, 1.0, out=np.empty(ms.shape) if out is None else out)
@@ -213,16 +199,11 @@ class GeometricLaw(DenominatorLaw):
         out *= self.w
         return out
 
-    def tail(self, m: int) -> float:
-        return math.exp(m * self._log_1mw)
-
     def sup_pmf(self) -> float:
         return self.w
 
     def truncation_index(self, tol: float) -> int:
         _check_tol(tol)
-        if tol >= 1.0:
-            return 1
         index = math.log(tol) / self._log_1mw
         if math.isinf(index):
             raise ValueError(f"w = {self.w!r} is too small to truncate its series at tol = {tol}")
@@ -271,11 +252,6 @@ class PoissonLaw(DenominatorLaw):
         self.mean = float(mean)
         self._log_mean = math.log(self.mean)
 
-    def pmf(self, m: int) -> float:
-        if m < 1:
-            return 0.0
-        return math.exp(-self.mean + (m - 1) * self._log_mean - math.lgamma(m))
-
     def pmf_array(self, ms: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         # log-space evaluation stays finite far into the tail and for large means
         x = np.asarray(ms, dtype=np.float64)
@@ -298,22 +274,12 @@ class PoissonLaw(DenominatorLaw):
         t = c / 3.0 + math.sqrt(c * c / 9.0 + 2.0 * c * self.mean)
         return max(1, math.floor(1.0 + self.mean - t)), math.ceil(1.0 + self.mean + t)
 
-    def tail(self, m: int) -> float:
-        lo, hi = self._bulk(_LOG_UNDERFLOW)
-        if m > self.mean:
-            # upper sum over P{M = m+1..hi}, smallest terms first
-            return math.fsum(float(p.sum()) for _, p, _ in _chunks(self, range(hi, m, -1)))
-        # one minus the lower sum over P{M = lo..m}, smallest terms first
-        return 1.0 - math.fsum(float(p.sum()) for _, p, _ in _chunks(self, range(lo, m + 1)))
-
     def truncation_index(self, tol: float) -> int:
-        """Smallest m with tail(m) <= tol, from one running sum down the bulk,
+        """Smallest m with P{M > m} <= tol, from one running sum down the bulk,
         where the mass beyond is below tol * 1e-17."""
         _check_tol(tol)
-        if tol >= 1.0:
-            return 1
         lo, hi = self._bulk(40.0 - math.log(tol))
-        # above = P{m <= M <= hi} = tail(m - 1) up to the cut, for m = hi, hi-1, ...;
+        # above = P{m <= M <= hi} = P{M > m - 1} up to the cut, for m = hi, hi-1, ...;
         # a cumsum per chunk from the carry adds in the same order as one cumsum.
         # It never falls, so the first m where it passes tol is the answer.
         above = 0.0
@@ -328,7 +294,9 @@ class PoissonLaw(DenominatorLaw):
     def sup_pmf(self) -> float:
         # Poisson mode at floor(mean) (two tied modes for integer mean)
         candidates = {max(1, math.floor(self.mean)), math.floor(self.mean) + 1}
-        return max(self.pmf(m) for m in candidates)
+        return max(
+            math.exp(-self.mean + (m - 1) * self._log_mean - math.lgamma(m)) for m in candidates
+        )
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         return (1 + rng.poisson(self.mean, size)).astype(np.int64)
@@ -345,15 +313,9 @@ class DegenerateLaw(DenominatorLaw):
             raise ValueError(f"denominator must lie in 1..{_MAX_DENOMINATOR}, got {value}")
         self.value = int(value)
 
-    def pmf(self, m: int) -> float:
-        return 1.0 if m == self.value else 0.0
-
     def pmf_array(self, ms: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         ms = np.asarray(ms)
         return np.equal(ms, self.value, out=np.empty(ms.shape) if out is None else out)
-
-    def tail(self, m: int) -> float:
-        return 1.0 if m < self.value else 0.0
 
     def sup_pmf(self) -> float:
         return 1.0
@@ -389,9 +351,6 @@ class CustomLaw(DenominatorLaw):
         # _above[i] = P{M >= ms[i]}, with a trailing 0 for P{M > ms[-1]}
         self._above = np.append(np.cumsum(ps[::-1])[::-1], 0.0)
 
-    def pmf(self, m: int) -> float:
-        return float(self.pmf_array(np.array([m]))[0])
-
     def pmf_array(self, ms: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         ms = np.asarray(ms)
         i = np.minimum(np.searchsorted(self._ms, ms), len(self._ms) - 1)
@@ -399,9 +358,6 @@ class CustomLaw(DenominatorLaw):
         out.fill(0.0)
         np.copyto(out, self._ps[i], where=self._ms[i] == ms)
         return out
-
-    def tail(self, m: int) -> float:
-        return float(self._above[np.searchsorted(self._ms, m, side="right")])
 
     def sup_pmf(self) -> float:
         return float(self._ps.max())

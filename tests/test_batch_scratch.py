@@ -33,15 +33,12 @@ from bertrand_lab.buffon import (
     _center_angle_batch,
     _center_angle_crosses,
     _center_angle_event,
-    _endpoints_batch,
     _endpoints_y,
-    crosses_batch,
     needle_cross_experiment,
-    sample_needle_batch,
 )
 from bertrand_lab.montecarlo import BATCH_SIZE, run, stream_generator
 from bertrand_lab.squares import X_MAX, square_exceed_experiment
-from test_stream_identity import SEEDS, SIZES
+from test_stream_identity import SEEDS, SIZES, needle_crossings, numpy_needles
 
 TILTS = [
     -math.pi / 2.0,
@@ -126,7 +123,7 @@ def test_float32_cosine_stays_inside_half_the_band():
 @pytest.mark.parametrize("size", SIZES)
 def test_center_angle_batch_is_numpy_uniform(size, seed):
     theta, z = _center_angle_batch(stream_generator(seed, 0), size)
-    theta_ref, z_ref = sample_needle_batch(NeedleModel.CENTER_ANGLE, stream_generator(seed, 0), size)
+    theta_ref, z_ref = numpy_needles(NeedleModel.CENTER_ANGLE, stream_generator(seed, 0), size)
     assert np.array_equal(theta, theta_ref)
     assert np.array_equal(z, z_ref)
 
@@ -134,7 +131,8 @@ def test_center_angle_batch_is_numpy_uniform(size, seed):
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("size", SIZES)
 def test_endpoints_y_is_the_public_y(size, seed):
-    _, y_ref = _endpoints_batch(stream_generator(seed, 0), size)
+    """The y of numpy's x = uniform(0, 1), y = uniform(x - 1, x + 1), from scratch."""
+    _, y_ref = numpy_needles(NeedleModel.ENDPOINTS, stream_generator(seed, 0), size)
     assert np.array_equal(_endpoints_y(stream_generator(seed, 0), size), y_ref)
 
 
@@ -183,12 +181,12 @@ REUSE_SEED = 7
 
 
 def public_count(name, size, seed):
-    """The batch's count rebuilt from the public sampler's fresh arrays."""
+    """The batch's count rebuilt from fresh arrays: the public chord sampler's, or numpy's needles."""
     rng = stream_generator(seed, 0)
     if name == "midpoint":
         return int(np.count_nonzero(sample_chord_batch(ChordModel.MIDPOINT_UNIFORM, rng, size)[2] > TRIANGLE_EDGE))
     model = NeedleModel.CENTER_ANGLE
-    return int(np.count_nonzero(crosses_batch(model, *sample_needle_batch(model, rng, size))))
+    return int(np.count_nonzero(needle_crossings(model, *numpy_needles(model, rng, size))))
 
 
 def counts(name, size, seed):

@@ -6,15 +6,17 @@ import pytest
 from bertrand_lab.buffon import (
     DegenerateEstimateError,
     NeedleModel,
+    _center_angle_batch,
+    _center_angle_event,
+    _endpoints_y,
     _pi_from_crossings,
     cross_probability_by_quadrature,
-    crosses_batch,
     estimate_pi,
     exact_cross_probability,
     needle_cross_experiment,
-    sample_needle_batch,
 )
 from bertrand_lab.montecarlo import Estimate, run, stream_generator
+from test_stream_identity import numpy_needles
 
 N = 10**6
 
@@ -24,8 +26,19 @@ def sigma(p: float, n: int) -> float:
 
 
 def crosses(model: NeedleModel, a: float, b: float) -> bool:
-    """``crosses_batch`` on one needle."""
-    return bool(crosses_batch(model, np.array([a]), np.array([b]))[0])
+    """The experiment's event on one needle: (theta, z), or (x, y) of which it reads y."""
+    event = needle_cross_experiment(model).event
+    if model is NeedleModel.CENTER_ANGLE:
+        return bool(event((np.array([a]), np.array([b])))[0])
+    return bool(event(np.array([b]))[0])
+
+
+def draw_one(model: NeedleModel, rng) -> tuple[float, ...]:
+    """One needle from the experiment's sampler: (theta, z), or y alone (x is not kept)."""
+    if model is NeedleModel.CENTER_ANGLE:
+        theta, z = _center_angle_batch(rng, 1)
+        return float(theta[0]), float(z[0])
+    return (float(_endpoints_y(rng, 1)[0]),)
 
 
 def crosses_reference(model: NeedleModel, a: float, b: float) -> bool:
@@ -58,9 +71,9 @@ class TestCrossingPredicate:
 
     def test_batch_predicate_agrees_with_scalar(self):
         for model in NeedleModel:
-            rng = stream_generator(17, 0)
-            a, b = sample_needle_batch(model, rng, 2000)
-            mask = crosses_batch(model, a, b)
+            a, b = numpy_needles(model, stream_generator(17, 0), 2000)
+            experiment = needle_cross_experiment(model)
+            mask = experiment.event(experiment.sample(stream_generator(17, 0), 2000))
             for i in range(0, 2000, 113):
                 assert mask[i] == crosses_reference(model, float(a[i]), float(b[i]))
 
@@ -91,12 +104,13 @@ class TestSampling:
 
     def test_center_distance_is_uniform(self):
         rng = stream_generator(42, 0)
-        _, z = sample_needle_batch(NeedleModel.CENTER_ANGLE, rng, N)
+        _, z = _center_angle_batch(rng, N)
         assert abs(z.mean() - 0.5) <= 3.0 * (1.0 / math.sqrt(12.0)) / 1000.0
 
     def test_endpoint_samples_respect_the_band(self):
-        rng = stream_generator(42, 0)
-        x, y = sample_needle_batch(NeedleModel.ENDPOINTS, rng, N)
+        # x is numpy's first draw from the stream the experiment's y comes from
+        x = stream_generator(42, 0).uniform(0.0, 1.0, N)
+        y = _endpoints_y(stream_generator(42, 0), N)
         assert np.all((x >= 0.0) & (x <= 1.0))
         assert np.all(np.abs(x - y) <= 1.0)
 
@@ -105,8 +119,8 @@ class TestSampling:
         # comparing against cos(bin center) adds at most h^2/24 of
         # discretization on top of the binomial 4 sigma
         rng = stream_generator(42, 0)
-        theta, z = sample_needle_batch(NeedleModel.CENTER_ANGLE, rng, N)
-        hits = crosses_batch(NeedleModel.CENTER_ANGLE, theta, z)
+        theta, z = _center_angle_batch(rng, N)
+        hits = _center_angle_event((theta, z))
         edges = np.linspace(-math.pi / 2.0, math.pi / 2.0, 21)
         h = edges[1] - edges[0]
         which = np.digitize(theta, edges) - 1
@@ -123,18 +137,22 @@ class TestSampling:
     def test_scalar_sampler_is_seed_deterministic(self, model):
         rng_a = stream_generator(6, 0)
         rng_b = stream_generator(6, 0)
-        a = [sample_needle_batch(model, rng_a, 1) for _ in range(300)]
-        b = [sample_needle_batch(model, rng_b, 1) for _ in range(300)]
-        assert np.array_equal(np.array(a), np.array(b))
+        a = [draw_one(model, rng_a) for _ in range(300)]
+        b = [draw_one(model, rng_b) for _ in range(300)]
+        assert a == b
 
     def test_sample_validation(self):
         # every throw drawn one at a time lies in its model's support
-        rng = stream_generator(6, 0)
+        # x, which the endpoints sampler does not keep, comes from a twin stream
+        rng, twin = stream_generator(6, 0), stream_generator(6, 0)
         for _ in range(500):
-            theta, z = sample_needle_batch(NeedleModel.CENTER_ANGLE, rng, 1)
-            assert -math.pi / 2.0 <= theta[0] <= math.pi / 2.0 and 0.0 <= z[0] <= 1.0
-            x, y = sample_needle_batch(NeedleModel.ENDPOINTS, rng, 1)
-            assert 0.0 <= x[0] <= 1.0 and abs(x[0] - y[0]) <= 1.0
+            theta, z = draw_one(NeedleModel.CENTER_ANGLE, rng)
+            assert -math.pi / 2.0 <= theta <= math.pi / 2.0 and 0.0 <= z <= 1.0
+            (y,) = draw_one(NeedleModel.ENDPOINTS, rng)
+            twin.random(2)
+            x = twin.uniform(0.0, 1.0)
+            twin.random()
+            assert 0.0 <= x <= 1.0 and abs(x - y) <= 1.0
 
 
 class TestPiEstimate:

@@ -234,6 +234,24 @@ class TestRationalsCommand:
         assert out == ""
         assert "nan" in err.lower()
 
+    @pytest.mark.parametrize("tol", ["1", "5", "inf"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["atom", "--q", "1/2", "--law", "poisson:4"],
+            ["cdf", "--x", "0.5", "--law", "geometric:0.5"],
+            ["interval", "--a", "0.2", "--b", "0.7", "--law", "degenerate:7"],
+            ["converge", "--ks", "10,100"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_tol_outside_the_unit_interval_is_a_config_error(self, argv, tol, capsys):
+        # a tol of 1 or more would stop every series at L = 1 and certify nothing
+        code, out, err = run_cli(["rationals", *argv, "--tol", tol], capsys)
+        assert code == 2
+        assert out == ""
+        assert "tol must lie in (0, 1)" in err
+
     @pytest.mark.parametrize(
         "argv, named",
         [
@@ -467,6 +485,25 @@ class TestSeedResolution:
         monkeypatch.delenv(SEED_ENV_VAR, raising=False)
         _, out, _ = run_cli(["bertrand", "--model", "polar", "--samples", "1000"], capsys)
         assert parse_csv(out)[0]["seed"] == str(DEFAULT_SEED)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["bertrand", "--model", "polar", "--samples", "1000"],
+            ["buffon", "--model", "endpoints", "--samples", "1000"],
+            ["rationals", "sample", "--law", "geometric:0.5", "--samples", "50"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_seed_is_echoed_modulo_two_to_the_64(self, argv, capsys, monkeypatch):
+        # -1 and 2**64 - 1 seed the same streams, so every table prints the same bytes
+        monkeypatch.delenv(SEED_ENV_VAR, raising=False)
+        outs = [run_cli([*argv, "--seed", seed], capsys) for seed in ("-1", str(2**64 - 1))]
+        assert outs[0] == outs[1]
+        assert outs[0][0] == 0
+        assert {row["seed"] for row in parse_csv(outs[0][1])} == {str(2**64 - 1)}
+        monkeypatch.setenv(SEED_ENV_VAR, str(2**64 + 5))
+        assert parse_csv(run_cli(argv, capsys)[1])[0]["seed"] == "5"
 
     def test_garbage_env_var_is_a_config_error(self, capsys, monkeypatch):
         monkeypatch.setenv(SEED_ENV_VAR, "not-a-seed")

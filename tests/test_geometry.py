@@ -19,7 +19,6 @@ from bertrand_lab.bertrand import (
     ChordModel,
     _disc_batch,
     _disc_radius_sq,
-    _disc_rounds,
     _polar_batch,
     _pushforward_polar_density,
     _tangent_event,
@@ -63,12 +62,17 @@ class TestChordLengths:
         assert length(MIDPOINT, 1.0, 0.0) == 0.0
 
     def test_midpoint_outside_disc_rejected(self):
-        # the sampler rejects exactly the proposals outside the closed disc
-        rejected = 0
-        for pts, _, accepted in _disc_rounds(stream_generator(5, 0), 10_000):
-            outside = pts[:, 0] * pts[:, 0] + pts[:, 1] * pts[:, 1] > 1.0
-            assert np.array_equal(accepted, ~outside)
-            rejected += int(np.count_nonzero(outside))
+        # the sampler keeps exactly the proposals inside the closed disc, in
+        # stream order: replayed here one proposal at a time
+        x, y = _disc_batch(stream_generator(5, 0), 10_000)
+        rng, kept, rejected = stream_generator(5, 0), [], 0
+        while len(kept) < 10_000:
+            u, v = 2.0 * rng.random() - 1.0, 2.0 * rng.random() - 1.0
+            if u * u + v * v <= 1.0:
+                kept.append((u, v))
+            else:
+                rejected += 1
+        assert np.array_equal(np.column_stack([x, y]), kept)
         assert rejected > 0
         # a proposal at (0.9, 0.9) is redrawn; the next one, (0, 0), is kept
         x, y = _disc_batch(Draws([[0.95, 0.95]], [[0.5, 0.5]]), 1)

@@ -1,10 +1,12 @@
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.special import gammainc
 
 from bertrand_lab.montecarlo import stream_generator
 from bertrand_lab.rationals import (
@@ -44,6 +46,14 @@ def brute_atom(n: int, m: int, pmf, terms: int) -> float:
 
 def geometric_pmf(w):
     return lambda k: w * (1.0 - w) ** (k - 1)
+
+
+LAWS_OF_EVERY_KIND = [
+    GeometricLaw(0.5),
+    PoissonLaw(4.0),
+    DegenerateLaw(3),
+    CustomLaw({2: 0.5, 3: 0.25, 7: 0.25}),
+]
 
 
 class TestCanonicalize:
@@ -347,13 +357,41 @@ class TestSupPmf:
 
 class TestLawMechanics:
     def test_truncation_index_is_tight(self):
-        for law in [GeometricLaw(0.37), PoissonLaw(7.0), DegenerateLaw(5),
-                    CustomLaw({2: 0.5, 9: 0.5})]:
-            for tol in (1e-6, 1e-10):
+        # each law's tail P{M > m} written out independently of the library
+        table = {2: 0.5, 9: 0.375, 11: 0.125}
+        tails = [
+            (GeometricLaw(0.37), lambda m: (1.0 - 0.37) ** m),
+            (PoissonLaw(7.0), lambda m: float(gammainc(m, 7.0))),
+            (DegenerateLaw(5), lambda m: float(m < 5)),
+            (CustomLaw(table), lambda m: float(sum(Fraction(p) for k, p in table.items() if k > m))),
+        ]
+        for law, tail in tails:
+            for tol in (0.3, 1e-6, 1e-10):
                 idx = law.truncation_index(tol)
-                assert law.tail(idx) <= tol
+                assert tail(idx) <= tol
                 if idx > 1:
-                    assert law.tail(idx - 1) > tol
+                    assert tail(idx - 1) > tol
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-10, 1.0, 5.0, math.inf, math.nan])
+    @pytest.mark.parametrize("law", LAWS_OF_EVERY_KIND, ids=repr)
+    def test_tol_outside_the_unit_interval_is_refused(self, law, tol):
+        # a tol of 1 or more would certify nothing: the series would stop at L = 1
+        for series in (
+            lambda: law.truncation_index(tol),
+            lambda: atom_probability(Rational(1, 2), law, tol),
+            lambda: cdf(0.5, law, tol),
+            lambda: cdf_grid(np.array([0.2, 0.7]), law, tol),
+            lambda: interval_probability(0.2, 0.7, law, tol),
+            lambda: mean_reciprocal(law, tol),
+        ):
+            with pytest.raises(ValueError, match=r"tol must lie in \(0, 1\)"):
+                series()
+
+    @pytest.mark.parametrize("law", LAWS_OF_EVERY_KIND, ids=repr)
+    def test_tol_just_below_one_is_accepted(self, law):
+        tol = math.nextafter(1.0, 0.0)
+        assert law.truncation_index(tol) >= 1
+        assert 0.0 <= cdf(0.5, law, tol) <= 1.0
 
     def test_pmf_array_writes_into_out(self):
         ms = np.arange(1, 60, dtype=np.int64)
@@ -364,11 +402,16 @@ class TestLawMechanics:
             assert out.tobytes() == law.pmf_array(ms).tobytes()
 
     def test_pmf_array_matches_scalar(self):
+        # each law's pmf in closed form, one denominator at a time
         ms = np.arange(1, 60, dtype=np.int64)
-        for law in [GeometricLaw(0.2), PoissonLaw(6.0), DegenerateLaw(3),
-                    CustomLaw({1: 0.5, 4: 0.5})]:
+        for law, pmf in [
+            (GeometricLaw(0.2), lambda m: 0.2 * 0.8 ** (m - 1)),
+            (PoissonLaw(6.0), lambda m: math.exp(-6.0) * 6.0 ** (m - 1) / math.factorial(m - 1)),
+            (DegenerateLaw(3), lambda m: float(m == 3)),
+            (CustomLaw({1: 0.5, 4: 0.5}), lambda m: {1: 0.5, 4: 0.5}.get(m, 0.0)),
+        ]:
             np.testing.assert_allclose(
-                law.pmf_array(ms), [law.pmf(int(m)) for m in ms], atol=1e-15
+                law.pmf_array(ms), [pmf(int(m)) for m in ms], rtol=1e-13, atol=1e-15
             )
 
     def test_pmf_sums_to_one(self):

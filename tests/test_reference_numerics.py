@@ -38,11 +38,14 @@ def test_poisson_pmf_matches_gammaln(mean):
 
 @pytest.mark.parametrize("mean", [0.1, 4.0, 100.0, 1e4])
 def test_poisson_tail_matches_gammainc(mean):
+    """The truncation index L is the first m whose tail P{M > m} = gammainc(m, mean)
+    is at most tol, up to a relative 1e-9 on either side of tol."""
     law = PoissonLaw(mean)
-    ms, _ = _poisson_support(mean)
-    for m in [0, *ms[:: max(1, len(ms) // 200)].tolist(), int(ms[-1])]:
-        reference = float(gammainc(m, mean)) if m > 0 else 1.0
-        assert law.tail(m) == pytest.approx(reference, rel=1e-9, abs=0.0), m
+    for tol in np.logspace(-1, -250, 60).tolist():
+        index = law.truncation_index(tol)
+        assert gammainc(index, mean) <= tol * (1.0 + 1e-9), (tol, index)
+        if index > 1:
+            assert gammainc(index - 1, mean) > tol * (1.0 - 1e-9), (tol, index)
 
 
 @pytest.mark.parametrize("threshold", [0.0, 0.5, 1.0, math.sqrt(3.0), 1.9, 2.0])

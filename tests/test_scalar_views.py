@@ -1,6 +1,7 @@
 """A size-1 batch is the textbook scalar draw.
 
-Drawing one value with ``sample_chord_batch``/``sample_needle_batch``/
+Drawing one value with ``sample_chord_batch``, the needle experiments'
+samplers (``_center_angle_batch``, ``_endpoints_y``) or
 ``sample_rational_batch`` at size 1 must equal the draw written out below
 with scalar generator calls and ``math``, and leave the generator in the
 same state, so consecutive size-1 batches reproduce the scalar stream
@@ -12,7 +13,7 @@ import math
 import pytest
 
 from bertrand_lab.bertrand import ChordModel, sample_chord_batch
-from bertrand_lab.buffon import NeedleModel, sample_needle_batch
+from bertrand_lab.buffon import NeedleModel, _center_angle_batch, _endpoints_y
 from bertrand_lab.montecarlo import stream_generator
 from bertrand_lab.rationals import (
     CustomLaw,
@@ -80,8 +81,13 @@ def test_chord(model, seed):
 def test_needle(model, seed):
     scalar, batch = twin_streams(seed)
     for _ in range(DRAWS):
-        first, second = sample_needle_batch(model, batch, 1)
-        assert scalar_needle(model, scalar) == (first[0], second[0])
+        a, b = scalar_needle(model, scalar)
+        if model is NeedleModel.CENTER_ANGLE:
+            theta, z = _center_angle_batch(batch, 1)
+            assert (a, b) == (theta[0], z[0])
+        else:  # the endpoints sampler keeps y alone
+            assert b == _endpoints_y(batch, 1)[0]
+    assert scalar.random() == batch.random()
 
 
 @pytest.mark.parametrize("seed", SEEDS)

