@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Digest the stdout of a fixed matrix of 185 CLI commands and 2 script runs.
+"""Digest the stdout of a fixed matrix of 190 CLI commands and 2 script runs.
 
     python3 scripts/cli_digest.py [CHECKOUT] > digest.txt
 
@@ -95,7 +95,12 @@ def commands() -> list[list[str]]:
     out += [
         ["rationals", "sample", "--law", "geometric:0.001", "--samples", "1000000"],
         ["rationals", "sample", "--law", "geometric:0.001", "--samples", "200000", "--format", "json"],
+        ["rationals", "sample", "--law", "geometric:1e-4", "--samples", "300000", "--format", "json"],
     ]
+    # a law text that CSV must quote, on four rows and on more rows than one rendered block
+    for law in ("custom:1=0.5,3=0.5", "custom:1=0.5,199999=0.5"):
+        for fmt in ("csv", "json"):
+            out.append(["rationals", "sample", "--law", law, "--samples", "300000", "--format", fmt])
     for law in ENCODING_LAWS:
         for fmt in ("csv", "json"):
             out += [

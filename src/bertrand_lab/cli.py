@@ -56,29 +56,89 @@ def _encode(value: Any, as_json: bool) -> str:
     return '"' + text.replace('"', '""') + '"' if any(c in text for c in _CSV_QUOTED) else text
 
 
-def _column(values: Any, as_json: bool) -> tuple[str, list[list[Any]]]:
-    """A column as its %-format piece of the row and the value lists it fills (none if constant).
+# rows per rendered byte block: the renderer's memory follows this, not the row count
+_CHUNK_ROWS = 2**15
+
+
+def _digits(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Integers as a sign byte and right-aligned ASCII digits, with the mask of the bytes kept."""
+    neg = values < 0
+    # negating the wrapped uint64 of a negative value gives its magnitude, also at int64 min
+    mag = values.astype(np.uint64)
+    np.negative(mag, out=mag, where=neg)
+    width = len(str(mag.max()))
+    block = np.empty((len(mag), width + 1), np.uint8)
+    keep = np.empty(block.shape, bool)
+    block[:, 0], keep[:, 0], keep[:, width] = ord("-"), neg, True
+    # column k holds the digit of 10**(width - k), kept when the cell is that long
+    for k in range(1, width):
+        keep[:, k] = mag >= 10 ** (width - k)
+    for k in range(width, 0, -1):
+        digit = mag // 10
+        digit *= 10
+        np.subtract(mag, digit, out=digit)
+        digit += ord("0")
+        block[:, k] = digit
+        mag //= 10
+    return block, keep
+
+
+def _texts(texts: list[str], index: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Cells as left-aligned UTF-8 texts, picked by index if given, with the mask of the bytes kept."""
+    encoded = [text.encode() for text in texts]
+    table = np.array(encoded, dtype="S")
+    block = table.view(np.uint8).reshape(len(table), table.itemsize)
+    lengths = np.array([len(b) for b in encoded])
+    if index is not None:
+        block, lengths = block[index], lengths[index]
+    return block, np.arange(table.itemsize) < lengths[:, None]
+
+
+def _floats(values: np.ndarray, as_json: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Float cells, each distinct value encoded once."""
+    # unique bit patterns keep -0.0 apart from 0.0
+    bits, inverse = np.unique(np.asarray(values, np.float64).view(np.int64), return_inverse=True)
+    return _texts([_encode(v, as_json) for v in bits.view(np.float64).tolist()], inverse)
+
+
+def _column(values: Any, as_json: bool) -> list[Any]:
+    """A column as pieces of the row template: texts, and cell makers for the varying parts.
 
     A column is a constant, a list of cells, a float or integer array, or a
     (numerators, denominators) pair of integer arrays printed as "n/m" strings.
+    A cell maker takes a row range lo..hi and returns a (rows, width) byte
+    block with the mask of its bytes to keep.
     """
     if isinstance(values, tuple):
-        return '"%d/%d"' if as_json else "%d/%d", [part.tolist() for part in values]
-    if not isinstance(values, (list, np.ndarray)):
-        return _encode(values, as_json).replace("%", "%%"), []
+        num, den = values
+        quote = '"' if as_json else ""
+        return [quote, lambda lo, hi: _digits(num[lo:hi]), "/", lambda lo, hi: _digits(den[lo:hi]), quote]
     if isinstance(values, np.ndarray):
-        if values.dtype.kind != "f":
-            return "%d", [values.tolist()]
-        # each distinct value once; unique bit patterns keep -0.0 apart from 0.0
-        bits, inverse = np.unique(np.asarray(values, np.float64).view(np.int64), return_inverse=True)
-        texts = [_encode(v, as_json) for v in bits.view(np.float64).tolist()]
-        return "%s", [np.array(texts, dtype=object)[inverse].tolist()]
-    if set(map(type, values)) == {str}:
-        # quoting and escaping act per character, so the joined text decides for every cell
-        text = "".join(values)
-        if _encode(text, as_json) == (f'"{text}"' if as_json else text):
-            return '"%s"' if as_json else "%s", [values]
-    return "%s", [[_encode(v, as_json) for v in values]]
+        if values.dtype.kind == "f":
+            return [lambda lo, hi: _floats(values[lo:hi], as_json)]
+        return [lambda lo, hi: _digits(values[lo:hi])]
+    if isinstance(values, list):
+        return [lambda lo, hi: _texts([_encode(v, as_json) for v in values[lo:hi]])]
+    return [_encode(values, as_json)]
+
+
+def _render(template: list[Any], lo: int, hi: int) -> np.ndarray:
+    """Rows lo..hi as one flat byte array: the pieces side by side, padding masked out."""
+    pieces = [piece if isinstance(piece, bytes) else piece(lo, hi) for piece in template]
+    # every row starts as the template's texts, with zeros where the cells go
+    row = b"".join(p if isinstance(p, bytes) else bytes(p[0].shape[1]) for p in pieces)
+    block = np.tile(np.frombuffer(row, np.uint8), (hi - lo, 1))
+    keep = np.ones(block.shape, bool)
+    at = 0
+    for piece in pieces:
+        if isinstance(piece, bytes):
+            at += len(piece)
+            continue
+        cells, cells_keep = piece
+        block[:, at : at + cells.shape[1]] = cells
+        keep[:, at : at + cells.shape[1]] = cells_keep
+        at += cells.shape[1]
+    return block[keep]
 
 
 def _emit(args: argparse.Namespace, columns: dict[str, Any]) -> int:
@@ -87,28 +147,37 @@ def _emit(args: argparse.Namespace, columns: dict[str, Any]) -> int:
     The sequences share one length, the row count, of at least 1; a table of
     constants is one row.  The text equals csv.writer(lineterminator="\n") or
     json.dumps({"rows": [...]}, indent=2) + "\n" on the rows spelled out.
+    Rows are rendered _CHUNK_ROWS at a time as byte blocks, and each block is
+    written as soon as it is built.
     """
     as_json = args.format == "json"
-    row, varying = "", []
+    pieces: list[Any] = []
+    rows = 1
     for i, (name, values) in enumerate(columns.items()):
         if as_json:
-            row += ("    {\n" if i == 0 else ",\n") + f"      {json.dumps(name)}: ".replace("%", "%%")
+            pieces.append(("    {\n" if i == 0 else ",\n") + f"      {json.dumps(name)}: ")
         elif i:
-            row += ","
-        piece, cells = _column(values, as_json)
-        row += piece
-        varying += cells
-    row += "\n    }" if as_json else "\n"
-    rows = map(row.__mod__, zip(*varying)) if varying else [row % ()]
-    if as_json:
-        parts = ['{\n  "rows": [\n', ",\n".join(rows), "\n  ]\n}\n"]
-    else:
-        parts = [",".join(_encode(name, False) for name in columns), "\n", "".join(rows)]
+            pieces.append(",")
+        pieces += _column(values, as_json)
+        if isinstance(values, (list, tuple, np.ndarray)):
+            rows = len(values[0] if isinstance(values, tuple) else values)
+    # every JSON row ends in the separator, which the last row drops
+    pieces.append("\n    },\n" if as_json else "\n")
+    template = [piece.encode() if isinstance(piece, str) else piece for piece in pieces]
+
+    def text():
+        yield '{\n  "rows": [\n' if as_json else ",".join(_encode(name, False) for name in columns) + "\n"
+        for lo in range(0, rows, _CHUNK_ROWS):
+            flat = _render(template, lo, min(lo + _CHUNK_ROWS, rows))
+            yield str(flat[:-2] if as_json and lo + _CHUNK_ROWS >= rows else flat, "utf-8")
+        if as_json:
+            yield "\n  ]\n}\n"
+
     if args.out:
         with open(args.out, "w", newline="") as f:
-            f.writelines(parts)
+            f.writelines(text())
     else:
-        sys.stdout.writelines(parts)
+        sys.stdout.writelines(text())
     return 0
 
 
@@ -277,8 +346,14 @@ def cmd_rationals(args: argparse.Namespace) -> int:
         base = int(dens.max()) + 1
         if base > _MAX_CODE_BASE:
             raise CliError(f"drew denominator {base - 1}; sample tabulates up to {_MAX_CODE_BASE - 1}")
-        codes, counts = np.unique(dens * base + nums, return_counts=True)
+        codes = dens
+        codes *= base
+        codes += nums
+        # the draws are not needed past this point; freed, they leave room for the rendering
+        del nums, dens
+        codes, counts = np.unique(codes, return_counts=True)
         den, num = np.divmod(codes, base)
+        del codes
         columns = {"q": (num, den), "count": counts, "frequency": counts / n, "n": n, "seed": seed}
         return _emit(args, {"law": args.law, **columns})
 

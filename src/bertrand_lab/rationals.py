@@ -489,7 +489,10 @@ def sample_rational_batch(
     ms = law.sample(rng, size)
     ns = rng.integers(0, ms + 1, dtype=np.int64)
     g = np.gcd(ns, ms)
-    return ns // g, ms // g
+    # ms is the law's fresh array, so both divide in place
+    ns //= g
+    ms //= g
+    return ns, ms
 
 
 class GeometricFamily:

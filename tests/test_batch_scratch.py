@@ -33,7 +33,6 @@ from bertrand_lab.buffon import (
     _center_angle_batch,
     _center_angle_crosses,
     _center_angle_event,
-    _endpoints_y,
     needle_cross_experiment,
 )
 from bertrand_lab.montecarlo import BATCH_SIZE, run, stream_generator
@@ -130,14 +129,6 @@ def test_center_angle_batch_is_numpy_uniform(size, seed):
 
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("size", SIZES)
-def test_endpoints_y_is_the_public_y(size, seed):
-    """The y of numpy's x = uniform(0, 1), y = uniform(x - 1, x + 1), from scratch."""
-    _, y_ref = numpy_needles(NeedleModel.ENDPOINTS, stream_generator(seed, 0), size)
-    assert np.array_equal(_endpoints_y(stream_generator(seed, 0), size), y_ref)
-
-
-@pytest.mark.parametrize("seed", SEEDS)
-@pytest.mark.parametrize("size", SIZES)
 def test_square_draw_is_numpy_uniform(size, seed):
     xs = square_exceed_experiment().sample(stream_generator(seed, 0), size)
     assert np.array_equal(xs, stream_generator(seed, 0).uniform(0.0, X_MAX, size))
@@ -180,8 +171,8 @@ REUSE_SIZES = [1, 17, BATCH_SIZE + 1, 17, 3 * BATCH_SIZE + 2]
 REUSE_SEED = 7
 
 
-def public_count(name, size, seed):
-    """The batch's count rebuilt from fresh arrays: the public chord sampler's, or numpy's needles."""
+def reference_count(name, size, seed):
+    """The batch's count rebuilt from fresh arrays: sample_chord_batch's chords, or numpy's needles."""
     rng = stream_generator(seed, 0)
     if name == "midpoint":
         return int(np.count_nonzero(sample_chord_batch(ChordModel.MIDPOINT_UNIFORM, rng, size)[2] > TRIANGLE_EDGE))
@@ -223,7 +214,7 @@ def test_scratch_reuse_on_one_thread_counts_as_fresh_processes():
         assert reused.setdefault((name, size), got) == got, (name, size)
     for (name, size), got in reused.items():
         assert fresh_counts(name, size, REUSE_SEED) == got, (name, size)
-        assert public_count(name, size, REUSE_SEED) == got[0], (name, size)
+        assert reference_count(name, size, REUSE_SEED) == got[0], (name, size)
         if size % 2 == 0:
             assert run(EXPERIMENTS[name](), size, REUSE_SEED, shards=2).successes == got[1]
 
