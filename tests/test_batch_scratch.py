@@ -33,6 +33,7 @@ from bertrand_lab.buffon import (
     _center_angle_batch,
     _center_angle_crosses,
     _center_angle_event,
+    _endpoints_y,
     needle_cross_experiment,
 )
 from bertrand_lab.montecarlo import BATCH_SIZE, run, stream_generator
@@ -125,6 +126,16 @@ def test_center_angle_batch_is_numpy_uniform(size, seed):
     theta_ref, z_ref = numpy_needles(NeedleModel.CENTER_ANGLE, stream_generator(seed, 0), size)
     assert np.array_equal(theta, theta_ref)
     assert np.array_equal(z, z_ref)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("size", SIZES)
+def test_endpoints_y_is_the_public_y(size, seed):
+    """The y of numpy's x = uniform(0, 1), y = uniform(x - 1, x + 1), from scratch
+    that a larger call on the same thread left dirty."""
+    _endpoints_y(stream_generator(seed + 1, 0), 2 * size + 3)
+    _, y_ref = numpy_needles(NeedleModel.ENDPOINTS, stream_generator(seed, 0), size)
+    assert np.array_equal(_endpoints_y(stream_generator(seed, 0), size), y_ref)
 
 
 @pytest.mark.parametrize("seed", SEEDS)

@@ -95,8 +95,7 @@ def test_needle_counts_match_numpy_needles(model, seed):
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("size", SIZES)
 def test_endpoints_batch_is_numpy_uniform(size, seed):
-    """The endpoints experiment's y, drawn into per-thread scratch, is numpy's
-    x = uniform(0, 1), y = uniform(x - 1, x + 1), and its stream ends where numpy's does."""
+    """The endpoints experiment's y is numpy's, and its stream ends where numpy's does."""
     rng, reference = stream_generator(seed, 0), stream_generator(seed, 0)
     y = _endpoints_y(rng, size)
     _, y_ref = numpy_needles(NeedleModel.ENDPOINTS, reference, size)
