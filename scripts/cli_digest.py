@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Digest the stdout of a fixed matrix of 190 CLI commands and 2 script runs.
+"""Digest the stdout of a fixed matrix of 192 CLI commands and 2 script runs.
 
     python3 scripts/cli_digest.py [CHECKOUT] > digest.txt
 
@@ -142,6 +142,9 @@ def commands() -> list[list[str]]:
         ["rationals", "atom", "--q", "1/2", "--law", "poisson:4", "--tol", "5"],
         ["rationals", "interval", "--a", "0.2", "--b", "0.7", "--law", "degenerate:7", "--tol", "1"],
         ["rationals", "converge", "--tol", "1"],
+        # an --out that cannot be opened
+        ["squares", "--out", "/dev/null/x.csv"],
+        ["rationals", "cdf", "--x", "0.5", "--law", "geometric:0.5", "--out", "/dev/null/x.csv"],
     ]
     # a negative seed runs, and is echoed, as its residue modulo 2**64
     for seed in ("-1", str(2**64 - 1)):

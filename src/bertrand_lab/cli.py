@@ -36,10 +36,6 @@ _CHORD_TOKENS = {
 _NEEDLE_TOKENS = {"center-angle": "CENTER_ANGLE", "endpoints": "ENDPOINTS"}
 
 
-class CliError(Exception):
-    """A configuration problem that should exit with status 2."""
-
-
 # the characters that make Python 3.11's csv.writer(lineterminator="\n") quote a field;
 # a lone "\r" is written bare (tests/test_cli.py compares with csv.writer itself)
 _CSV_QUOTED = ',"\n'
@@ -188,19 +184,19 @@ def _fields(records: Sequence[Any], *names: str) -> dict[str, list[Any]]:
 
 def _resolve_seed(args: argparse.Namespace) -> int:
     """The run seed reduced modulo 2**64, as the streams read it and the tables echo it."""
-    seed = getattr(args, "seed", None)
+    seed = args.seed
     if seed is None:
         env = os.environ.get(SEED_ENV_VAR, str(DEFAULT_SEED))
         try:
             seed = int(env)
         except ValueError as exc:
-            raise CliError(f"{SEED_ENV_VAR} must be an integer, got {env!r}") from exc
+            raise ValueError(f"{SEED_ENV_VAR} must be an integer, got {env!r}") from exc
     return seed % 2**64
 
 
-def _check_samples(n: int, minimum: int = 1) -> int:
-    if n < minimum:
-        raise CliError(f"--samples must be >= {minimum}, got {n}")
+def _check_samples(n: int) -> int:
+    if n < 1:
+        raise ValueError(f"--samples must be >= 1, got {n}")
     return n
 
 
@@ -226,11 +222,10 @@ def cmd_bertrand(args: argparse.Namespace) -> int:
 def cmd_buffon(args: argparse.Namespace) -> int:
     from . import buffon
 
-    n = _check_samples(args.samples, minimum=1000)
     seed = _resolve_seed(args)
     members = _NEEDLE_TOKENS.values() if args.model == "all" else [_NEEDLE_TOKENS[args.model]]
     models = [buffon.NeedleModel[member] for member in members]
-    pis = [buffon.estimate_pi(model, n, seed, args.shards) for model in models]
+    pis = [buffon.estimate_pi(model, args.samples, seed, args.shards) for model in models]
     ests = [pi.crossings for pi in pis]
     columns = {
         "model": [model.value for model in models],
@@ -247,8 +242,6 @@ def cmd_squares(args: argparse.Namespace) -> int:
     from . import squares
 
     t = args.threshold
-    if not 0.0 <= t <= squares.X_MAX:
-        raise CliError(f"--threshold must lie in [0, 100], got {t}")
     models = list(squares.IntervalModel)
     thresholds = [squares.model_threshold(model, t) for model in models]
     columns = {
@@ -257,10 +250,8 @@ def cmd_squares(args: argparse.Namespace) -> int:
         "probability": [squares.exceed_probability(m, th) for m, th in zip(models, thresholds)],
     }
     if args.finite is not None:
-        if args.finite < 1:
-            raise CliError(f"--finite must be >= 1, got {args.finite}")
         if t != int(t):
-            raise CliError(f"--threshold must be an integer for counting, got {t}")
+            raise ValueError(f"--threshold must be an integer for counting, got {t}")
         ti = int(t)
         for model, threshold, squared in (
             ("counting_plain", ti, False),
@@ -277,7 +268,7 @@ def _parse_law(text: str) -> rationals.DenominatorLaw:
 
     # every table echoes the law text, and a lone \r there splits a CSV record
     if any(c < " " or c == "\x7f" for c in text):
-        raise CliError(f"bad law {text!r}: control characters are not allowed")
+        raise ValueError(f"bad law {text!r}: control characters are not allowed")
     kind, _, rest = text.partition(":")
     try:
         if kind == "geometric":
@@ -291,73 +282,76 @@ def _parse_law(text: str) -> rationals.DenominatorLaw:
             for item in rest.split(","):
                 m, sep, p = item.partition("=")
                 if not sep:
-                    raise CliError(f"bad custom table entry {item!r}, expected m=p")
+                    raise ValueError(f"bad custom table entry {item!r}, expected m=p")
                 table[int(m)] = float(p)
             return rationals.CustomLaw(table)
     except ValueError as exc:
-        raise CliError(f"bad law {text!r}: {exc}") from exc
-    raise CliError(
+        raise ValueError(f"bad law {text!r}: {exc}") from exc
+    raise ValueError(
         f"unknown law {text!r}; expected geometric:W, poisson:MEAN, degenerate:M "
         "or custom:m=p,..."
     )
 
 
-def _parse_rational(text: str) -> rationals.Rational:
+def _tol(args: argparse.Namespace) -> float:
     from . import rationals
 
-    parts = text.split("/")
+    return rationals.DEFAULT_TOL if args.tol is None else args.tol
+
+
+def cmd_atom(args: argparse.Namespace) -> int:
+    from . import rationals
+
+    law = _parse_law(args.law)
+    parts = args.q.split("/")
     if len(parts) != 2:
-        raise CliError(f"expected a fraction like 1/2, got {text!r}")
-    try:
-        return rationals.canonicalize(int(parts[0]), int(parts[1]))
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+        raise ValueError(f"expected a fraction like 1/2, got {args.q!r}")
+    q = rationals.canonicalize(int(parts[0]), int(parts[1]))
+    value = rationals.atom_probability(q, law, _tol(args))
+    return _emit(args, {"law": args.law, "q": str(q), "probability": value})
 
 
-def cmd_rationals(args: argparse.Namespace) -> int:
+def cmd_cdf(args: argparse.Namespace) -> int:
     from . import rationals
 
-    tol = rationals.DEFAULT_TOL if getattr(args, "tol", None) is None else args.tol
-    if args.mode == "atom":
-        law = _parse_law(args.law)
-        q = _parse_rational(args.q)
-        value = rationals.atom_probability(q, law, tol)
-        return _emit(args, {"law": args.law, "q": str(q), "probability": value})
+    value = rationals.cdf(args.x, _parse_law(args.law), _tol(args))
+    return _emit(args, {"law": args.law, "x": args.x, "value": value})
 
-    if args.mode == "cdf":
-        law = _parse_law(args.law)
-        value = rationals.cdf(args.x, law, tol)
-        return _emit(args, {"law": args.law, "x": args.x, "value": value})
 
-    if args.mode == "interval":
-        law = _parse_law(args.law)
-        value = rationals.interval_probability(args.a, args.b, law, tol)
-        return _emit(args, {"law": args.law, "a": args.a, "b": args.b, "probability": value})
+def cmd_interval(args: argparse.Namespace) -> int:
+    from . import rationals
 
-    if args.mode == "sample":
-        from . import montecarlo
+    value = rationals.interval_probability(args.a, args.b, _parse_law(args.law), _tol(args))
+    return _emit(args, {"law": args.law, "a": args.a, "b": args.b, "probability": value})
 
-        law = _parse_law(args.law)
-        n = _check_samples(args.samples)
-        seed = _resolve_seed(args)
-        rng = montecarlo.stream_generator(seed, 0)
-        nums, dens = rationals.sample_rational_batch(law, rng, n)
-        # encode (denominator, numerator) pairs so np.unique sorts them stably
-        base = int(dens.max()) + 1
-        if base > _MAX_CODE_BASE:
-            raise CliError(f"drew denominator {base - 1}; sample tabulates up to {_MAX_CODE_BASE - 1}")
-        codes = dens
-        codes *= base
-        codes += nums
-        # the draws are not needed past this point; freed, they leave room for the rendering
-        del nums, dens
-        codes, counts = np.unique(codes, return_counts=True)
-        den, num = np.divmod(codes, base)
-        del codes
-        columns = {"q": (num, den), "count": counts, "frequency": counts / n, "n": n, "seed": seed}
-        return _emit(args, {"law": args.law, **columns})
 
-    # converge
+def cmd_sample(args: argparse.Namespace) -> int:
+    from . import montecarlo, rationals
+
+    law = _parse_law(args.law)
+    n = _check_samples(args.samples)
+    seed = _resolve_seed(args)
+    rng = montecarlo.stream_generator(seed, 0)
+    nums, dens = rationals.sample_rational_batch(law, rng, n)
+    # encode (denominator, numerator) pairs so np.unique sorts them stably
+    base = int(dens.max()) + 1
+    if base > _MAX_CODE_BASE:
+        raise ValueError(f"drew denominator {base - 1}; sample tabulates up to {_MAX_CODE_BASE - 1}")
+    codes = dens
+    codes *= base
+    codes += nums
+    # the draws are not needed past this point; freed, they leave room for the rendering
+    del nums, dens
+    codes, counts = np.unique(codes, return_counts=True)
+    den, num = np.divmod(codes, base)
+    del codes
+    columns = {"q": (num, den), "count": counts, "frequency": counts / n, "n": n, "seed": seed}
+    return _emit(args, {"law": args.law, **columns})
+
+
+def cmd_converge(args: argparse.Namespace) -> int:
+    from . import rationals
+
     family = (
         rationals.GeometricFamily() if args.family == "geometric" else rationals.PoissonFamily()
     )
@@ -365,17 +359,36 @@ def cmd_rationals(args: argparse.Namespace) -> int:
         ks = [int(part) for part in args.ks.split(",")]
         a, b = (float(part) for part in args.probe.split(","))
     except ValueError as exc:
-        raise CliError(f"bad --ks or --probe: {exc}") from exc
-    table = rationals.convergence_table(family, ks, (a, b), tol)
+        raise ValueError(f"bad --ks or --probe: {exc}") from exc
+    table = rationals.convergence_table(family, ks, (a, b), _tol(args))
     columns = _fields(
         table, "k", "pmf_sup", "pmf_sup_log_k", "harmonic_number", "mean_reciprocal", "interval_error"
     )
     return _emit(args, {"family": args.family, **columns})
 
 
-def _add_output_options(p: argparse.ArgumentParser) -> None:
+# options that several subcommands take, each declared once: flag -> add_argument keywords
+_SHARED_OPTIONS: dict[str, dict[str, Any]] = {
+    "--samples": dict(type=int, default=DEFAULT_SAMPLES),
+    "--seed": dict(type=int, default=None),
+    "--shards": dict(type=int, default=1),
+    "--law": dict(required=True),
+    "--tol": dict(type=float, default=None),
+}
+
+
+def _command(sub: Any, name: str, help: str, handler: Any, *options: Any) -> None:
+    """Add subcommand ``name`` run by ``handler``: ``options`` in order, then --format and --out.
+
+    An option is a shared flag, or a (flag, keywords) pair extending the flag's shared spec if any.
+    """
+    p = sub.add_parser(name, help=help)
+    for option in options:
+        flag, keywords = (option, {}) if isinstance(option, str) else option
+        p.add_argument(flag, **_SHARED_OPTIONS.get(flag, {}), **keywords)
     p.add_argument("--format", choices=["csv", "json"], default="csv")
     p.add_argument("--out", default=None, help="write to this path instead of stdout")
+    p.set_defaults(handler=handler)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -384,72 +397,34 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact and Monte Carlo answers for the classic 'at random' paradoxes.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    b = sub.add_parser("bertrand", help="random chords vs the inscribed-triangle edge")
-    b.add_argument("--model", choices=[*_CHORD_TOKENS, "all"], default="all")
-    b.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
-    b.add_argument("--seed", type=int, default=None)
-    b.add_argument("--shards", type=int, default=1)
-    b.add_argument(
-        "--pushforward",
-        action="store_true",
-        help="add the midpoint measure integrated in polar coordinates",
-    )
-    _add_output_options(b)
-    b.set_defaults(handler=cmd_bertrand)
-
-    f = sub.add_parser("buffon", help="needle crossings and the implied pi estimate")
-    f.add_argument("--model", choices=[*_NEEDLE_TOKENS, "all"], default="all")
-    f.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
-    f.add_argument("--seed", type=int, default=None)
-    f.add_argument("--shards", type=int, default=1)
-    _add_output_options(f)
-    f.set_defaults(handler=cmd_buffon)
-
-    s = sub.add_parser("squares", help="number-vs-square probabilities on [0, 100]")
-    s.add_argument("--threshold", type=float, default=50.0, help="threshold on the [0, 100] scale")
-    s.add_argument("--finite", type=int, default=None, metavar="N_MAX",
-                   help="also count integers 1..N_MAX exactly")
-    _add_output_options(s)
-    s.set_defaults(handler=cmd_squares)
-
+    _command(sub, "bertrand", "random chords vs the inscribed-triangle edge", cmd_bertrand,
+             ("--model", dict(choices=[*_CHORD_TOKENS, "all"], default="all")),
+             "--samples", "--seed", "--shards",
+             ("--pushforward", dict(action="store_true",
+                                    help="add the midpoint measure integrated in polar coordinates")))
+    _command(sub, "buffon", "needle crossings and the implied pi estimate", cmd_buffon,
+             ("--model", dict(choices=[*_NEEDLE_TOKENS, "all"], default="all")),
+             "--samples", "--seed", "--shards")
+    _command(sub, "squares", "number-vs-square probabilities on [0, 100]", cmd_squares,
+             ("--threshold", dict(type=float, default=50.0, help="threshold on the [0, 100] scale")),
+             ("--finite", dict(type=int, default=None, metavar="N_MAX",
+                               help="also count integers 1..N_MAX exactly")))
     r = sub.add_parser("rationals", help="random rationals in [0, 1]")
     rsub = r.add_subparsers(dest="mode", required=True)
-
-    atom = rsub.add_parser("atom", help="probability of one rational value")
-    atom.add_argument("--q", required=True, help="the rational, e.g. 1/2")
-    atom.add_argument("--law", required=True, help="e.g. geometric:0.5, degenerate:2")
-    atom.add_argument("--tol", type=float, default=None)
-    _add_output_options(atom)
-
-    cdfp = rsub.add_parser("cdf", help="cumulative distribution at a point")
-    cdfp.add_argument("--x", type=float, required=True)
-    cdfp.add_argument("--law", required=True)
-    cdfp.add_argument("--tol", type=float, default=None)
-    _add_output_options(cdfp)
-
-    inter = rsub.add_parser("interval", help="probability of (a, b]")
-    inter.add_argument("--a", type=float, required=True)
-    inter.add_argument("--b", type=float, required=True)
-    inter.add_argument("--law", required=True)
-    inter.add_argument("--tol", type=float, default=None)
-    _add_output_options(inter)
-
-    samp = rsub.add_parser("sample", help="draw rationals and tabulate atom frequencies")
-    samp.add_argument("--law", required=True)
-    samp.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
-    samp.add_argument("--seed", type=int, default=None)
-    _add_output_options(samp)
-
-    conv = rsub.add_parser("converge", help="flattening diagnostics along a law family")
-    conv.add_argument("--family", choices=["geometric", "poisson"], default="geometric")
-    conv.add_argument("--ks", default="10,100,1000", help="comma-separated k schedule")
-    conv.add_argument("--probe", default="0,0.5", help="probe interval a,b")
-    conv.add_argument("--tol", type=float, default=None)
-    _add_output_options(conv)
-
-    r.set_defaults(handler=cmd_rationals)
-
+    _command(rsub, "atom", "probability of one rational value", cmd_atom,
+             ("--q", dict(required=True, help="the rational, e.g. 1/2")),
+             ("--law", dict(help="e.g. geometric:0.5, degenerate:2")), "--tol")
+    _command(rsub, "cdf", "cumulative distribution at a point", cmd_cdf,
+             ("--x", dict(type=float, required=True)), "--law", "--tol")
+    _command(rsub, "interval", "probability of (a, b]", cmd_interval,
+             ("--a", dict(type=float, required=True)), ("--b", dict(type=float, required=True)),
+             "--law", "--tol")
+    _command(rsub, "sample", "draw rationals and tabulate atom frequencies", cmd_sample,
+             "--law", "--samples", "--seed")
+    _command(rsub, "converge", "flattening diagnostics along a law family", cmd_converge,
+             ("--family", dict(choices=["geometric", "poisson"], default="geometric")),
+             ("--ks", dict(default="10,100,1000", help="comma-separated k schedule")),
+             ("--probe", dict(default="0,0.5", help="probe interval a,b")), "--tol")
     return parser
 
 
@@ -460,10 +435,16 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
     try:
-        return args.handler(args)
-    except (CliError, ValueError, MemoryError) as exc:
+        code = args.handler(args)
+        sys.stdout.flush()  # a reader that closed stdout early is met here, not at exit
+    except BrokenPipeError:
+        # the Python docs' recipe: the flush at exit writes to devnull, not to the closed pipe
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    except (ValueError, MemoryError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    return code
 
 
 if __name__ == "__main__":

@@ -293,10 +293,8 @@ class PoissonLaw(DenominatorLaw):
 
     def sup_pmf(self) -> float:
         # Poisson mode at floor(mean) (two tied modes for integer mean)
-        candidates = {max(1, math.floor(self.mean)), math.floor(self.mean) + 1}
-        return max(
-            math.exp(-self.mean + (m - 1) * self._log_mean - math.lgamma(m)) for m in candidates
-        )
+        mode = math.floor(self.mean)
+        return float(self.pmf_array(np.array([max(1, mode), mode + 1])).max())
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         return (1 + rng.poisson(self.mean, size)).astype(np.int64)

@@ -1,5 +1,6 @@
 import csv
 import io
+import argparse
 import json
 import math
 import os
@@ -17,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bertrand_lab.cli import _CHUNK_ROWS, DEFAULT_SEED, SEED_ENV_VAR, _emit, main
+from bertrand_lab.cli import _CHUNK_ROWS, DEFAULT_SEED, SEED_ENV_VAR, _emit, build_parser, main
 
 
 def run_cli(argv, capsys):
@@ -677,3 +678,131 @@ class TestModuleEntryPoint:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[-1] == "[]"
+
+
+class TestOutputErrors:
+    @pytest.mark.parametrize(
+        "out",
+        [
+            lambda tmp: tmp / "file" / "x.csv",  # NotADirectoryError
+            lambda tmp: tmp / "missing" / "x.csv",  # FileNotFoundError
+            lambda tmp: tmp,  # IsADirectoryError
+        ],
+        ids=["under-a-file", "missing-directory", "a-directory"],
+    )
+    def test_unopenable_out_is_a_config_error(self, out, tmp_path, capsys):
+        (tmp_path / "file").write_text("")
+        code, stdout, err = run_cli(["squares", "--out", str(out(tmp_path))], capsys)
+        assert code == 2
+        assert stdout == ""
+        assert err.startswith("error: ")
+
+    def test_closed_stdout_ends_quietly(self):
+        # about 20 MB of rows: the writer meets the closed pipe long before it is done
+        argv = ["rationals", "sample", "--law", "geometric:0.001", "--samples", "300000"]
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "bertrand_lab", *argv],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=src_env(),
+        )
+        assert proc.stdout.readline() == b"law,q,count,frequency,n,seed\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait() == 1
+        assert err == b""
+
+
+# every parser's options as (flags, or dest for subcommands; default; required; choices; type),
+# keyed by prog; a changed default, a dropped or an added option shows here
+HELP = (("-h", "--help"), argparse.SUPPRESS, False, None, None)
+OUTPUT = [(("--format",), "csv", False, ["csv", "json"], None), (("--out",), None, False, None, None)]
+CLI_SURFACE = {
+    "bertrand-lab": [HELP, ("command", None, True, ["bertrand", "buffon", "squares", "rationals"], None)],
+    "bertrand-lab bertrand": [
+        HELP,
+        (("--model",), "all", False, ["midpoint", "tangent", "polar", "all"], None),
+        (("--samples",), 100000, False, None, "int"),
+        (("--seed",), None, False, None, "int"),
+        (("--shards",), 1, False, None, "int"),
+        (("--pushforward",), False, False, None, None),
+        *OUTPUT,
+    ],
+    "bertrand-lab buffon": [
+        HELP,
+        (("--model",), "all", False, ["center-angle", "endpoints", "all"], None),
+        (("--samples",), 100000, False, None, "int"),
+        (("--seed",), None, False, None, "int"),
+        (("--shards",), 1, False, None, "int"),
+        *OUTPUT,
+    ],
+    "bertrand-lab squares": [
+        HELP,
+        (("--threshold",), 50.0, False, None, "float"),
+        (("--finite",), None, False, None, "int"),
+        *OUTPUT,
+    ],
+    "bertrand-lab rationals": [
+        HELP,
+        ("mode", None, True, ["atom", "cdf", "interval", "sample", "converge"], None),
+    ],
+    "bertrand-lab rationals atom": [
+        HELP,
+        (("--q",), None, True, None, None),
+        (("--law",), None, True, None, None),
+        (("--tol",), None, False, None, "float"),
+        *OUTPUT,
+    ],
+    "bertrand-lab rationals cdf": [
+        HELP,
+        (("--x",), None, True, None, "float"),
+        (("--law",), None, True, None, None),
+        (("--tol",), None, False, None, "float"),
+        *OUTPUT,
+    ],
+    "bertrand-lab rationals interval": [
+        HELP,
+        (("--a",), None, True, None, "float"),
+        (("--b",), None, True, None, "float"),
+        (("--law",), None, True, None, None),
+        (("--tol",), None, False, None, "float"),
+        *OUTPUT,
+    ],
+    "bertrand-lab rationals sample": [
+        HELP,
+        (("--law",), None, True, None, None),
+        (("--samples",), 100000, False, None, "int"),
+        (("--seed",), None, False, None, "int"),
+        *OUTPUT,
+    ],
+    "bertrand-lab rationals converge": [
+        HELP,
+        (("--family",), "geometric", False, ["geometric", "poisson"], None),
+        (("--ks",), "10,100,1000", False, None, None),
+        (("--probe",), "0,0.5", False, None, None),
+        (("--tol",), None, False, None, "float"),
+        *OUTPUT,
+    ],
+}
+
+
+def cli_surface(parser):
+    """Each parser reachable from ``parser`` with its options, in CLI_SURFACE's shape."""
+    options, children = [], []
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            children += action.choices.values()
+        flags = tuple(action.option_strings) or action.dest
+        choices = None if action.choices is None else list(action.choices)
+        type_name = None if action.type is None else action.type.__name__
+        options.append((flags, action.default, action.required, choices, type_name))
+    surface = {parser.prog: options}
+    for child in children:
+        surface.update(cli_surface(child))
+    return surface
+
+
+class TestCliSurface:
+    def test_every_option_keeps_its_flags_default_and_type(self):
+        assert cli_surface(build_parser()) == CLI_SURFACE
