@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Digest the stdout of a fixed matrix of 192 CLI commands and 2 script runs.
+"""Digest the stdout of a fixed matrix of 195 CLI commands and 2 script runs.
 
     python3 scripts/cli_digest.py [CHECKOUT] > digest.txt
 
@@ -117,7 +117,9 @@ def commands() -> list[list[str]]:
     ]
     out += [
         ["bertrand", "--samples", "0"],
+        # a shard count that does not divide the sample count
         ["bertrand", "--samples", "1000", "--shards", "3"],
+        ["buffon", "--samples", "1000", "--shards", "3"],
         ["buffon", "--samples", "999"],
         ["squares", "--threshold", "101"],
         ["squares", "--finite", "0"],
@@ -135,6 +137,9 @@ def commands() -> list[list[str]]:
         ["rationals", "sample", "--law", "degenerate:99999999999999999999", "--samples", "2"],
         ["rationals", "atom", "--q", "1/2", "--law", "custom:99999999999999999999=1"],
         ["rationals", "atom", "--q", "1/2", "--law", "custom:1=1\r"],
+        # a custom denominator given twice
+        ["rationals", "atom", "--q", "1/2", "--law", "custom:2=1,2=1"],
+        ["rationals", "atom", "--q", "1/2", "--law", "custom:2=0.5,2=0.5"],
         ["rationals", "atom", "--q", "1/2", "--law", "poisson:inf"],
         ["rationals", "converge", "--ks", "1"],
         # a tol outside (0, 1) certifies nothing and is refused

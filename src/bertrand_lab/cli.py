@@ -283,7 +283,10 @@ def _parse_law(text: str) -> rationals.DenominatorLaw:
                 m, sep, p = item.partition("=")
                 if not sep:
                     raise ValueError(f"bad custom table entry {item!r}, expected m=p")
-                table[int(m)] = float(p)
+                den = int(m)
+                if den in table:
+                    raise ValueError(f"denominator {den} appears twice")
+                table[den] = float(p)
             return rationals.CustomLaw(table)
     except ValueError as exc:
         raise ValueError(f"bad law {text!r}: {exc}") from exc

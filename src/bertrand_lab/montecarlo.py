@@ -2,7 +2,7 @@
 
 Reproducibility contract
 ------------------------
-A run is a pure function of ``(experiment, n, seed, confidence)``.  The n
+A run is a pure function of ``(experiment, n, seed)``.  The n
 trials are split into fixed-size logical batches of ``BATCH_SIZE`` samples;
 batch ``b`` draws from its own PCG64 generator seeded with
 ``derive_stream_seed(seed, b)``.  The ``shards`` argument only distributes
@@ -34,6 +34,10 @@ _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
+
+# The standard normal quantile at 0.975, ``NormalDist().inv_cdf(0.975)`` to
+# the last bit: every interval here is a 95% Wilson score interval.
+WILSON_Z = 1.9599639845400536
 
 
 def derive_stream_seed(seed: int, index: int) -> int:
@@ -91,14 +95,11 @@ class Experiment:
 
 @dataclass(frozen=True)
 class Estimate:
-    """Point estimate and Wilson confidence interval for an event probability."""
+    """``successes`` of ``n`` trials from run seed ``seed``, with its point
+    estimate and 95% Wilson score interval for the event probability."""
 
-    p_hat: float
     n: int
     successes: int
-    ci_low: float
-    ci_high: float
-    confidence: float
     seed: int
 
     def __post_init__(self) -> None:
@@ -106,22 +107,22 @@ class Estimate:
             raise ValueError("n must be >= 1")
         if not 0 <= self.successes <= self.n:
             raise ValueError("successes must lie in [0, n]")
-        if self.p_hat != self.successes / self.n:
-            raise ValueError("p_hat must equal successes / n")
-        if not self.ci_low <= self.p_hat <= self.ci_high:
-            raise ValueError("interval must contain the point estimate")
+
+    @property
+    def p_hat(self) -> float:
+        return self.successes / self.n
+
+    @property
+    def ci_low(self) -> float:
+        return wilson_interval(self.successes, self.n)[0]
+
+    @property
+    def ci_high(self) -> float:
+        return wilson_interval(self.successes, self.n)[1]
 
 
-def wilson_z(confidence: float) -> float:
-    """The z with P{|Z| <= z} = confidence for a standard normal Z (1.96 at 0.95)."""
-    # imported here: statistics loads fractions and decimal, which stream users skip
-    from statistics import NormalDist
-
-    return NormalDist().inv_cdf(0.5 * (1.0 + confidence))
-
-
-def wilson_interval(successes: int, n: int, confidence: float = 0.95) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion.
+def wilson_interval(successes: int, n: int) -> tuple[float, float]:
+    """95% Wilson score interval for a binomial proportion.
 
     Well-behaved at 0 and n successes and never leaves [0, 1].
     """
@@ -129,9 +130,7 @@ def wilson_interval(successes: int, n: int, confidence: float = 0.95) -> tuple[f
         raise ValueError("n must be >= 1")
     if not 0 <= successes <= n:
         raise ValueError("successes must lie in [0, n]")
-    if not 0.0 < confidence < 1.0:
-        raise ValueError("confidence must lie in (0, 1)")
-    z = wilson_z(confidence)
+    z = WILSON_Z
     p = successes / n
     denom = 1.0 + z * z / n
     center = (p + z * z / (2.0 * n)) / denom
@@ -143,33 +142,18 @@ def wilson_interval(successes: int, n: int, confidence: float = 0.95) -> tuple[f
     return low, high
 
 
-def _count_batch(experiment: Experiment, seed: int, index: int, size: int) -> int:
-    rng = stream_generator(seed, index)
-    hits = experiment.event(experiment.sample(rng, size))
-    return int(np.count_nonzero(hits))
-
-
-def run(
-    experiment: Experiment,
-    n: int,
-    seed: int,
-    shards: int = 1,
-    confidence: float = 0.95,
-) -> Estimate:
+def run(experiment: Experiment, n: int, seed: int, shards: int = 1) -> Estimate:
     """Run ``n`` Bernoulli trials of ``experiment`` and estimate P(event).
 
     Up to ``shards`` worker threads, but never more than there are batches
     or CPUs, may process batches concurrently, worker ``w`` taking batches
     ``w, w + workers, ...``; the result does not depend on it (see module
-    docstring).  Raises ValueError when n < 1, shards < 1, or n is not
-    divisible by shards.
+    docstring).  Raises ValueError when n < 1 or shards < 1.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     if shards < 1:
         raise ValueError("shards must be >= 1")
-    if n % shards != 0:
-        raise ValueError(f"n={n} is not divisible by shards={shards}")
     seed &= _MASK64
 
     n_batches = (n + BATCH_SIZE - 1) // BATCH_SIZE
@@ -177,10 +161,12 @@ def run(
 
     def count(worker: int) -> int:
         # one task per worker, so memory does not grow with the batch count
-        return sum(
-            _count_batch(experiment, seed, b, min(BATCH_SIZE, n - b * BATCH_SIZE))
-            for b in range(worker, n_batches, workers)
-        )
+        hits = 0
+        for b in range(worker, n_batches, workers):
+            rng = stream_generator(seed, b)
+            batch = experiment.sample(rng, min(BATCH_SIZE, n - b * BATCH_SIZE))
+            hits += int(np.count_nonzero(experiment.event(batch)))
+        return hits
 
     if workers == 1:
         successes = count(0)
@@ -191,13 +177,4 @@ def run(
         with ThreadPoolExecutor(max_workers=workers) as pool:
             successes = sum(pool.map(count, range(workers)))
 
-    ci_low, ci_high = wilson_interval(successes, n, confidence)
-    return Estimate(
-        p_hat=successes / n,
-        n=n,
-        successes=successes,
-        ci_low=ci_low,
-        ci_high=ci_high,
-        confidence=confidence,
-        seed=seed,
-    )
+    return Estimate(n=n, successes=successes, seed=seed)

@@ -176,9 +176,6 @@ class TestPiEstimate:
             estimate_pi(NeedleModel.CENTER_ANGLE, 999, seed=1)
 
     def test_no_crossings_is_degenerate(self):
-        silent = Estimate(
-            p_hat=0.0, n=1000, successes=0, ci_low=0.0, ci_high=0.004,
-            confidence=0.95, seed=0,
-        )
+        silent = Estimate(n=1000, successes=0, seed=0)
         with pytest.raises(DegenerateEstimateError):
             _pi_from_crossings(silent)

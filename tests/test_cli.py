@@ -76,12 +76,13 @@ class TestBertrandCommand:
         code, _, _ = run_cli(["bertrand", "--model", "diagonal"], capsys)
         assert code == 2
 
-    def test_indivisible_shards_is_a_config_error(self, capsys):
-        code, _, err = run_cli(
-            ["bertrand", "--samples", "1000", "--shards", "3"], capsys
-        )
-        assert code == 2
-        assert "divisible" in err
+    def test_shards_need_not_divide_the_sample_count(self, capsys):
+        # shards hand out whole batches, so any count gives the one-shard bytes
+        for family in ("bertrand", "buffon"):
+            one = run_cli([family, "--samples", "1000", "--shards", "1"], capsys)
+            three = run_cli([family, "--samples", "1000", "--shards", "3"], capsys)
+            assert three == one
+            assert one[0] == 0
 
 
 class TestBuffonCommand:
@@ -235,6 +236,15 @@ class TestRationalsCommand:
         assert code == 2
         assert out == ""
         assert "nan" in err.lower()
+
+    @pytest.mark.parametrize(
+        "law", ["custom:2=1,2=1", "custom:2=0.5,2=0.5", "custom:2=0.5,02=0.5", "custom:2=0.5,\u0662=0.5"]
+    )
+    def test_repeated_custom_denominator_is_a_config_error(self, law, capsys):
+        code, out, err = run_cli(["rationals", "atom", "--q", "1/2", "--law", law], capsys)
+        assert code == 2
+        assert out == ""
+        assert f"bad law {law!r}: denominator 2 appears twice" in err
 
     @pytest.mark.parametrize("tol", ["1", "5", "inf"])
     @pytest.mark.parametrize(
@@ -624,9 +634,15 @@ IMPORT_BOUNDARIES = [
     ),
     pytest.param(["squares", "--finite", "10"], [BERTRAND, BUFFON, RATIONALS], id="squares"),
     pytest.param(
-        ["bertrand", "--samples", "1000", "--pushforward"], [BUFFON, RATIONALS, SQUARES], id="bertrand"
+        ["bertrand", "--samples", "1000", "--pushforward"],
+        [BUFFON, RATIONALS, SQUARES, "statistics", "fractions", "decimal"],
+        id="bertrand",
     ),
-    pytest.param(["buffon", "--samples", "1000"], [BERTRAND, RATIONALS, SQUARES], id="buffon"),
+    pytest.param(
+        ["buffon", "--samples", "1000"],
+        [BERTRAND, RATIONALS, SQUARES, "statistics", "fractions", "decimal"],
+        id="buffon",
+    ),
 ]
 
 

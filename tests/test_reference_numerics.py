@@ -5,6 +5,7 @@ run time; the quadrature routes are checked against the closed forms.
 """
 
 import math
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -12,14 +13,13 @@ from scipy.special import gammainc, gammaln, ndtri
 
 from bertrand_lab.bertrand import ChordModel, exceed_probability_under_measure
 from bertrand_lab.buffon import NeedleModel, cross_probability_by_quadrature, exact_cross_probability
-from bertrand_lab.montecarlo import wilson_z
+from bertrand_lab.montecarlo import WILSON_Z
 from bertrand_lab.rationals import PoissonLaw
 
 
-@pytest.mark.parametrize("confidence", [0.9, 0.95, 0.99])
-def test_wilson_z_matches_ndtri(confidence):
-    reference = float(ndtri(0.5 * (1.0 + confidence)))
-    assert wilson_z(confidence) == pytest.approx(reference, rel=1e-15, abs=0.0)
+def test_wilson_z_is_the_normal_quantile_at_0975():
+    assert WILSON_Z == NormalDist().inv_cdf(0.975)
+    assert abs(WILSON_Z - float(ndtri(0.975))) <= 1e-15
 
 
 def _poisson_support(mean):

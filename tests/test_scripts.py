@@ -1,5 +1,7 @@
 """The scripts in ``scripts/`` run to completion and report no violated bound."""
 
+import importlib.util
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -30,3 +32,11 @@ def test_script_runs_clean(argv):
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout
     assert "VIOLATED" not in proc.stdout
+
+
+def test_digest_docstring_counts_its_commands():
+    spec = importlib.util.spec_from_file_location("cli_digest", SCRIPTS / "cli_digest.py")
+    digest = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(digest)
+    stated = re.search(r"(\d+) CLI commands", digest.__doc__)
+    assert int(stated.group(1)) == len(digest.commands())
