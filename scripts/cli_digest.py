@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Digest the stdout of a fixed matrix of 195 CLI commands and 2 script runs.
+"""Digest the stdout of a fixed matrix of 200 CLI commands and 2 script runs.
 
     python3 scripts/cli_digest.py [CHECKOUT] > digest.txt
 
@@ -76,6 +76,9 @@ def commands() -> list[list[str]]:
         ["squares", "--finite", "100"],
         ["squares", "--finite", "7", "--threshold", "3"],
         ["squares", "--finite", "100", "--format", "json"],
+        # counting rows of none and of all, still printed as fractions
+        ["squares", "--finite", "3", "--threshold", "100"],
+        ["squares", "--finite", "3", "--threshold", "0", "--format", "json"],
     ]
     for law in LAWS:
         for fmt in ("csv", "json"):
@@ -141,6 +144,10 @@ def commands() -> list[list[str]]:
         ["rationals", "atom", "--q", "1/2", "--law", "custom:2=1,2=1"],
         ["rationals", "atom", "--q", "1/2", "--law", "custom:2=0.5,2=0.5"],
         ["rationals", "atom", "--q", "1/2", "--law", "poisson:inf"],
+        # law parameters that overflow a float along the way
+        ["rationals", "atom", "--q", "1/2", "--law", "poisson:1e307"],
+        ["rationals", "converge", "--ks", f"2,{10**309}"],
+        ["rationals", "converge", "--family", "poisson", "--ks", f"1,{10**309}"],
         ["rationals", "converge", "--ks", "1"],
         # a tol outside (0, 1) certifies nothing and is refused
         ["rationals", "cdf", "--x", "0.5", "--law", "geometric:0.5", "--tol", "inf"],

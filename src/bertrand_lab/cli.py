@@ -258,7 +258,8 @@ def cmd_squares(args: argparse.Namespace) -> int:
             ("counting_squared", ti * ti, True),
         ):
             probability = squares.finite_counting_probability(args.finite, threshold, squared)
-            for name, value in zip(columns, (model, threshold, str(probability))):
+            exact = f"{probability.numerator}/{probability.denominator}"
+            for name, value in zip(columns, (model, threshold, exact)):
                 columns[name].append(value)
     return _emit(args, columns)
 

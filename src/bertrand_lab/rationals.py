@@ -272,6 +272,8 @@ class PoissonLaw(DenominatorLaw):
         """
         c = log_slack
         t = c / 3.0 + math.sqrt(c * c / 9.0 + 2.0 * c * self.mean)
+        if math.isinf(t):
+            raise ValueError(f"mean = {self.mean!r} is too large to bound its series")
         return max(1, math.floor(1.0 + self.mean - t)), math.ceil(1.0 + self.mean + t)
 
     def truncation_index(self, tol: float) -> int:
@@ -301,32 +303,6 @@ class PoissonLaw(DenominatorLaw):
 
     def __repr__(self) -> str:
         return f"PoissonLaw(mean={self.mean!r})"
-
-
-class DegenerateLaw(DenominatorLaw):
-    """All mass on a single denominator."""
-
-    def __init__(self, value: int):
-        if not 1 <= value <= _MAX_DENOMINATOR:
-            raise ValueError(f"denominator must lie in 1..{_MAX_DENOMINATOR}, got {value}")
-        self.value = int(value)
-
-    def pmf_array(self, ms: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        ms = np.asarray(ms)
-        return np.equal(ms, self.value, out=np.empty(ms.shape) if out is None else out)
-
-    def sup_pmf(self) -> float:
-        return 1.0
-
-    def truncation_index(self, tol: float) -> int:
-        _check_tol(tol)
-        return self.value
-
-    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        return np.full(size, self.value, dtype=np.int64)
-
-    def __repr__(self) -> str:
-        return f"DegenerateLaw({self.value!r})"
 
 
 class CustomLaw(DenominatorLaw):
@@ -370,6 +346,21 @@ class CustomLaw(DenominatorLaw):
 
     def __repr__(self) -> str:
         return f"CustomLaw({dict(zip(map(int, self._ms), map(float, self._ps)))!r})"
+
+
+class DegenerateLaw(CustomLaw):
+    """All mass on a single denominator: the one-entry table {value: 1}."""
+
+    def __init__(self, value: int):
+        super().__init__({value: 1.0})
+        self.value = int(value)
+
+    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        # one outcome needs no draw; a table's choice would spend one per sample
+        return np.full(size, self.value, dtype=np.int64)
+
+    def __repr__(self) -> str:
+        return f"DegenerateLaw({self.value!r})"
 
 
 def atom_probability(q: Rational, law: DenominatorLaw, tol: float = DEFAULT_TOL) -> float:
@@ -506,7 +497,10 @@ class GeometricFamily:
     def law(self, k: int) -> GeometricLaw:
         if k < 2:
             raise ValueError(f"k must be >= 2 for the rate 1/k to lie in (0, 1), got {k}")
-        return GeometricLaw(1.0 / k)
+        try:
+            return GeometricLaw(1.0 / k)
+        except OverflowError:  # k is past the largest float
+            raise ValueError(f"k = {k} is too large for the rate 1/k") from None
 
 
 class PoissonFamily:
@@ -517,7 +511,10 @@ class PoissonFamily:
     def law(self, k: int) -> PoissonLaw:
         if k < 1:
             raise ValueError("k must be >= 1")
-        return PoissonLaw(float(k))
+        try:
+            return PoissonLaw(float(k))
+        except OverflowError:
+            raise ValueError(f"k = {k} is too large for a float mean") from None
 
 
 @dataclass(frozen=True)

@@ -123,6 +123,14 @@ class TestSquaresCommand:
         assert rows[-1]["probability"] == "1/2"
         assert rows[-1]["threshold"] == "2500"
 
+    @pytest.mark.parametrize("threshold, exact", [("100", "0/1"), ("0", "1/1")])
+    def test_finite_counting_of_none_or_all_prints_a_fraction(self, threshold, exact, capsys):
+        argv = ["squares", "--finite", "3", "--threshold", threshold]
+        _, csv_out, _ = run_cli(argv, capsys)
+        _, json_out, _ = run_cli(argv + ["--format", "json"], capsys)
+        for rows in (parse_csv(csv_out), json.loads(json_out)["rows"]):
+            assert [r["probability"] for r in rows[-2:]] == [exact, exact]
+
     def test_out_of_range_threshold(self, capsys):
         code, _, _ = run_cli(["squares", "--threshold", "200"], capsys)
         assert code == 2
@@ -294,6 +302,10 @@ class TestRationalsCommand:
             # numpy's geometric draws saturate at the int64 maximum
             ["sample", "--law", "geometric:1e-300", "--samples", "2"],
             ["atom", "--q", "1/2", "--law", "custom:99999999999999999999=1"],
+            # law parameters that overflow a float along the way
+            ["atom", "--q", "1/2", "--law", "poisson:1e307"],
+            ["converge", "--ks", f"2,{10**309}"],
+            ["converge", "--family", "poisson", "--ks", f"1,{10**309}"],
             # law texts with control characters, which the tables would echo
             ["atom", "--q", "1/2", "--law", "custom:1=1\r"],
             ["sample", "--law", "custom:1=1\n", "--samples", "2"],

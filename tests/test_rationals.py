@@ -468,6 +468,29 @@ class TestLawMechanics:
             # the series over m = top/3, 2 top/3 and top, where 3/top is 1/(top/3)
             assert atom_probability(Rational(1, top // 3), law, TOL) == 1.0 / (top + 1.0)
 
+    @pytest.mark.parametrize("v", [1, 7, 100_000])
+    def test_degenerate_law_is_the_one_entry_custom_table(self, v):
+        degenerate, table = DegenerateLaw(v), CustomLaw({v: 1.0})
+        for dtype in (np.int64, np.float64):
+            ms = np.arange(1, 2 * v + 2, dtype=dtype)
+            assert degenerate.pmf_array(ms).tobytes() == table.pmf_array(ms).tobytes()
+        assert degenerate.truncation_index(TOL) == table.truncation_index(TOL) == v
+        assert degenerate.sup_pmf() == table.sup_pmf() == 1.0
+        for q in (Rational(0, 1), Rational(1, v), Rational(1, 2)):
+            assert atom_probability(q, degenerate, TOL) == atom_probability(q, table, TOL)
+        assert cdf(0.37, degenerate, TOL) == cdf(0.37, table, TOL)
+        assert interval_probability(0.2, 0.7, degenerate, TOL) == interval_probability(
+            0.2, 0.7, table, TOL
+        )
+        assert mean_reciprocal(degenerate, TOL) == mean_reciprocal(table, TOL)
+        # the one reason DegenerateLaw overrides sample: it spends no draw, a table's choice does
+        rng = stream_generator(v, 0)
+        state = rng.bit_generator.state
+        assert np.array_equal(degenerate.sample(rng, 1000), np.full(1000, v))
+        assert rng.bit_generator.state == state
+        assert np.array_equal(table.sample(rng, 1000), np.full(1000, v))
+        assert rng.bit_generator.state != state
+
 
 class TestSampling:
     def test_samples_are_always_canonical(self):
