@@ -24,7 +24,6 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .montecarlo import BATCH_SIZE, Experiment, _scratch
-from .quadrature import gauss_legendre
 
 # Edge length of the equilateral triangle inscribed in the unit circle: the
 # classical threshold the random chord is compared against.
@@ -262,8 +261,9 @@ def exceed_probability_under_measure(
     evaluating it in a foreign coordinate system requires the pushforward
     density rather than the foreign model's own uniform one.  Supported
     pairs: the three native (measure == evaluation_system) cases and
-    midpoint-uniform evaluated in polar coordinates, whose radial integral
-    is a Gauss-Legendre rule exact to rounding on this linear integrand.
+    midpoint-uniform evaluated in polar coordinates: the density r/pi
+    (the disc's 1/pi times r, the inverse of the polar Jacobian 1/r),
+    integrated over theta in (-pi, pi] and r in [0, R], is R**2.
     """
     if not 0.0 <= threshold <= 2.0:
         raise ValueError(f"threshold must lie in [0, 2], got {threshold}")
@@ -275,10 +275,9 @@ def exceed_probability_under_measure(
         measure is ChordModel.MIDPOINT_UNIFORM
         and evaluation_system is ChordModel.POLAR_UNIFORM
     ):
-        # integrated over theta in closed form and over r numerically
-        return gauss_legendre(
-            lambda r: _pushforward_polar_density(r) * 2.0 * math.pi, 0.0, _event_radius(threshold)
-        )
+        # the integral of _pushforward_polar_density(r) * 2pi = 2r over [0, R]
+        radius = _event_radius(threshold)
+        return radius * radius
 
     raise NotImplementedError(
         f"no pushforward available for measure={measure.value} "

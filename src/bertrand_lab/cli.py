@@ -3,7 +3,9 @@
 Every run is deterministic: the seed defaults to a fixed constant, can be
 overridden by the BERTRAND_LAB_SEED environment variable or --seed, and is
 taken modulo 2**64, the value the tables echo.  The output bytes depend only
-on the parsed arguments.  Floats are printed with 9 significant digits
+on the parsed arguments: ``__main__`` holds OpenBLAS to one thread before
+numpy loads, so they depend on neither the host's cores nor the caller's
+environment.  Floats are printed with 9 significant digits
 (round-half-even); exact rationals are printed as "n/m" strings, never as
 decimals.  CSV uses RFC-4180 quoting with LF line endings;
 JSON output is a single object with a "rows" array carrying the same fields.
@@ -449,7 +451,3 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return code
-
-
-if __name__ == "__main__":
-    sys.exit(main())

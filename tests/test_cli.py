@@ -647,7 +647,8 @@ IMPORT_BOUNDARIES = [
     pytest.param(["squares", "--finite", "10"], [BERTRAND, BUFFON, RATIONALS], id="squares"),
     pytest.param(
         ["bertrand", "--samples", "1000", "--pushforward"],
-        [BUFFON, RATIONALS, SQUARES, "statistics", "fractions", "decimal"],
+        [BUFFON, RATIONALS, SQUARES, "statistics", "fractions", "decimal",
+         "bertrand_lab.quadrature", "numpy.polynomial"],
         id="bertrand",
     ),
     pytest.param(
@@ -669,10 +670,78 @@ class TestModuleEntryPoint:
         assert proc.returncode == 0
         assert proc.stdout.splitlines()[0] == "model,threshold,probability"
 
+    def run_python(self, script, **env):
+        proc = subprocess.run(
+            [sys.executable, "-c", textwrap.dedent(script)],
+            capture_output=True,
+            text=True,
+            env=dict(src_env(), **env),
+        )
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout
+
+    def test_package_import_leaves_numpy_and_blas_threads_alone(self):
+        # a library user's process keeps its own BLAS pool; only the CLI's start holds it to one
+        out = self.run_python(
+            """
+            import os, sys
+            os.environ.pop("OPENBLAS_NUM_THREADS", None)
+            import bertrand_lab
+            print("numpy" in sys.modules, os.environ.get("OPENBLAS_NUM_THREADS"))
+            """
+        )
+        assert out == "False None\n"
+
+    def test_main_module_import_is_quiet_and_is_the_cli(self):
+        out = self.run_python(
+            """
+            import io, contextlib
+            buffer = io.StringIO()
+            with contextlib.redirect_stdout(buffer):
+                import bertrand_lab.__main__ as entry
+            from bertrand_lab import cli
+            print(repr(buffer.getvalue()), entry.main is cli.main)
+            """
+        )
+        assert out == "'' True\n"
+
+    def test_console_script_starts_through_the_main_module(self):
+        tomllib = pytest.importorskip("tomllib")
+        pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+        scripts = tomllib.loads(pyproject.read_text())["project"]["scripts"]
+        assert scripts == {"bertrand-lab": "bertrand_lab.__main__:main"}
+
+    def test_cli_start_holds_openblas_to_one_thread(self):
+        # the setting must override the caller's: a second thread may sum a dgemv in another order
+        script = """
+            import contextlib, ctypes, glob, io, json, os, runpy, sys
+            sys.argv = ["bertrand-lab", "squares"]
+            try:
+                with contextlib.redirect_stdout(io.StringIO()):
+                    runpy.run_module("bertrand_lab", run_name="__main__")
+            except SystemExit as stop:
+                assert stop.code == 0, stop.code
+            import numpy
+            libs = os.path.join(os.path.dirname(numpy.__file__), os.pardir, "numpy.libs")
+            counts = []
+            for path in glob.glob(os.path.join(libs, "*openblas*")):
+                lib = ctypes.CDLL(path)
+                for fn in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
+                           "openblas_get_num_threads"):
+                    if hasattr(lib, fn):
+                        counts.append(getattr(lib, fn)())
+                        break
+            print(json.dumps(counts))
+            """
+        counts = json.loads(self.run_python(script, OPENBLAS_NUM_THREADS="2").splitlines()[-1])
+        if not counts:
+            pytest.skip("numpy's BLAS is not OpenBLAS")
+        assert counts == [1]
+
     def test_cli_runs_without_scipy(self):
         # scipy is a test-only reference: importing the CLI and running
         # commands that use every former scipy call site must not load it
-        script = textwrap.dedent(
+        out = self.run_python(
             """
             import sys
             from bertrand_lab import cli
@@ -685,15 +754,11 @@ class TestModuleEntryPoint:
             print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
             """
         )
-        proc = subprocess.run(
-            [sys.executable, "-c", script], capture_output=True, text=True, env=src_env()
-        )
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines()[-1] == "[]"
+        assert out.splitlines()[-1] == "[]"
 
     @pytest.mark.parametrize("argv, unloaded", IMPORT_BOUNDARIES)
     def test_subcommand_imports_only_its_own_modules(self, argv, unloaded):
-        script = textwrap.dedent(
+        out = self.run_python(
             f"""
             import sys
             from bertrand_lab import cli
@@ -701,11 +766,7 @@ class TestModuleEntryPoint:
             print(sorted(m for m in {unloaded!r} if m in sys.modules))
             """
         )
-        proc = subprocess.run(
-            [sys.executable, "-c", script], capture_output=True, text=True, env=src_env()
-        )
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines()[-1] == "[]"
+        assert out.splitlines()[-1] == "[]"
 
 
 class TestOutputErrors:
