@@ -1,11 +1,10 @@
 """Entry point of ``python -m bertrand_lab`` and of the ``bertrand-lab`` script.
 
-OpenBLAS is held to one thread before ``cli`` imports numpy. The CLI has no
-BLAS call that a second thread speeds up, the pool costs every cold command
-its start-up CPU, and a threaded dgemv may sum in another order, so the
-output bytes would depend on the host's cores or the caller's environment.
-The setting is unconditional for that reason. The package ``__init__`` does
-not touch it: a library user's process keeps its own BLAS threads.
+OpenBLAS is held to one thread before ``cli`` imports numpy. The CLI makes
+no BLAS call, so the setting only spares every cold command the start-up CPU
+of a thread pool it would never use; the output bytes do not depend on it.
+The package ``__init__`` does not touch it: a library user's process keeps
+its own BLAS threads.
 """
 
 import os

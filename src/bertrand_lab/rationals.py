@@ -20,8 +20,9 @@ chunks of ``_CHUNK_CELLS`` cells (denominators times evaluation points), so
 memory does not grow with the truncation index L; a series of more than
 ``_BUDGET_CELLS`` cells, or one past ``_MAX_DENOMINATOR``, raises ``ValueError``
 before any work, naming its range.  Each chunk is computed in place, in
-buffers allocated once per call, and a chunk whose pmf is 0 everywhere is
-skipped: it would add +0.0.
+buffers allocated once per call, a chunk whose pmf is 0 everywhere is skipped
+(it would add +0.0), and a one-point series exactly rounds the sum of its
+chunk sums with ``math.fsum``.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from __future__ import annotations
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Iterator, Mapping
+from typing import Callable, Iterator, Mapping
 
 import numpy as np
 
@@ -137,27 +138,32 @@ def _blocks(ms: range, points: int = 1) -> Iterator[np.ndarray]:
     yield np.add(steps[:n], starts[-1], out=buf[:n])
 
 
-def _chunks(
-    law: DenominatorLaw, ms: range, points: int = 1
-) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Yield ``(m, p, work)`` over ``_blocks(ms, points)``: ``p`` is
-    ``law.pmf_array(m)`` and ``work`` a free float64 array of the same
-    length, both reused like ``m``.
-
-    A block whose pmf is 0 everywhere (it underflowed) is skipped, because it
-    would add +0.0 to every series.
+def _chunks(law: DenominatorLaw, ms: range, points: int = 1) -> Iterator[tuple[np.ndarray, ...]]:
+    """Yield ``(m, p, w, v)`` over ``_blocks(ms, points)``: ``p`` is
+    ``law.pmf_array(m)``, and ``w`` and ``v`` free float64 arrays of its length,
+    all reused like ``m``.  A block whose pmf is 0 everywhere (it underflowed)
+    is skipped, because it would add +0.0 to every series.
     """
-    p = None
+    buf = None
     for m in _blocks(ms, points):
         # the first block is the longest, so its buffer serves every later one
-        if p is None:
-            p, work = np.empty((2, len(m)))
-        elif len(m) < len(p):
-            p, work = p[: len(m)], work[: len(m)]
+        if buf is None:
+            buf = np.empty((3, len(m)))
+        p, w, v = buf[:, : len(m)]
         law.pmf_array(m, out=p)
         # testing the ends first spares most blocks the full scan
         if p[0] or p[-1] or p.any():
-            yield m, p, work
+            yield m, p, w, v
+
+
+def _series(law: DenominatorLaw, tol: float, term: Callable, step: int = 1) -> float:
+    """The one-point series over m = step, 2 step, ... up to the law's
+    truncation index: ``term(m, p, w, v)`` turns each chunk of ``_chunks`` into
+    its terms, in its arrays, and ``math.fsum`` exactly rounds the chunk sums.
+    """
+    # a walk from 1 has at most _BUDGET_CELLS denominators, so there m is float64
+    ms = range(step, law.truncation_index(tol) + 1, step)
+    return math.fsum(float(term(*chunk).sum()) for chunk in _chunks(law, ms))
 
 
 class DenominatorLaw(ABC):
@@ -285,7 +291,7 @@ class PoissonLaw(DenominatorLaw):
         # a cumsum per chunk from the carry adds in the same order as one cumsum.
         # It never falls, so the first m where it passes tol is the answer.
         above = 0.0
-        for m, p, _ in _chunks(self, range(hi, lo - 1, -1)):
+        for m, p, *_ in _chunks(self, range(hi, lo - 1, -1)):
             p[0] += above
             run = np.cumsum(p, out=p)
             if run[-1] > tol:
@@ -370,14 +376,36 @@ def atom_probability(q: Rational, law: DenominatorLaw, tol: float = DEFAULT_TOL)
     dropped term is at most its pmf factor, so the truncation error is at
     most ``tol``.
     """
-    ms = range(q.denominator, law.truncation_index(tol) + 1, q.denominator)
-    return math.fsum(
-        float(np.divide(p, np.add(m, 1.0, out=w), out=w).sum()) for m, p, w in _chunks(law, ms)
+    return _series(
+        law, tol, lambda m, p, w, _: np.divide(p, np.add(m, 1.0, out=w), out=w), q.denominator
     )
 
 
-def _cdf(xs: np.ndarray, law: DenominatorLaw, tol: float) -> np.ndarray:
-    """F_Q at each point of ``xs``; the series behind ``cdf`` and ``cdf_grid``."""
+def cdf(x: float, law: DenominatorLaw, tol: float = DEFAULT_TOL) -> float:
+    """F_Q(x) = P{Q <= x}: 0 below 0, 1 from 1 up, a rational staircase between.
+
+    For 0 <= x < 1 the per-denominator factor is (floor(m x) + 1)/(m + 1),
+    counting the numerators 0..m that keep n/m <= x.  Its chunk sums are
+    exactly rounded, so it agrees with ``cdf_grid`` to a few ulps, not bit for bit.
+    """
+    _check_tol(tol)
+    if math.isnan(x):
+        raise ValueError("x must not be NaN")
+    if not 0.0 <= x < 1.0:
+        return 0.0 if x < 0.0 else 1.0
+
+    def term(m, p, w, _):
+        # p * (floor(m x) + 1) / (m + 1), in place and in that order
+        np.add(np.floor(np.multiply(m, x, out=w), out=w), 1.0, out=w)
+        return np.divide(np.multiply(w, p, out=w), np.add(m, 1.0, out=m), out=w)
+
+    return _series(law, tol, term)
+
+
+def cdf_grid(xs: np.ndarray, law: DenominatorLaw, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """``cdf`` at each point of ``xs`` to a few ulps, not bit for bit: each
+    chunk adds its terms to every point as one matrix-vector product, in order.
+    """
     _check_tol(tol)
     xs = np.asarray(xs, dtype=np.float64)
     if np.isnan(xs).any():
@@ -391,7 +419,7 @@ def _cdf(xs: np.ndarray, law: DenominatorLaw, tol: float) -> np.ndarray:
     points = xin.size
     acc, dot, cells = np.zeros_like(xin), np.empty_like(xin), None
     # at most _BUDGET_CELLS denominators from 1, so m is float64 and m[0] + i exact
-    for m, p, _ in _chunks(law, range(1, law.truncation_index(tol) + 1), points):
+    for m, p, *_ in _chunks(law, range(1, law.truncation_index(tol) + 1), points):
         rows = len(m)
         if cells is None:
             # chunks never grow, so buffers sized by the first serve every later one
@@ -414,20 +442,6 @@ def _cdf(xs: np.ndarray, law: DenominatorLaw, tol: float) -> np.ndarray:
     return out
 
 
-def cdf(x: float, law: DenominatorLaw, tol: float = DEFAULT_TOL) -> float:
-    """F_Q(x) = P{Q <= x}: 0 below 0, 1 from 1 up, a rational staircase between.
-
-    For 0 <= x < 1 the per-denominator factor is (floor(m x) + 1)/(m + 1),
-    counting the numerators 0..m that keep n/m <= x.
-    """
-    return float(_cdf(np.array([x]), law, tol)[0])
-
-
-def cdf_grid(xs: np.ndarray, law: DenominatorLaw, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Vectorized ``cdf`` over a grid."""
-    return _cdf(xs, law, tol)
-
-
 def interval_probability(a: float, b: float, law: DenominatorLaw, tol: float = DEFAULT_TOL) -> float:
     """P{a < Q <= b} for 0 <= a < b <= 1.
 
@@ -437,18 +451,14 @@ def interval_probability(a: float, b: float, law: DenominatorLaw, tol: float = D
     """
     if not (0.0 <= a < b <= 1.0):
         raise ValueError(f"need 0 <= a < b <= 1, got a={a}, b={b}")
-    sums, low = [], None
-    # at most _BUDGET_CELLS denominators from 1, so m is float64
-    for m, p, high in _chunks(law, range(1, law.truncation_index(tol) + 1)):
+
+    def term(m, p, high, low):
         # p * (floor(m b) - floor(m a)) / (m + 1), in place and in that order
-        low = np.empty_like(high) if low is None else low[: len(m)]
         np.floor(np.multiply(m, b, out=high), out=high)
         high -= np.floor(np.multiply(m, a, out=low), out=low)
-        high *= p
-        m += 1.0
-        high /= m
-        sums.append(float(high.sum()))
-    return math.fsum(sums)
+        return np.divide(np.multiply(high, p, out=high), np.add(m, 1.0, out=m), out=high)
+
+    return _series(law, tol, term)
 
 
 def mean_reciprocal(law: DenominatorLaw, tol: float = DEFAULT_TOL) -> float:
@@ -457,8 +467,7 @@ def mean_reciprocal(law: DenominatorLaw, tol: float = DEFAULT_TOL) -> float:
     Every atom probability is below it, and interval probabilities differ
     from interval length by at most (1 + length) times it.
     """
-    ms = range(1, law.truncation_index(tol) + 1)
-    return math.fsum(float(np.divide(p, m, out=p).sum()) for m, p, _ in _chunks(law, ms))
+    return _series(law, tol, lambda m, p, *_: np.divide(p, m, out=p))
 
 
 def harmonic_number(k: int) -> float:
@@ -554,14 +563,5 @@ def convergence_table(
         s = law.sup_pmf()
         mu = mean_reciprocal(law, tol)
         err = abs(interval_probability(a, b, law, tol) - (b - a))
-        rows.append(
-            ConvergenceDiagnostics(
-                k=k,
-                pmf_sup=s,
-                pmf_sup_log_k=s * math.log(k),
-                harmonic_number=harmonic_number(k),
-                mean_reciprocal=mu,
-                interval_error=err,
-            )
-        )
+        rows.append(ConvergenceDiagnostics(k, s, s * math.log(k), harmonic_number(k), mu, err))
     return rows

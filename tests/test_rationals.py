@@ -190,6 +190,21 @@ class TestCdf:
         with pytest.raises(ValueError):
             cdf_grid(np.array([0.25, float("nan")]), GeometricLaw(0.2), TOL)
         assert cdf(float("-inf"), GeometricLaw(0.2), TOL) == 0.0
+        # cdf sums apart from cdf_grid, with the same edges and the same errors
+        law, nan = GeometricLaw(0.2), float("nan")
+        edges = [-math.inf, -0.0, 0.0, 1.0, math.inf]
+        grid = cdf_grid(np.array(edges), law, TOL)
+        assert [grid[0], *grid[3:]] == [0.0, 1.0, 1.0]
+        for x, on_grid in zip(edges, grid):
+            assert cdf(x, law, TOL) == pytest.approx(on_grid, rel=4 * 2**-52, abs=0.0)
+        assert cdf(-0.0, law, TOL) == cdf(0.0, law, TOL)
+        for call in (cdf, lambda x, law, tol: cdf_grid(np.array([x]), law, tol)):
+            with pytest.raises(ValueError, match="x must not be NaN"):
+                call(nan, law, TOL)
+            # tol is checked first, even where x needs no series
+            for x, tol in ((nan, nan), (-1.0, 0.0), (0.5, 1.0), (2.0, -1e-10)):
+                with pytest.raises(ValueError, match="tol must lie in"):
+                    call(x, law, tol)
 
     def test_right_continuous_at_atoms(self):
         law = DegenerateLaw(2)

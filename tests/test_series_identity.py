@@ -4,12 +4,21 @@ The references below build every chunk as a fresh array: the same chunk
 boundaries (``_CHUNK_CELLS`` cells), the same pmf formulas and the same
 operation and accumulation order as the library, written without its
 buffers.  Results must agree with ``==``, not within a tolerance.
+
+The one-point series also call no BLAS, so their bits do not depend on the
+host's BLAS thread count, and ``cdf`` lies within 2 ulps of the exactly
+rounded sum of its terms.
 """
 
 import math
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
+
+from test_cli import src_env
 
 from bertrand_lab.rationals import (
     CustomLaw,
@@ -121,6 +130,13 @@ def ref_cdf(xs: np.ndarray, law, pmf) -> np.ndarray:
     return out
 
 
+def ref_cdf_point(x: float, law, pmf) -> float:
+    return math.fsum(
+        float((pmf(m) * (np.floor(m * x) + 1.0) / (m + 1.0)).sum())
+        for m in blocks(range(1, law.truncation_index(TOL) + 1))
+    )
+
+
 def ref_interval(a: float, b: float, law, pmf) -> float:
     return math.fsum(
         float((pmf(m) * (np.floor(m * b) - np.floor(m * a)) / (m + 1.0)).sum())
@@ -198,7 +214,7 @@ class TestOnePointSeries:
     def test_cdf(self, law_id):
         law, pmf = LAWS[law_id]
         for x in (0.0, 0.37, 0.7, 0.999):
-            assert cdf(x, law, TOL) == float(ref_cdf(np.array([x]), law, pmf)[0])
+            assert cdf(x, law, TOL) == ref_cdf_point(x, law, pmf)
 
     def test_interval_probability(self, law_id):
         law, pmf = LAWS[law_id]
@@ -237,3 +253,68 @@ def test_poisson_truncation_and_tail_are_bit_identical(mean):
     law = PoissonLaw(mean)
     for tol in (1e-3, 1e-10, 1e-300):
         assert law.truncation_index(tol) == ref_poisson_truncation_index(law, tol)
+
+
+def test_cdf_is_within_two_ulps_of_its_exact_sum():
+    for law_id, (law, pmf) in LAWS.items():
+        m = np.arange(1, law.truncation_index(TOL) + 1, dtype=np.int64)
+        p = pmf(m)
+        for x in (0.0, 0.37, 0.7, 0.999):
+            exact = math.fsum((p * (np.floor(m * x) + 1.0) / (m + 1.0)).tolist())
+            assert abs(cdf(x, law, TOL) - exact) <= 2 * math.ulp(exact), (law_id, x)
+    # 0.3 * 5/6 + 0.7 * 9/10; a matrix-vector product gave 0.8799999999999999
+    assert cdf(0.999, CustomLaw({5: 0.3, 9: 0.7}), TOL) == 0.88
+
+
+def test_one_point_series_call_no_blas(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a one-point series called BLAS")
+
+    for name in ("matmul", "dot", "vdot", "inner", "einsum", "tensordot"):
+        monkeypatch.setattr(np, name, refuse)
+    for law_id in ("geometric:1e-4", "poisson:1e4", "custom:gapped"):
+        law = LAWS[law_id][0]
+        assert 0.0 < cdf(0.37, law, TOL) < 1.0
+        assert 0.0 < interval_probability(0.2, 0.7, law, TOL) < 1.0
+        assert 0.0 < atom_probability(Rational(1, 3), law, TOL) < 1.0
+        assert 0.0 < mean_reciprocal(law, TOL) < 1.0
+
+
+# the one-point series at 23 interior points of linspace(0, 1, 25), as raw bytes
+BLAS_THREADS_SCRIPT = """
+    import numpy as np
+    from bertrand_lab.rationals import (
+        GeometricLaw, PoissonLaw, atom_probability, canonicalize, cdf,
+        interval_probability, mean_reciprocal,
+    )
+    xs = np.linspace(0.0, 1.0, 25)[1:-1]
+    values = []
+    for law in (GeometricLaw(1e-4), GeometricLaw(1e-5), PoissonLaw(1e4), PoissonLaw(1e5)):
+        values += [cdf(x, law) for x in xs]
+        values += [interval_probability(0.0, x, law) for x in xs]
+        values += [atom_probability(canonicalize(i, 24), law) for i in range(1, 24)]
+        values.append(mean_reciprocal(law))
+    print(np.array(values).tobytes().hex())
+"""
+
+
+def test_one_point_series_do_not_depend_on_blas_threads():
+    # each count in a fresh process, since OpenBLAS reads it when numpy loads
+    runs = [
+        subprocess.Popen(
+            [sys.executable, "-c", textwrap.dedent(BLAS_THREADS_SCRIPT)],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=dict(src_env(), OPENBLAS_NUM_THREADS=threads),
+        )
+        for threads in ("1", "2")
+    ]
+    outs = []
+    for proc in runs:
+        out, err = proc.communicate(timeout=300)
+        assert proc.returncode == 0, err
+        outs.append(out)
+    # 70 float64 values per law, in hex, and a newline
+    assert len(outs[0]) == 2 * 8 * 4 * (3 * 23 + 1) + 1
+    assert outs[0] == outs[1]
