@@ -8,6 +8,8 @@ the host's cores nor the caller's environment.  Floats are printed with 9 signif
 (round-half-even); exact rationals are printed as "n/m" strings, never as
 decimals.  CSV uses RFC-4180 quoting with LF line endings;
 JSON output is a single object with a "rows" array carrying the same fields.
+Tables of constants and lists are written with the standard library, and only
+tables holding an array import numpy; both writers write the same bytes.
 """
 
 from __future__ import annotations
@@ -16,12 +18,12 @@ import argparse
 import json
 import os
 import sys
-from typing import TYPE_CHECKING, Any, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Any, Iterable, Sequence
 
 # handlers import the modules they run, so a cold command loads only those; this is for annotations
 if TYPE_CHECKING:
+    import numpy as np
+
     from . import rationals
 
 DEFAULT_SEED = 42
@@ -59,6 +61,7 @@ _CHUNK_ROWS = 2**15
 
 def _digits(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Integers as a sign byte and right-aligned ASCII digits, with the mask of the bytes kept."""
+    import numpy as np
     neg = values < 0
     # negating the wrapped uint64 of a negative value gives its magnitude, also at int64 min
     mag = values.astype(np.uint64)
@@ -82,6 +85,7 @@ def _digits(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _texts(texts: list[str], index: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Cells as left-aligned UTF-8 texts, picked by index if given, with the mask of the bytes kept."""
+    import numpy as np
     encoded = [text.encode() for text in texts]
     table = np.array(encoded, dtype="S")
     block = table.view(np.uint8).reshape(len(table), table.itemsize)
@@ -93,6 +97,7 @@ def _texts(texts: list[str], index: np.ndarray | None = None) -> tuple[np.ndarra
 
 def _floats(values: np.ndarray, as_json: bool) -> tuple[np.ndarray, np.ndarray]:
     """Float cells, each distinct value encoded once."""
+    import numpy as np
     # unique bit patterns keep -0.0 apart from 0.0
     bits, inverse = np.unique(np.asarray(values, np.float64).view(np.int64), return_inverse=True)
     return _texts([_encode(v, as_json) for v in bits.view(np.float64).tolist()], inverse)
@@ -106,6 +111,7 @@ def _column(values: Any, as_json: bool) -> list[Any]:
     A cell maker takes a row range lo..hi and returns a (rows, width) byte
     block with the mask of its bytes to keep.
     """
+    import numpy as np
     if isinstance(values, tuple):
         num, den = values
         quote = '"' if as_json else ""
@@ -121,6 +127,7 @@ def _column(values: Any, as_json: bool) -> list[Any]:
 
 def _render(template: list[Any], lo: int, hi: int) -> np.ndarray:
     """Rows lo..hi as one flat byte array: the pieces side by side, padding masked out."""
+    import numpy as np
     pieces = [piece if isinstance(piece, bytes) else piece(lo, hi) for piece in template]
     # every row starts as the template's texts, with zeros where the cells go
     row = b"".join(p if isinstance(p, bytes) else bytes(p[0].shape[1]) for p in pieces)
@@ -138,15 +145,40 @@ def _render(template: list[Any], lo: int, hi: int) -> np.ndarray:
     return block[keep]
 
 
+def _write(args: argparse.Namespace, text: Iterable[str]) -> int:
+    """Write the pieces of a table's text to --out, or to stdout."""
+    if args.out:
+        with open(args.out, "w", newline="") as f:
+            f.writelines(text)
+    else:
+        sys.stdout.writelines(text)
+    return 0
+
+
 def _emit(args: argparse.Namespace, columns: dict[str, Any]) -> int:
     r"""Write a table of two or more columns, each a constant, a sequence or a fraction pair.
 
     The sequences share one length, the row count, of at least 1; a table of
     constants is one row.  The text equals csv.writer(lineterminator="\n") or
     json.dumps({"rows": [...]}, indent=2) + "\n" on the rows spelled out.
-    Rows are rendered _CHUNK_ROWS at a time as byte blocks, and each block is
-    written as soon as it is built.
+    A table of constants and lists is spelled out here, one CSV line per row;
+    a table holding an array or a fraction pair goes to ``_emit_blocks``.
     """
+    if not all(isinstance(values, (list, str, int, float, type(None))) for values in columns.values()):
+        return _emit_blocks(args, columns)
+    rows = max((len(values) for values in columns.values() if isinstance(values, list)), default=1)
+    cells = [[v[i] if isinstance(v, list) else v for v in columns.values()] for i in range(rows)]
+    if args.format == "json":
+        rounded = [{name: float(format(v, ".9g")) if isinstance(v, float) else v
+                    for name, v in zip(columns, row)} for row in cells]
+        return _write(args, [json.dumps({"rows": rounded}, indent=2) + "\n"])
+    return _write(args, (",".join(_encode(v, False) for v in row) + "\n" for row in [list(columns), *cells]))
+
+
+def _emit_blocks(args: argparse.Namespace, columns: dict[str, Any]) -> int:
+    """``_emit`` for any table: rows are rendered _CHUNK_ROWS at a time as numpy
+    byte blocks, and each block is written as soon as it is built."""
+    import numpy as np
     as_json = args.format == "json"
     pieces: list[Any] = []
     rows = 1
@@ -170,12 +202,7 @@ def _emit(args: argparse.Namespace, columns: dict[str, Any]) -> int:
         if as_json:
             yield "\n  ]\n}\n"
 
-    if args.out:
-        with open(args.out, "w", newline="") as f:
-            f.writelines(text())
-    else:
-        sys.stdout.writelines(text())
-    return 0
+    return _write(args, text())
 
 
 def _fields(records: Sequence[Any], *names: str) -> dict[str, list[Any]]:
@@ -331,6 +358,7 @@ def cmd_interval(args: argparse.Namespace) -> int:
 
 
 def cmd_sample(args: argparse.Namespace) -> int:
+    import numpy as np
     from . import montecarlo, rationals
 
     law = _parse_law(args.law)

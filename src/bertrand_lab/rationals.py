@@ -386,7 +386,8 @@ def cdf(x: float, law: DenominatorLaw, tol: float = DEFAULT_TOL) -> float:
 
     For 0 <= x < 1 the per-denominator factor is (floor(m x) + 1)/(m + 1),
     counting the numerators 0..m that keep n/m <= x.  Its chunk sums are
-    exactly rounded, so it agrees with ``cdf_grid`` to a few ulps, not bit for bit.
+    exactly rounded; ``cdf_grid`` adds them in order and drifts from it with
+    the chunk count, by up to 54 ulps at geometric k = 1e4 on 1,000 points.
     """
     _check_tol(tol)
     if math.isnan(x):
@@ -403,8 +404,9 @@ def cdf(x: float, law: DenominatorLaw, tol: float = DEFAULT_TOL) -> float:
 
 
 def cdf_grid(xs: np.ndarray, law: DenominatorLaw, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """``cdf`` at each point of ``xs`` to a few ulps, not bit for bit: each
-    chunk adds its terms to every point as one matrix-vector product, in order.
+    """``cdf`` at each point of ``xs`` to tens of ulps, not bit for bit: each chunk
+    adds its terms to every point as one matrix-vector product, in order (54 ulps
+    at geometric k = 1e4 on 1,000 points, 159 at k = 1e5).
     """
     _check_tol(tol)
     xs = np.asarray(xs, dtype=np.float64)

@@ -13,11 +13,11 @@ from __future__ import annotations
 import enum
 import math
 from fractions import Fraction
-from typing import Callable, NamedTuple
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
-import numpy as np
-
-from .montecarlo import Experiment, _scratch
+# the closed forms and the counting are plain arithmetic: only the experiment loads numpy
+if TYPE_CHECKING:
+    from .montecarlo import Experiment
 
 X_MAX = 100.0
 Y_MAX = X_MAX * X_MAX
@@ -84,6 +84,9 @@ def finite_counting_probability(n_max: int, threshold: float, squared: bool = Fa
 
 def square_exceed_experiment(x_threshold: float = 50.0) -> Experiment:
     """Bernoulli experiment: X uniform on [0, 100], does X^2 beat x_threshold^2?"""
+    import numpy as np
+    from .montecarlo import Experiment, _scratch
+
     if not 0.0 <= x_threshold <= X_MAX:
         raise ValueError(f"x_threshold must lie in [0, {X_MAX:g}], got {x_threshold}")
     y_threshold = x_threshold * x_threshold

@@ -18,7 +18,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bertrand_lab.cli import _CHUNK_ROWS, DEFAULT_SEED, SEED_ENV_VAR, _emit, build_parser, main
+from bertrand_lab.cli import (
+    _CHUNK_ROWS, DEFAULT_SEED, SEED_ENV_VAR, _emit, _emit_blocks, build_parser, main,
+)
 
 
 def run_cli(argv, capsys):
@@ -439,6 +441,32 @@ def column_tables(draw):
     return columns
 
 
+def _nine_digit_edge(digits, exponent, step):
+    """The float nearest the decimal tie digits.5 * 10**exponent (digits has 9 digits),
+    or its neighbour one ulp below or above."""
+    x = float(f"{digits}5e{exponent}")
+    return x if step == 0 else math.nextafter(x, step * math.inf)
+
+
+# floats whose 9-digit rounding is decided by the last bits, beside -0.0, NaN and infinities
+EDGE_FLOATS = st.one_of(
+    st.builds(_nine_digit_edge, st.integers(-(10**9) + 1, 10**9 - 1).filter(lambda d: abs(d) >= 10**8),
+              st.integers(-330, 290), st.sampled_from([-1, 0, 1])),
+    st.sampled_from([-0.0, math.nan, math.inf, -math.inf]),
+)
+SCALAR_CELLS = st.one_of(SCALARS, EDGE_FLOATS)
+
+
+@st.composite
+def scalar_tables(draw):
+    """Tables of 2-5 columns, each a constant or a list of cells: the tables written without numpy."""
+    n = draw(st.integers(1, 5))
+    return {
+        name: draw(st.one_of(SCALAR_CELLS, st.lists(SCALAR_CELLS, min_size=n, max_size=n)))
+        for name in draw(st.lists(TEXTS, min_size=2, max_size=5, unique=True))
+    }
+
+
 def spelled_rows(columns):
     """The table as row dicts, with each constant repeated in every row and fractions as "n/m"."""
     columns = {
@@ -517,6 +545,20 @@ class TestOutputFormats:
             assert _emit(Namespace(format=fmt, out=str(path)), columns) == 0
             with open(path, newline="") as f:
                 assert f.read() == expected
+
+    @settings(max_examples=300, deadline=None)
+    @given(columns=scalar_tables(), fmt=st.sampled_from(["csv", "json"]))
+    def test_scalar_writer_matches_block_renderer(self, columns, fmt):
+        def written(emit):
+            buf = io.StringIO()
+            with redirect_stdout(buf):
+                assert emit(Namespace(format=fmt, out=None), columns) == 0
+            with tempfile.TemporaryDirectory() as tmp:
+                path = Path(tmp) / "table"
+                assert emit(Namespace(format=fmt, out=str(path)), columns) == 0
+                return buf.getvalue(), path.read_bytes()
+
+        assert written(_emit) == written(_emit_blocks)
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_renderer_matches_row_reference_across_blocks(self, fmt, tmp_path):
@@ -644,7 +686,17 @@ IMPORT_BOUNDARIES = [
         [BERTRAND, BUFFON, SQUARES, "concurrent.futures", "logging", "statistics", "fractions", "decimal"],
         id="rationals-sample",
     ),
-    pytest.param(["squares", "--finite", "10"], [BERTRAND, BUFFON, RATIONALS], id="squares"),
+    # squares is plain arithmetic, and a table of constants and lists is written without numpy
+    pytest.param(
+        ["squares", "--finite", "10"], [BERTRAND, BUFFON, RATIONALS, MONTECARLO, "numpy"], id="squares"
+    ),
+    pytest.param(
+        ["squares", "--finite", "10", "--format", "json"],
+        [BERTRAND, BUFFON, RATIONALS, MONTECARLO, "numpy"],
+        id="squares-json",
+    ),
+    pytest.param(["--help"], ["numpy"], id="help"),
+    pytest.param(["rationals", "cdf", "--help"], ["numpy"], id="rationals-cdf-help"),
     pytest.param(
         ["bertrand", "--samples", "1000", "--pushforward"],
         [BUFFON, RATIONALS, SQUARES, "statistics", "fractions", "decimal",
@@ -715,12 +767,14 @@ class TestModuleEntryPoint:
         # the setting must override the caller's: a second thread may sum a dgemv in another order
         script = """
             import contextlib, ctypes, glob, io, json, os, runpy, sys
-            sys.argv = ["bertrand-lab", "squares"]
+            sys.argv = ["bertrand-lab", "rationals", "cdf", "--x", "0.3", "--law", "poisson:4"]
             try:
                 with contextlib.redirect_stdout(io.StringIO()):
                     runpy.run_module("bertrand_lab", run_name="__main__")
             except SystemExit as stop:
                 assert stop.code == 0, stop.code
+            # the command loaded numpy itself: the pool read below is the one the CLI started
+            assert "numpy" in sys.modules
             import numpy
             libs = os.path.join(os.path.dirname(numpy.__file__), os.pardir, "numpy.libs")
             counts = []

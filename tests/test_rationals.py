@@ -226,6 +226,20 @@ class TestCdf:
             scalar = np.array([cdf(float(x), law, TOL) for x in xs])
             np.testing.assert_allclose(grid, scalar, atol=1e-12)
 
+    @pytest.mark.parametrize(
+        "law",
+        [GeometricFamily().law(10**3), GeometricFamily().law(10**4), PoissonFamily().law(10**4)],
+        ids=["geometric-1e3", "geometric-1e4", "poisson-1e4"],
+    )
+    def test_grid_stays_within_64_ulps_of_scalar(self, law):
+        # cdf rounds each chunk sum exactly and cdf_grid adds its chunks in order, so the
+        # gap grows with the chunk count: on this grid it was at most 5, 16 and 4 ulps
+        xs = np.arange(143) / 143
+        grid = cdf_grid(xs, law, TOL)
+        scalar = np.array([cdf(float(x), law, TOL) for x in xs])
+        # both lie in (0, 1], where the distance of the bit patterns counts ulps
+        assert np.abs(grid.view(np.int64) - scalar.view(np.int64)).max() <= 64
+
     def test_cdf_interval_agreement_on_random_pairs(self):
         law = GeometricLaw(0.25)
         rng = np.random.default_rng(99)
