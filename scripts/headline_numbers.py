@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Reproduce every headline number in one run: exact, quadrature and sampled.
+"""Reproduce every headline number in one run: exact and sampled.
 
 Covers the three chord models (1/4, 1/3, 1/2) with the pushforward
 resolution, both needle models (2/pi, 1/2) with their pi estimates, the

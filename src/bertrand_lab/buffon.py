@@ -18,7 +18,6 @@ from typing import Any, Callable, NamedTuple
 import numpy as np
 
 from .montecarlo import Estimate, Experiment, _scratch, run
-from .quadrature import gauss_legendre
 
 
 class NeedleModel(enum.Enum):
@@ -31,20 +30,14 @@ class DegenerateEstimateError(ArithmeticError):
 
 
 class _Needle(NamedTuple):
-    """One needle model: its exact answer, measure and batch sampler.
-
-    The first coordinate ranges over ``first``.  ``crossing_measure(a)`` is
-    the density times the length of the crossing set of the second
-    coordinate, for one value of the first.
+    """One needle model: its exact answer and batch sampler.
 
     ``event_sample(rng, size)`` draws a batch from a PCG64 stream, building
     only what the event reads in the calling thread's scratch, and ``event``
     maps that batch to the crossings; touching (equality) counts.
     """
 
-    first: tuple[float, float]
     exact: float
-    crossing_measure: Callable[[np.ndarray], np.ndarray]
     event_sample: Callable[[np.random.Generator, int], Any]
     event: Callable[[Any], np.ndarray]
 
@@ -129,26 +122,14 @@ def _endpoints_cross(y: np.ndarray) -> np.ndarray:
     return (y <= 0.0) | (y >= 1.0)
 
 
-def _endpoints_crossing_measure(x: np.ndarray) -> np.ndarray:
-    lower = np.maximum(0.0, 0.0 - (x - 1.0))  # y in [x-1, 0]
-    upper = np.maximum(0.0, (x + 1.0) - 1.0)  # y in [1, x+1]
-    return 0.5 * (lower + upper)
-
-
 _NEEDLES = {
     NeedleModel.CENTER_ANGLE: _Needle(
-        first=(-math.pi / 2.0, math.pi / 2.0),
         exact=2.0 / math.pi,
-        # for a given tilt, the crossing z-values occupy two bands of total
-        # length cos(theta)
-        crossing_measure=lambda theta: np.cos(theta) / math.pi,
         event_sample=_center_angle_batch,
         event=_center_angle_event,
     ),
     NeedleModel.ENDPOINTS: _Needle(
-        first=(0.0, 1.0),
         exact=0.5,
-        crossing_measure=_endpoints_crossing_measure,
         event_sample=_endpoints_y,
         event=_endpoints_cross,
     ),
@@ -158,16 +139,6 @@ _NEEDLES = {
 def exact_cross_probability(model: NeedleModel) -> float:
     """Closed-form crossing probability: 2/pi or 1/2."""
     return _NEEDLES[model].exact
-
-
-def cross_probability_by_quadrature(model: NeedleModel) -> float:
-    """Crossing probability by integrating the model's density over the event.
-
-    Independent numerical route to the closed forms by Gauss-Legendre
-    quadrature, accurate to about 1e-15.
-    """
-    needle = _NEEDLES[model]
-    return gauss_legendre(needle.crossing_measure, *needle.first)
 
 
 def needle_cross_experiment(model: NeedleModel) -> Experiment:

@@ -73,12 +73,12 @@ def finite_counting_probability(n_max: int, threshold: float, squared: bool = Fa
     """
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
-    if threshold < 0:
-        not_exceeding = 0
-    elif squared:
-        not_exceeding = min(n_max, math.isqrt(math.floor(threshold)))
-    else:
-        not_exceeding = min(n_max, math.floor(threshold))
+    if math.isnan(threshold):
+        raise ValueError(f"threshold must be a number, got {threshold}")
+    # every element exceeds a negative threshold and none the largest value, so
+    # clamp to [0, largest] first: it also gives the infinities a floor
+    whole = math.floor(min(max(threshold, 0), n_max * n_max if squared else n_max))
+    not_exceeding = math.isqrt(whole) if squared else whole
     return Fraction(n_max - not_exceeding, n_max)
 
 

@@ -10,12 +10,12 @@ from bertrand_lab.buffon import (
     _center_angle_event,
     _endpoints_y,
     _pi_from_crossings,
-    cross_probability_by_quadrature,
     estimate_pi,
     exact_cross_probability,
     needle_cross_experiment,
 )
 from bertrand_lab.montecarlo import Estimate, run, stream_generator
+from test_reference_numerics import quad_cross_probability
 from test_stream_identity import numpy_needles
 
 N = 10**6
@@ -90,7 +90,7 @@ class TestExactProbabilities:
 
     @pytest.mark.parametrize("model", list(NeedleModel))
     def test_quadrature_route_agrees(self, model):
-        assert cross_probability_by_quadrature(model) == pytest.approx(
+        assert quad_cross_probability(model) == pytest.approx(
             exact_cross_probability(model), abs=1e-9
         )
 

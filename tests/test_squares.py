@@ -100,6 +100,16 @@ class TestFiniteCounting:
         assert finite_counting_probability(7, -1, False) == 1
         assert finite_counting_probability(7, -1, True) == 1
 
+    @pytest.mark.parametrize("squared", [False, True])
+    def test_infinite_threshold_counts_nothing(self, squared):
+        assert finite_counting_probability(7, math.inf, squared) == 0
+        assert finite_counting_probability(7, -math.inf, squared) == 1
+
+    @pytest.mark.parametrize("squared", [False, True])
+    def test_nan_threshold_is_rejected_by_name(self, squared):
+        with pytest.raises(ValueError, match="threshold must be a number, got nan"):
+            finite_counting_probability(7, math.nan, squared)
+
     @given(
         n_max=st.integers(min_value=1, max_value=1000),
         threshold=st.integers(min_value=0, max_value=1100),
