@@ -102,10 +102,11 @@ def _disc_radius_sq(rng: np.random.Generator, size: int) -> np.ndarray:
     drawn ahead: at most ``_DISC_BLOCK`` proposals, or about 4/pi per
     missing point plus five standard deviations, and a further block in
     the rare case that one falls short.  The stream is left past the last
-    point kept.  x = 2u - 1 is 2 * (u - 1/2) exactly, so x*x + y*y is
-    4 * ((u - 1/2)**2 + (v - 1/2)**2) exactly and is accepted when the
-    bracket is at most 1/4.  The arrays live in the calling thread's
-    scratch.
+    block drawn, not past the last point kept, so its next draw differs
+    from ``_disc_batch``'s.  x = 2u - 1 is 2 * (u - 1/2) exactly, so
+    x*x + y*y is 4 * ((u - 1/2)**2 + (v - 1/2)**2) exactly and is accepted
+    when the bracket is at most 1/4.  The arrays live in the calling
+    thread's scratch.
     """
     out = _scratch("batch", size)
     filled = 0
@@ -240,16 +241,6 @@ def exact_exceed_probability(model: ChordModel) -> float:
     return _CHORDS[model].exact
 
 
-def _pushforward_polar_density(r: np.ndarray) -> np.ndarray:
-    """Density of (r, theta) when the chord midpoint is uniform on the disc.
-
-    The polar map has Jacobian 1/r, so the disc-uniform density 1/pi becomes
-    r/pi on [0, 1] x (-pi, pi]: radii near the rim are more likely, and
-    (r, theta) is not uniform.
-    """
-    return r / math.pi
-
-
 def exceed_probability_under_measure(
     measure: ChordModel,
     evaluation_system: ChordModel,
@@ -275,7 +266,7 @@ def exceed_probability_under_measure(
         measure is ChordModel.MIDPOINT_UNIFORM
         and evaluation_system is ChordModel.POLAR_UNIFORM
     ):
-        # the integral of _pushforward_polar_density(r) * 2pi = 2r over [0, R]
+        # the integral of the density r/pi times 2pi, that is 2r, over [0, R]
         radius = _event_radius(threshold)
         return radius * radius
 

@@ -8,7 +8,6 @@ from bertrand_lab.bertrand import (
     _CHORDS,
     TRIANGLE_EDGE,
     ChordModel,
-    _pushforward_polar_density,
     chord_exceed_experiment,
     exact_exceed_probability,
     exceed_probability_under_measure,
@@ -71,11 +70,6 @@ class TestDensity:
 
 
 class TestPushforward:
-    def test_values(self):
-        # the disc-uniform density 1/pi times r, the inverse of the polar Jacobian 1/r
-        assert _pushforward_polar_density(0.5) == pytest.approx(0.5 / math.pi, abs=1e-15)
-        assert _pushforward_polar_density(1.0) == pytest.approx(1.0 / math.pi, abs=1e-15)
-
     def test_normalization(self):
         value = exceed_probability_under_measure(
             ChordModel.MIDPOINT_UNIFORM, ChordModel.POLAR_UNIFORM, 0.0

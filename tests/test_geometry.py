@@ -20,7 +20,6 @@ from bertrand_lab.bertrand import (
     _disc_batch,
     _disc_radius_sq,
     _polar_batch,
-    _pushforward_polar_density,
     _tangent_event,
     sample_chord_batch,
 )
@@ -157,20 +156,6 @@ class TestTransforms:
         # squared lengths, as in test_round_trip_random_points
         squared = length(POLAR, r, theta) ** 2
         assert length(MIDPOINT, x, y) ** 2 == pytest.approx(squared, abs=1e-12)
-
-
-class TestJacobian:
-    """The polar map's Jacobian 1/r turns the disc density 1/pi into r/pi."""
-
-    def test_values(self):
-        for r, jacobian in ((1.0, 1.0), (0.5, 2.0)):
-            assert _pushforward_polar_density(r) == pytest.approx(
-                (1.0 / math.pi) / jacobian, abs=1e-15
-            )
-
-    def test_singular_at_origin(self):
-        # where 1/r blows up, the pushforward density vanishes
-        assert _pushforward_polar_density(0.0) == 0.0
 
 
 class TestThresholdEquivalence:

@@ -240,6 +240,19 @@ class TestCdf:
         # both lie in (0, 1], where the distance of the bit patterns counts ulps
         assert np.abs(grid.view(np.int64) - scalar.view(np.int64)).max() <= 64
 
+    @pytest.mark.parametrize(
+        "law",
+        [GeometricFamily().law(10**3), GeometricFamily().law(10**4), PoissonFamily().law(10**4)],
+        ids=["geometric-1e3", "geometric-1e4", "poisson-1e4"],
+    )
+    def test_grid_stays_within_8_ulps_of_scalar(self, law):
+        # cdf_grid walks the chunks of cdf and sums each row pairwise, so only the
+        # in-order chunk additions part them: on this grid at most 2, 3 and 2 ulps
+        xs = np.arange(143) / 143
+        grid = cdf_grid(xs, law, TOL)
+        scalar = np.array([cdf(float(x), law, TOL) for x in xs])
+        assert np.abs(grid.view(np.int64) - scalar.view(np.int64)).max() <= 8
+
     def test_cdf_interval_agreement_on_random_pairs(self):
         law = GeometricLaw(0.25)
         rng = np.random.default_rng(99)

@@ -1,13 +1,13 @@
 """The streamed series equal, bit for bit, a plain one-expression form of each.
 
 The references below build every chunk as a fresh array: the same chunk
-boundaries (``_CHUNK_CELLS`` cells), the same pmf formulas and the same
+boundaries (``_CHUNK_CELLS`` denominators), the same pmf formulas and the same
 operation and accumulation order as the library, written without its
 buffers.  Results must agree with ``==``, not within a tolerance.
 
-The one-point series also call no BLAS, so their bits do not depend on the
-host's BLAS thread count, and ``cdf`` lies within 2 ulps of the exactly
-rounded sum of its terms.
+The series also call no BLAS, so their bits do not depend on the host's BLAS
+thread count, ``cdf`` lies within 2 ulps of the exactly rounded sum of its
+terms, and ``cdf_grid`` within 8 ulps of ``cdf``.
 """
 
 import math
@@ -108,10 +108,9 @@ SHORT_LAWS = ["geometric:0.05", "poisson:3.5", "degenerate:7", "custom:uneven"]
 # --- reference series ------------------------------------------------------------
 
 
-def blocks(ms: range, points: int = 1):
-    rows = max(1, CHUNK // points)
-    for i in range(0, len(ms), rows):
-        part = ms[i : i + rows]
+def blocks(ms: range):
+    for i in range(0, len(ms), CHUNK):
+        part = ms[i : i + CHUNK]
         yield np.arange(part.start, part.stop, part.step, dtype=np.int64)
 
 
@@ -124,8 +123,9 @@ def ref_cdf(xs: np.ndarray, law, pmf) -> np.ndarray:
     if xin.size == 0:
         return out
     acc = np.zeros_like(xin)
-    for m in blocks(range(1, law.truncation_index(TOL) + 1), xin.size):
-        acc += (pmf(m) / (m + 1.0)) @ (np.floor(m[:, None] * xin) + 1.0)
+    for m in blocks(range(1, law.truncation_index(TOL) + 1)):
+        pm = pmf(m) / (m + 1.0)
+        acc += (np.floor(xin[:, None] * m) * pm).sum(axis=1) + pm.sum()
     out[inside] = acc
     return out
 
@@ -268,7 +268,7 @@ def test_cdf_is_within_two_ulps_of_its_exact_sum():
 
 def test_one_point_series_call_no_blas(monkeypatch):
     def refuse(*args, **kwargs):
-        raise AssertionError("a one-point series called BLAS")
+        raise AssertionError("a series called BLAS")
 
     for name in ("matmul", "dot", "vdot", "inner", "einsum", "tensordot"):
         monkeypatch.setattr(np, name, refuse)
@@ -278,6 +278,10 @@ def test_one_point_series_call_no_blas(monkeypatch):
         assert 0.0 < interval_probability(0.2, 0.7, law, TOL) < 1.0
         assert 0.0 < atom_probability(Rational(1, 3), law, TOL) < 1.0
         assert 0.0 < mean_reciprocal(law, TOL) < 1.0
+        # nor does the grid, at one point and at the script's 1,000
+        assert 0.0 < cdf_grid(np.array([0.37]), law, TOL)[0] < 1.0
+        grid = cdf_grid(np.arange(1000) / 1000, law, TOL)
+        assert np.all((0.0 < grid) & (grid < 1.0))
 
 
 # the one-point series at 23 interior points of linspace(0, 1, 25), as raw bytes
@@ -298,11 +302,24 @@ BLAS_THREADS_SCRIPT = """
 """
 
 
-def test_one_point_series_do_not_depend_on_blas_threads():
+# cdf_grid at one point and at those 23, as raw bytes
+GRID_BLAS_THREADS_SCRIPT = """
+    import numpy as np
+    from bertrand_lab.rationals import GeometricLaw, PoissonLaw, cdf_grid
+    xs = np.linspace(0.0, 1.0, 25)[1:-1]
+    values = []
+    for law in (GeometricLaw(1e-4), GeometricLaw(1e-5), PoissonLaw(1e4), PoissonLaw(1e5)):
+        values += [cdf_grid(xs[8:9], law), cdf_grid(xs, law)]
+    print(np.concatenate(values).tobytes().hex())
+"""
+
+
+def outputs_under_blas_threads(script: str) -> list[str]:
+    """The script's stdout with OPENBLAS_NUM_THREADS at 1 and at 2."""
     # each count in a fresh process, since OpenBLAS reads it when numpy loads
     runs = [
         subprocess.Popen(
-            [sys.executable, "-c", textwrap.dedent(BLAS_THREADS_SCRIPT)],
+            [sys.executable, "-c", textwrap.dedent(script)],
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
             text=True,
@@ -315,6 +332,18 @@ def test_one_point_series_do_not_depend_on_blas_threads():
         out, err = proc.communicate(timeout=300)
         assert proc.returncode == 0, err
         outs.append(out)
+    return outs
+
+
+def test_one_point_series_do_not_depend_on_blas_threads():
+    outs = outputs_under_blas_threads(BLAS_THREADS_SCRIPT)
     # 70 float64 values per law, in hex, and a newline
     assert len(outs[0]) == 2 * 8 * 4 * (3 * 23 + 1) + 1
+    assert outs[0] == outs[1]
+
+
+def test_cdf_grid_does_not_depend_on_blas_threads():
+    outs = outputs_under_blas_threads(GRID_BLAS_THREADS_SCRIPT)
+    # 24 float64 values per law, in hex, and a newline
+    assert len(outs[0]) == 2 * 8 * 4 * (1 + 23) + 1
     assert outs[0] == outs[1]
