@@ -4,10 +4,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import gammainc
 
+from bertrand_lab import rationals
 from bertrand_lab.montecarlo import stream_generator
 from bertrand_lab.rationals import (
     ConvergenceDiagnostics,
@@ -252,6 +253,58 @@ class TestCdf:
         grid = cdf_grid(xs, law, TOL)
         scalar = np.array([cdf(float(x), law, TOL) for x in xs])
         assert np.abs(grid.view(np.int64) - scalar.view(np.int64)).max() <= 8
+
+    @pytest.mark.parametrize(
+        "law",
+        [GeometricFamily().law(10**3), GeometricFamily().law(10**4), PoissonFamily().law(10**4)],
+        ids=["geometric-1e3", "geometric-1e4", "poisson-1e4"],
+    )
+    def test_walk_stays_within_8_ulps_of_scalar(self, law):
+        # the grid i/143 takes the fold; one float up, on no grid, its points take
+        # the walk, whose in-order chunk additions alone part it from cdf
+        xs = np.nextafter(np.arange(143) / 143, 1.0)
+        grid = cdf_grid(xs, law, TOL)
+        scalar = np.array([cdf(float(x), law, TOL) for x in xs])
+        assert np.abs(grid.view(np.int64) - scalar.view(np.int64)).max() <= 8
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_fold_stays_within_8_ulps_of_scalar_on_grids(self, data):
+        # the fold route itself, on a grid i/n or a subset of it, for a law of each kind
+        n = data.draw(st.one_of(st.integers(2, 300), st.sampled_from([143, 1000, 4096])))
+        if data.draw(st.booleans(), label="full grid"):
+            i = np.arange(n)
+        else:
+            subset = st.lists(st.integers(0, n - 1), min_size=2, max_size=40, unique=True)
+            i = np.array(data.draw(subset))
+        kind = data.draw(st.sampled_from(["geometric", "poisson", "degenerate", "custom"]))
+        if kind == "geometric":
+            law = GeometricLaw(data.draw(st.floats(1e-3, 0.9), label="w"))
+        elif kind == "poisson":
+            law = PoissonLaw(data.draw(st.floats(0.5, 3000.0), label="mean"))
+        elif kind == "degenerate":
+            law = DegenerateLaw(data.draw(st.integers(1, 5000), label="value"))
+        else:
+            ms = data.draw(st.lists(st.integers(1, 5000), min_size=1, max_size=6, unique=True))
+            law = CustomLaw({m: 1.0 / len(ms) for m in ms})
+        xs = i / n
+        assert rationals._grid_denominator(xs) in [d for d in range(1, n + 1) if n % d == 0]
+        folded = rationals._fold(xs, n, law, law.truncation_index(TOL))
+        scalar = np.array([cdf(float(x), law, TOL) for x in xs])
+        assert np.abs(folded.view(np.int64) - scalar.view(np.int64)).max() <= 8
+
+    def test_fold_answers_where_the_walk_is_over_the_budget(self):
+        # the walk would be 1,000 points times L = 23,025,840 cells; the fold is
+        # about 4 L + sum(L / b) + 1,000 * 1,000 of them
+        law, xs = GeometricFamily().law(10**6), np.arange(1000) / 1000
+        grid = cdf_grid(xs, law, TOL)
+        for i in (1, 333, 500, 700, 999):
+            scalar = cdf(float(xs[i]), law, TOL)
+            assert abs(grid[i] - scalar) <= 8 * math.ulp(scalar)
+        # off the grid the walk is taken, and refuses in its own words
+        refusal = r"at 1000 point\(s\) is 23025840000 cells, over the budget"
+        with pytest.raises(ValueError, match=refusal):
+            cdf_grid(xs + 1e-7, law, TOL)
 
     def test_cdf_interval_agreement_on_random_pairs(self):
         law = GeometricLaw(0.25)

@@ -34,6 +34,35 @@ def test_script_runs_clean(argv):
     assert "VIOLATED" not in proc.stdout
 
 
+@pytest.mark.parametrize(
+    "args, named",
+    [
+        (["--grid", "0"], "--grid must be at least 1"),
+        (["--grid", "-3"], "--grid must be at least 1"),
+        (["--ks", "100,10"], "strictly increasing"),
+        (["--ks", "10,10"], "strictly increasing"),
+        (["--ks", "10,1e3"], "--ks must be integers"),
+        (["--ks", "1"], "k must be >= 2"),
+        (["--probe", "0.5,0.2"], "probe must satisfy"),
+        (["--probe", "0.5"], "--probe must be two numbers"),
+        (["--probe", "0,0.5,1"], "--probe must be two numbers"),
+        (["--probe", "0,x"], "--probe must be two numbers"),
+        (["--probe", "nan,0.5"], "probe must satisfy"),
+    ],
+    ids=lambda value: " ".join(value) if isinstance(value, list) else None,
+)
+def test_uniform_limit_refuses_bad_arguments_by_name(args, named):
+    proc = subprocess.run(
+        [sys.executable, str(SCRIPTS / "rational_uniform_limit.py"), "--ks", "10,100", *args],
+        capture_output=True,
+        text=True,
+        env=src_env(),
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    assert named in proc.stderr and "Traceback" not in proc.stderr
+
+
 def test_digest_docstring_counts_its_commands():
     spec = importlib.util.spec_from_file_location("cli_digest", SCRIPTS / "cli_digest.py")
     digest = importlib.util.module_from_spec(spec)

@@ -20,6 +20,7 @@ import pytest
 
 from test_cli import src_env
 
+from bertrand_lab import rationals
 from bertrand_lab.rationals import (
     CustomLaw,
     DegenerateLaw,
@@ -207,6 +208,55 @@ def test_cdf_grid_is_bit_identical(points, law_id):
     want = ref_cdf(xs, law, pmf)
     assert got.dtype == want.dtype and got.shape == want.shape
     assert got.tobytes() == want.tobytes()
+
+
+# points that cdf_grid walks: a grid past n = 2**12, where a fold would be
+# cheaper (4 L + 4097**2 cells against 4097 L), points on no grid, and grid(7),
+# whose 4 points inside [0, 1) lie on i/10 but would cost the fold
+# 4 L + L/10 + 40 cells against the walk's 4 L
+WALKED = [
+    pytest.param(np.arange(4097) / 4097, "geometric:1e-3", id="4097-grid-geometric:1e-3"),
+    pytest.param(np.random.default_rng(22).random(64), "geometric:1e-4", id="64-random"),
+] + [pytest.param(grid(7), law, id=f"7-{law}") for law in ["geometric:1e-4", "poisson:1e4"]]
+
+
+@pytest.mark.parametrize("xs, law_id", WALKED)
+def test_cdf_grid_walks_off_small_grids(xs, law_id, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("cdf_grid took the fold")
+
+    monkeypatch.setattr(rationals, "_fold", refuse)
+    law, pmf = LAWS.get(law_id) or (GeometricLaw(1e-3), geometric_pmf(1e-3))
+    got = cdf_grid(xs, law, TOL)
+    # each point's walk is its own row, so slices of points keep the reference small
+    want = np.concatenate([ref_cdf(xs[s : s + 128], law, pmf) for s in range(0, xs.size, 128)])
+    assert got.tobytes() == want.tobytes()
+
+
+def test_grid_denominator_is_the_least_n_up_to_2_12():
+    assert rationals._grid_denominator(np.arange(4096) / 4096) == 4096
+    assert rationals._grid_denominator(np.arange(4097) / 4097) == 0
+    assert rationals._grid_denominator(np.array([0.3, 0.7, 0.0])) == 10
+    assert rationals._grid_denominator(np.array([1 / 3, 0.25])) == 12
+    xs = grid(7)
+    assert rationals._grid_denominator(xs[(xs >= 0.0) & (xs < 1.0)]) == 10
+    assert rationals._grid_denominator(np.random.default_rng(22).random(64)) == 0
+    # the float next to a grid point is on no grid
+    assert rationals._grid_denominator(np.array([0.5, np.nextafter(0.7, 1.0)])) == 0
+
+
+def test_script_grid_takes_the_fold(monkeypatch):
+    taken, fold = [], rationals._fold
+
+    def spy(xs, n, *rest):
+        taken.append(n)
+        return fold(xs, n, *rest)
+
+    monkeypatch.setattr(rationals, "_fold", spy)
+    xs = np.arange(1000) / 1000
+    for law_id in ("geometric:1e-4", "poisson:1e4"):
+        cdf_grid(xs, LAWS[law_id][0], TOL)
+    assert taken == [1000, 1000]
 
 
 @pytest.mark.parametrize("law_id", ONE_POINT_LAWS)
