@@ -21,7 +21,8 @@ truncation index L; a series of more than ``_BUDGET_CELLS`` cells
 (denominators times evaluation points, or for ``cdf_grid``'s fold on a grid
 i/n the cells it computes), or one past ``_MAX_DENOMINATOR``, raises
 ``ValueError`` before any work, naming its range.  Each chunk is
-computed in place, in buffers allocated once per call, a chunk whose pmf is 0
+computed in place, in buffers allocated once per call (``cdf_grid``'s tiles
+once per chunk), a chunk whose pmf is 0
 everywhere is skipped (it would add +0.0), and a one-point series exactly
 rounds the sum of its chunk sums with ``math.fsum``.  No series calls BLAS.
 """
@@ -419,18 +420,17 @@ def cdf_grid(xs: np.ndarray, law: DenominatorLaw, tol: float = DEFAULT_TOL) -> n
     route that computes fewer cells.
 
     The walk takes the chunks of ``cdf``: a chunk adds to each point the
-    pairwise sum of p floor(m x) / (m + 1), over tiles of at most
-    ``_CHUNK_CELLS`` cells, plus the sum of p / (m + 1), and the chunk results
-    are added in order where ``cdf`` rounds them exactly.  That is points * L
-    cells.  When every point is the float of some i/n with n <= 2**12, the
-    fold (``_fold``) gives the same float floors from ``_FOLD_CELLS`` * L +
-    sum(L / b) + points * n cells instead, b being the reduced denominator of
-    each point that lies below its i/n, and it is taken when that is fewer
-    (and within ``_BUDGET_CELLS``).  The fold reproduces the walk's float
-    floors exactly: with n <= 2**12, m i/n is an integer or at least 1/n from
-    one, and with L <= 2**32, m x is within 2**-22 of m i/n (see ``_fold``).
-    On the grid i/1000 the fold, taken from geometric k = 1e2 and Poisson
-    k = 1e3 on, stays within 4 ulps of ``cdf``, and so does the walk below.
+    pairwise sum of p floor(m x) / (m + 1) (``_floor_sums``) plus the sum of
+    p / (m + 1), and the chunk results are added in order where ``cdf`` rounds
+    them exactly.  That is points * L cells.  When every point is the float of
+    some i/n with n <= 2**12, the fold (``_fold``) gives the same float floors
+    from ``_FOLD_CELLS`` * L + points * n cells, plus L / b for each point that
+    lies below its i/n, b being the reduced denominator of i/n.  Those points
+    are sought (``_below``) only when the first two terms are already fewer
+    than the walk's cells, and the fold is taken when the whole is fewer (and
+    within ``_BUDGET_CELLS``).  On the grid i/1000 the fold, taken from
+    geometric k = 1e2 and Poisson k = 1e3 on, stays within 4 ulps of ``cdf``,
+    and so does the walk below.
     """
     _check_tol(tol)
     xs = np.asarray(xs, dtype=np.float64)
@@ -444,27 +444,38 @@ def cdf_grid(xs: np.ndarray, law: DenominatorLaw, tol: float = DEFAULT_TOL) -> n
         return out
     points, top = xin.size, law.truncation_index(tol)
     n = _grid_denominator(xin)
-    fold = _FOLD_CELLS * top + int((top // _below(xin, n)[1]).sum()) + points * n if n else math.inf
-    # over the budget both routes are, and the walk refuses
-    if fold < points * top and fold <= _BUDGET_CELLS:
-        out[inside] = _fold(xin, n, law, top)
-        return out
-    # no tile holds more cells than the whole walk
-    acc, cells = np.zeros_like(xin), np.empty(min(points * top, _CHUNK_CELLS))
+    fold = _FOLD_CELLS * top + points * n
+    if n and fold < points * top:
+        i = np.rint(xin * n)
+        below = _below(xin, i, n)
+        fold += sum(top // b * rows.size for b, rows in below)
+        # over the budget both routes are, and the walk refuses
+        if fold < points * top and fold <= _BUDGET_CELLS:
+            out[inside] = _fold(xin, i, n, below, law, top)
+            return out
+    acc = np.zeros_like(xin)
     # at most _BUDGET_CELLS denominators from 1, so m is float64
     for m, p, w, _ in _chunks(law, range(1, top + 1), points):
-        rows = len(m)
         p /= np.add(m, 1.0, out=w)
-        total = p.sum()
-        tile = _CHUNK_CELLS // rows
-        for i in range(0, points, tile):
-            x = xin[i : i + tile]
-            grid = np.multiply(x[:, None], m, out=cells[: len(x) * rows].reshape(len(x), rows))
-            np.floor(grid, out=grid)
-            grid *= p
-            acc[i : i + tile] += grid.sum(axis=1) + total
+        acc += _floor_sums(xin, m, p, np.floor) + p.sum()
     out[inside] = acc
     return out
+
+
+def _floor_sums(xs: np.ndarray, ms: np.ndarray, weights: np.ndarray, op: Callable) -> np.ndarray:
+    """For each point x of ``xs`` the pairwise sum over k of op(x ms[k]) weights[k],
+    where ``op(cells, out=cells)`` maps the products in place, over tiles of at
+    most ``_CHUNK_CELLS`` cells."""
+    sums = np.empty_like(xs)
+    tile = _CHUNK_CELLS // max(len(ms), 1)
+    cells = np.empty(min(xs.size, tile) * len(ms))
+    for s in range(0, xs.size, tile):
+        x = xs[s : s + tile, None]
+        grid = np.multiply(x, ms, out=cells[: x.size * len(ms)].reshape(x.size, len(ms)))
+        op(grid, out=grid)
+        grid *= weights
+        grid.sum(axis=1, out=sums[s : s + tile])
+    return sums
 
 
 def _grid_denominator(xs: np.ndarray) -> int:
@@ -486,20 +497,23 @@ def _grid_denominator(xs: np.ndarray) -> int:
     return 0
 
 
-def _below(xs: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The indices of the points x = fl(i/n) of ``xs`` that lie below i/n, and
-    the reduced denominator b of i/n for each."""
-    i = np.rint(xs * n)
+def _below(xs: np.ndarray, i: np.ndarray, n: int) -> list[tuple[int, np.ndarray]]:
+    """The points x = fl(i/n) of ``xs`` that lie below i/n, as pairs of the
+    reduced denominator b of i/n and the indices of its points, b ascending."""
     # x = hi + lo exactly, with hi * n and lo * n exact (Dekker's split) and
     # i - hi * n exact (Sterbenz), so x * n < i is decided exactly
     hi = xs * _SPLIT
     hi -= hi - xs
     at = np.flatnonzero((xs - hi) * n < i - hi * n)
-    return at, n // np.gcd(i[at].astype(np.int64), n)
+    bs = n // np.gcd(i[at].astype(np.int64), n)
+    return [(b, at[bs == b]) for b in np.unique(bs).tolist()]
 
 
-def _fold(xs: np.ndarray, n: int, law: DenominatorLaw, top: int) -> np.ndarray:
-    """``cdf_grid`` at points that are all floats of some i/n, n <= ``_FOLD_MAX_N``.
+def _fold(
+    xs: np.ndarray, i: np.ndarray, n: int, below: list, law: DenominatorLaw, top: int
+) -> np.ndarray:
+    """``cdf_grid`` at points ``xs``, the floats of ``i``/n with n <= ``_FOLD_MAX_N``,
+    and ``below`` from ``_below``.
 
     With m = l n + j, floor(m i / n) = l i + floor(i j / n), so
     F(i/n) = sum over j < n of (floor(i j / n) + 1) H(j) + i K, where
@@ -507,7 +521,7 @@ def _fold(xs: np.ndarray, n: int, law: DenominatorLaw, top: int) -> np.ndarray:
     One walk over m = 1..L folds H, each chunk's share of a bin summed pairwise
     (``np.bincount`` adds in sequence, up to 39 ulps off a bin at n = 2), and K
     as ``math.fsum`` of its chunk sums.  The floors i j / n of each point come
-    in tiles of at most ``_CHUNK_CELLS`` cells.
+    from ``_floor_sums``.
 
     That is the walk's value wherever its float floor(m x) is exact.  For
     m <= ``_BUDGET_CELLS`` it is except at one kind of term.  Let a/b be i/n
@@ -518,48 +532,30 @@ def _fold(xs: np.ndarray, n: int, law: DenominatorLaw, top: int) -> np.ndarray:
     when fl(m x) is not an integer.  Those terms are gathered in the same walk,
     at the multiples of b alone, and subtracted.
     """
-    i = np.rint(xs * n)
-    at, steps = _below(xs, n)
-    below = [(step, at[steps == step]) for step in np.unique(steps).tolist()]
+    # 1 where a float is not an integer; np.fmod would tell it several times slower
+    def not_integer(t, out):
+        return np.not_equal(t, np.floor(t), out=out)
+
     weights, k_sums, lost = np.zeros(n), [], np.zeros_like(xs)
-    cells = np.empty(_CHUNK_CELLS)
     for m, p, w, _ in _chunks(law, range(1, top + 1)):
         p /= np.add(m, 1.0, out=w)
         # the k-th denominator of a chunk is m[0] + k, in the bin k mod n rolled
-        # by m[0]; a bin is a row of the chunk's transpose, summed pairwise
+        # by m[0]; a bin, a row of the chunk's transposed copy, is summed pairwise
         depth = len(m) // n
-        by_bin = cells[: depth * n].reshape(n, depth)
-        np.copyto(by_bin, p[: depth * n].reshape(depth, n).T)
-        sums = by_bin.sum(axis=1)
+        sums = np.ascontiguousarray(p[: depth * n].reshape(depth, n).T).sum(axis=1)
         sums[: len(m) - depth * n] += p[depth * n :]
         weights += np.roll(sums, int(m[0]) % n)
         # fl(m / n) is within 2**-22 of m / n, which is 1/n or more below the next integer
         np.floor(np.divide(m, n, out=w), out=w)
         k_sums.append(float(np.multiply(w, p, out=w).sum()))
-        # the terms a point x below a/b loses: multiples m of b where fl(m x) < m a/b
-        for step, ids in below:
-            first = -int(m[0]) % step
-            ms, ps = m[first::step], p[first::step]
-            tile = len(m) // max(len(ms), 1)
-            for s in range(0, ids.size, tile):
-                rows = ids[s : s + tile]
-                fl = cells[: len(rows) * len(ms)].reshape(len(rows), len(ms))
-                np.multiply(xs[rows, None], ms, out=fl)
-                down = np.floor(fl, out=w[: fl.size].reshape(fl.shape))
-                np.not_equal(fl, down, out=fl)
-                fl *= ps
-                lost[rows] += fl.sum(axis=1)
+        # what a point x below a/b loses: the multiples m of b where fl(m x) is no integer
+        for b, rows in below:
+            first = -int(m[0]) % b
+            lost[rows] += _floor_sums(xs[rows], m[first::b], p[first::b], not_integer)
     # i (j/n + 1/(2 n**2)) is i j/n raised by less than 1/(2 n), which is 1/n or
     # more below the next integer, and for i >= 1 by 2**-25 or more, far above
     # the rounding (under 2**-39): the float's floor is floor(i j / n)
-    slopes = np.arange(n) / n + 0.5 / n**2
-    acc, tile = np.empty_like(xs), _CHUNK_CELLS // n
-    for s in range(0, xs.size, tile):
-        x = i[s : s + tile]
-        floors = np.multiply(x[:, None], slopes, out=cells[: len(x) * n].reshape(len(x), n))
-        np.floor(floors, out=floors)
-        floors *= weights
-        acc[s : s + tile] = floors.sum(axis=1)
+    acc = _floor_sums(i, np.arange(n) / n + 0.5 / n**2, weights, np.floor)
     acc += weights.sum()
     acc += i * math.fsum(k_sums)
     acc -= lost

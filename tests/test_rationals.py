@@ -233,8 +233,9 @@ class TestCdf:
         ids=["geometric-1e3", "geometric-1e4", "poisson-1e4"],
     )
     def test_grid_stays_within_64_ulps_of_scalar(self, law):
-        # cdf rounds each chunk sum exactly and cdf_grid adds its chunks in order, so the
-        # gap grows with the chunk count: on this grid it was at most 5, 16 and 4 ulps
+        # this grid takes the fold, which adds its chunks' bin sums in order where cdf
+        # rounds each chunk sum exactly, so the gap may grow with the chunk count: on
+        # this grid it is at most 2, 3 and 2 ulps
         xs = np.arange(143) / 143
         grid = cdf_grid(xs, law, TOL)
         scalar = np.array([cdf(float(x), law, TOL) for x in xs])
@@ -247,8 +248,9 @@ class TestCdf:
         ids=["geometric-1e3", "geometric-1e4", "poisson-1e4"],
     )
     def test_grid_stays_within_8_ulps_of_scalar(self, law):
-        # cdf_grid walks the chunks of cdf and sums each row pairwise, so only the
-        # in-order chunk additions part them: on this grid at most 2, 3 and 2 ulps
+        # this grid takes the fold, which sums each bin of a chunk and each point's
+        # floors pairwise, so only in-order additions part it from cdf: on this grid
+        # at most 2, 3 and 2 ulps
         xs = np.arange(143) / 143
         grid = cdf_grid(xs, law, TOL)
         scalar = np.array([cdf(float(x), law, TOL) for x in xs])
@@ -289,7 +291,9 @@ class TestCdf:
             law = CustomLaw({m: 1.0 / len(ms) for m in ms})
         xs = i / n
         assert rationals._grid_denominator(xs) in [d for d in range(1, n + 1) if n % d == 0]
-        folded = rationals._fold(xs, n, law, law.truncation_index(TOL))
+        i = np.rint(xs * n)
+        below = rationals._below(xs, i, n)
+        folded = rationals._fold(xs, i, n, below, law, law.truncation_index(TOL))
         scalar = np.array([cdf(float(x), law, TOL) for x in xs])
         assert np.abs(folded.view(np.int64) - scalar.view(np.int64)).max() <= 8
 

@@ -14,6 +14,7 @@ import math
 import subprocess
 import sys
 import textwrap
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -24,7 +25,9 @@ from bertrand_lab import rationals
 from bertrand_lab.rationals import (
     CustomLaw,
     DegenerateLaw,
+    GeometricFamily,
     GeometricLaw,
+    PoissonFamily,
     PoissonLaw,
     Rational,
     atom_probability,
@@ -131,6 +134,32 @@ def ref_cdf(xs: np.ndarray, law, pmf) -> np.ndarray:
     return out
 
 
+def ref_fold(xs: np.ndarray, n: int, law, pmf) -> np.ndarray:
+    """cdf_grid's fold at points xs = fl(i/n) inside [0, 1)."""
+    i = np.rint(xs * n)
+    # the points below their i/n, by the reduced denominator of i/n
+    below = {}
+    for k, x in enumerate(xs.tolist()):
+        if Fraction(x) < Fraction(int(i[k]), n):
+            below.setdefault(n // math.gcd(int(i[k]), n), []).append(k)
+    weights, k_sums, lost = np.zeros(n), [], np.zeros_like(xs)
+    for m in blocks(range(1, law.truncation_index(TOL) + 1)):
+        pm = pmf(m) / (m + 1.0)
+        # each residue bin of the chunk summed pairwise, rolled to its place
+        depth = len(m) // n
+        sums = np.ascontiguousarray(pm[: depth * n].reshape(depth, n).T).sum(axis=1)
+        sums[: len(m) - depth * n] += pm[depth * n :]
+        weights += np.roll(sums, int(m[0]) % n)
+        k_sums.append(float((np.floor(m / n) * pm).sum()))
+        for step, rows in sorted(below.items()):
+            first = -int(m[0]) % step
+            y = xs[rows, None] * m[first::step]
+            lost[rows] += ((y != np.floor(y)) * pm[first::step]).sum(axis=1)
+    slopes = np.arange(n) / n + 0.5 / n**2
+    acc = (np.floor(i[:, None] * slopes) * weights).sum(axis=1) + weights.sum()
+    return acc + i * math.fsum(k_sums) - lost
+
+
 def ref_cdf_point(x: float, law, pmf) -> float:
     return math.fsum(
         float((pmf(m) * (np.floor(m * x) + 1.0) / (m + 1.0)).sum())
@@ -233,6 +262,22 @@ def test_cdf_grid_walks_off_small_grids(xs, law_id, monkeypatch):
     assert got.tobytes() == want.tobytes()
 
 
+# grids cdf_grid folds: the script's i/1000 and 40 points of i/143
+SUBSET = np.sort(np.random.default_rng(143).choice(143, 40, replace=False))
+FOLDED = [
+    pytest.param(np.arange(1000) / 1000, 1000, id="1000-grid"),
+    pytest.param(SUBSET / 143, 143, id="40-of-143"),
+]
+
+
+@pytest.mark.parametrize("law_id", ["geometric:1e-4", "poisson:1e4", "custom:gapped"])
+@pytest.mark.parametrize("xs, n", FOLDED)
+def test_cdf_grid_fold_is_bit_identical(xs, n, law_id):
+    law, pmf = LAWS[law_id]
+    assert rationals._grid_denominator(xs) == n
+    assert cdf_grid(xs, law, TOL).tobytes() == ref_fold(xs, n, law, pmf).tobytes()
+
+
 def test_grid_denominator_is_the_least_n_up_to_2_12():
     assert rationals._grid_denominator(np.arange(4096) / 4096) == 4096
     assert rationals._grid_denominator(np.arange(4097) / 4097) == 0
@@ -246,17 +291,23 @@ def test_grid_denominator_is_the_least_n_up_to_2_12():
 
 
 def test_script_grid_takes_the_fold(monkeypatch):
-    taken, fold = [], rationals._fold
+    # each call's route and its search for points below their i/n, which the
+    # walk needs not and the fold needs once
+    calls = []
+    for name in ("_fold", "_below"):
 
-    def spy(xs, n, *rest):
-        taken.append(n)
-        return fold(xs, n, *rest)
+        def spy(*args, name=name, fn=getattr(rationals, name)):
+            calls[-1].append(name)
+            return fn(*args)
 
-    monkeypatch.setattr(rationals, "_fold", spy)
+        monkeypatch.setattr(rationals, name, spy)
     xs = np.arange(1000) / 1000
-    for law_id in ("geometric:1e-4", "poisson:1e4"):
-        cdf_grid(xs, LAWS[law_id][0], TOL)
-    assert taken == [1000, 1000]
+    for family in (GeometricFamily(), PoissonFamily()):
+        for k in (10, 100, 1000, 10_000):
+            calls.append([])
+            cdf_grid(xs, family.law(k), TOL)
+    walk, fold = [], ["_below", "_fold"]
+    assert calls == [walk, fold, fold, fold] + [walk, walk, fold, fold]
 
 
 @pytest.mark.parametrize("law_id", ONE_POINT_LAWS)
