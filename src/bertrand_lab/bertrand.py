@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import enum
 import math
-from typing import Callable, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -65,60 +65,56 @@ def _length_from_radius_sq(s: np.ndarray) -> np.ndarray:
     return 2.0 * np.sqrt(np.maximum(0.0, 1.0 - s))
 
 
-def _disc_batch(rng: np.random.Generator, size: int) -> tuple[np.ndarray, np.ndarray]:
-    """Rejection from the bounding square [-1, 1]^2, about 4/pi proposals per point.
-
-    Each round proposes as many points as are still missing and keeps those
-    with ``x*x + y*y <= 1``; the rounds end once ``size`` points are kept,
-    returned as (x, y) arrays.  A radius transform is deliberately avoided
-    because it would presuppose the non-uniform r/pi law.
-    """
-    kept, missing = [], size
-    while True:
-        pts = rng.random((missing, 2))
-        pts *= 2.0
-        pts -= 1.0  # rng.uniform(-1.0, 1.0) bit for bit: -1 + 2u
-        s = pts[:, 0] * pts[:, 0]
-        s += pts[:, 1] * pts[:, 1]
-        kept.append(pts[s <= 1.0])
-        missing -= len(kept[-1])
-        if missing == 0:
-            break
-    pts = np.concatenate(kept)
-    return pts[:, 0], pts[:, 1]
-
-
-# Most proposals the midpoint experiment draws at once.  At two doubles each
-# they fill one batch-sized array, and smaller blocks measured no faster.
+# Most proposals the midpoint walk draws at once.  At two doubles each they
+# fill one batch-sized array, and smaller blocks measured no faster.
 _DISC_BLOCK = BATCH_SIZE // 2
 
 
-def _disc_radius_sq(rng: np.random.Generator, size: int) -> np.ndarray:
-    """``x*x + y*y`` of the points ``_disc_batch`` draws from the same stream.
+def _disc_blocks(rng: np.random.Generator, size: int) -> Iterator[tuple[np.ndarray, ...]]:
+    """Rejection from the bounding square [-1, 1]^2, about 4/pi proposals per point.
 
-    Each round of ``_disc_batch`` proposes only as many points as are
-    still missing, so together they keep exactly the first ``size``
-    accepted proposals of the stream.  Here those are found in blocks
-    drawn ahead: at most ``_DISC_BLOCK`` proposals, or about 4/pi per
-    missing point plus five standard deviations, and a further block in
-    the rare case that one falls short.  The stream is left past the last
-    block drawn, not past the last point kept, so its next draw differs
-    from ``_disc_batch``'s.  x = 2u - 1 is 2 * (u - 1/2) exactly, so
-    x*x + y*y is 4 * ((u - 1/2)**2 + (v - 1/2)**2) exactly and is accepted
-    when the bracket is at most 1/4.  The arrays live in the calling
-    thread's scratch.
+    Walks the stream's proposals in blocks until ``size`` lie in the closed
+    unit disc, and yields each block as ``(half, quarter, kept)``: its
+    draws less 1/2 as (u, v) rows, ``(u - 1/2)**2 + (v - 1/2)**2`` and the
+    indices of its first proposals kept.  x = 2u - 1 is 2 * (u - 1/2)
+    exactly, so x*x + y*y is 4 * quarter exactly and the point is kept
+    when quarter is at most 1/4.  A block holds about 4/pi proposals per
+    missing point plus a margin, at most ``_DISC_BLOCK``, and a further
+    block is drawn in the rare case that one falls short.  After the last
+    block the stream is rewound to just past the last proposal kept.  A
+    radius transform is deliberately avoided because it would presuppose
+    the non-uniform r/pi law.  The arrays live in the thread's ``disc.*``
+    scratch.
     """
-    out = _scratch("batch", size)
-    filled = 0
-    while filled < size:
-        missing = size - filled
+    missing = size
+    while missing:
         block = min(int(missing * 4.0 / math.pi + 3.0 * math.sqrt(missing) + 16.0), _DISC_BLOCK)
-        half = rng.random(out=_scratch("draws", 2 * block))
+        half = rng.random(out=_scratch("disc.half", 2 * block))
         half -= 0.5
-        np.square(half, out=half)
-        quarter = np.add(half[0::2], half[1::2], out=_scratch("disc.quarter_radius_sq", block))
+        # squared apart: the public sampler reads the signs of ``half``
+        quarter = np.square(half[0::2], out=_scratch("disc.quarter_radius_sq", block))
+        quarter += np.square(half[1::2], out=_scratch("disc.square", block))
         accepted = np.less_equal(quarter, 0.25, out=_scratch("disc.accepted", block, np.bool_))
         kept = np.flatnonzero(accepted)[:missing]
+        missing -= len(kept)
+        yield half.reshape(block, 2), quarter, kept
+    if size:
+        rng.bit_generator.advance(-2 * (block - 1 - int(kept[-1])) % 2**128)
+
+
+def _disc_batch(rng: np.random.Generator, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """(x, y) arrays of ``size`` points uniform on the unit disc, from ``_disc_blocks``."""
+    pts, filled = np.empty((size, 2)), 0
+    for half, _, kept in _disc_blocks(rng, size):
+        np.multiply(half[kept], 2.0, out=pts[filled : filled + len(kept)])
+        filled += len(kept)
+    return pts[:, 0], pts[:, 1]
+
+
+def _disc_radius_sq(rng: np.random.Generator, size: int) -> np.ndarray:
+    """``x*x + y*y`` of the points ``_disc_batch`` draws, in the thread's scratch."""
+    out, filled = _scratch("batch", size), 0
+    for _, quarter, kept in _disc_blocks(rng, size):
         np.take(quarter, kept, out=out[filled : filled + len(kept)], mode="clip")
         filled += len(kept)
     out *= 4.0

@@ -81,10 +81,6 @@ class Rational:
         if math.gcd(n, m) != 1:
             raise ValueError(f"{n}/{m} is not in canonical form")
 
-    @property
-    def value(self) -> float:
-        return self.numerator / self.denominator
-
     def __str__(self) -> str:
         return f"{self.numerator}/{self.denominator}"
 

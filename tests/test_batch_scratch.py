@@ -13,6 +13,7 @@ import subprocess
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -152,12 +153,22 @@ def test_midpoint_radius_sq_is_the_public_points(size, seed):
     assert np.array_equal(_disc_radius_sq(stream_generator(seed, 0), size), x * x + y * y)
 
 
+@pytest.mark.parametrize("size", [1, 5, 1000, 20_000, 40_000])
+def test_midpoint_radius_sq_leaves_the_stream_where_the_public_sampler_does(size):
+    public, event = stream_generator(3, 0), stream_generator(3, 0)
+    sample_chord_batch(ChordModel.MIDPOINT_UNIFORM, public, size)
+    _disc_radius_sq(event, size)
+    assert np.array_equal(event.random(3), public.random(3))
+
+
 class ShortBlock:
     """A generator stand-in: its first block keeps one point, (0.5, 0), and
-    proposes the corner (-1, -1) for the rest; later blocks propose the center."""
+    proposes the corner (-1, -1) for the rest; later blocks propose the center.
+    It ignores the walk's closing rewind."""
 
     def __init__(self):
         self.blocks = 0
+        self.bit_generator = SimpleNamespace(advance=lambda delta: None)
 
     def random(self, out):
         out[...] = 0.5 if self.blocks else 0.0
@@ -228,6 +239,15 @@ def test_scratch_reuse_on_one_thread_counts_as_fresh_processes():
         assert reference_count(name, size, REUSE_SEED) == got[0], (name, size)
         if size % 2 == 0:
             assert run(EXPERIMENTS[name](), size, REUSE_SEED, shards=2).successes == got[1]
+
+
+def test_public_midpoint_call_leaves_a_held_batch_alone():
+    """The public sampler runs the walk the experiment does, but in scratch of its own."""
+    experiment = EXPERIMENTS["center_angle"]()
+    held = experiment.sample(stream_generator(REUSE_SEED, 0), BATCH_SIZE)
+    before = int(np.count_nonzero(experiment.event(held)))
+    sample_chord_batch(ChordModel.MIDPOINT_UNIFORM, stream_generator(REUSE_SEED, 1), BATCH_SIZE)
+    assert int(np.count_nonzero(experiment.event(held))) == before
 
 
 def test_scratch_is_private_to_each_thread():

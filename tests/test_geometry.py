@@ -38,16 +38,33 @@ def length(model, a, b):
 
 
 class Draws:
-    """A generator stand-in that hands out the given uniform draws in turn."""
+    """A generator stand-in that hands out the given uniform draws in turn.
+
+    ``random(out=)`` fills a block with the next draws, padded with NaN,
+    which no rejection test keeps; ``position`` counts the draws taken, net
+    of the steps ``bit_generator.advance`` moves the stream by.
+    """
 
     def __init__(self, *draws):
         self.draws = [np.array(d, dtype=float) for d in draws]
+        self.position = 0
+
+    @property
+    def bit_generator(self):
+        return self
+
+    def advance(self, delta):
+        self.position = (self.position + delta) % 2**128
 
     def uniform(self, low, high, size):
         return self.draws.pop(0)
 
-    def random(self, shape):
-        return self.draws.pop(0)
+    def random(self, out):
+        draws = self.draws.pop(0)
+        out[...] = np.nan
+        out[: len(draws)] = draws
+        self.position += len(out)
+        return out
 
 
 class TestChordLengths:
@@ -62,20 +79,27 @@ class TestChordLengths:
 
     def test_midpoint_outside_disc_rejected(self):
         # the sampler keeps exactly the proposals inside the closed disc, in
-        # stream order: replayed here one proposal at a time
-        x, y = _disc_batch(stream_generator(5, 0), 10_000)
-        rng, kept, rejected = stream_generator(5, 0), [], 0
-        while len(kept) < 10_000:
-            u, v = 2.0 * rng.random() - 1.0, 2.0 * rng.random() - 1.0
-            if u * u + v * v <= 1.0:
-                kept.append((u, v))
-            else:
-                rejected += 1
-        assert np.array_equal(np.column_stack([x, y]), kept)
-        assert rejected > 0
-        # a proposal at (0.9, 0.9) is redrawn; the next one, (0, 0), is kept
-        x, y = _disc_batch(Draws([[0.95, 0.95]], [[0.5, 0.5]]), 1)
+        # stream order, and leaves the stream just past the last one it keeps:
+        # replayed here one proposal at a time, in one block and in several
+        for size in (10_000, 40_000):
+            sampled = stream_generator(5, 0)
+            x, y = _disc_batch(sampled, size)
+            rng, kept, rejected = stream_generator(5, 0), [], 0
+            while len(kept) < size:
+                u, v = 2.0 * rng.random() - 1.0, 2.0 * rng.random() - 1.0
+                if u * u + v * v <= 1.0:
+                    kept.append((u, v))
+                else:
+                    rejected += 1
+            assert np.array_equal(np.column_stack([x, y]), kept)
+            assert rejected > 0
+            assert sampled.random() == rng.random()
+        # a proposal at (0.9, 0.9) is rejected; the next one, (0, 0), is kept,
+        # and the stream is rewound to the draw after it
+        rng = Draws([0.95, 0.95, 0.5, 0.5])
+        x, y = _disc_batch(rng, 1)
         assert (x[0], y[0]) == (0.0, 0.0)
+        assert rng.position == 4
 
     def test_tangent_angle_perpendicular_gives_diameter(self):
         assert length(TANGENT, 0.0, math.pi / 2.0) == 2.0

@@ -89,7 +89,7 @@ class TestCanonicalize:
     def test_str_and_value(self):
         q = Rational(1, 2)
         assert str(q) == "1/2"
-        assert q.value == 0.5
+        assert q.numerator / q.denominator == 0.5
 
     @given(n=st.integers(min_value=0, max_value=10_000), m=st.integers(min_value=1, max_value=10_000))
     def test_always_canonical_and_value_preserving(self, n, m):
@@ -229,14 +229,21 @@ class TestCdf:
 
     @pytest.mark.parametrize(
         "law",
-        [GeometricFamily().law(10**3), GeometricFamily().law(10**4), PoissonFamily().law(10**4)],
-        ids=["geometric-1e3", "geometric-1e4", "poisson-1e4"],
+        [
+            GeometricFamily().law(10**3),
+            GeometricFamily().law(10**4),
+            PoissonFamily().law(10**4),
+            GeometricFamily().law(10**5),
+            PoissonFamily().law(10**5),
+        ],
+        ids=["geometric-1e3", "geometric-1e4", "poisson-1e4", "geometric-1e5", "poisson-1e5"],
     )
     def test_grid_stays_within_64_ulps_of_scalar(self, law):
-        # this grid takes the fold, which adds its chunks' bin sums in order where cdf
-        # rounds each chunk sum exactly, so the gap may grow with the chunk count: on
-        # this grid it is at most 2, 3 and 2 ulps
-        xs = np.arange(143) / 143
+        # random points lie on no grid, so they take the walk, which adds its chunk
+        # sums in order where cdf rounds their sum exactly: the gap may grow with the
+        # chunk count, 36 at geometric 1e5 (L = 2,302,574), past the 8-ulp tests'
+        # k = 1e4; here it is at most 3, 3, 2, 4 and 2 ulps
+        xs = np.random.default_rng(0).random(40)
         grid = cdf_grid(xs, law, TOL)
         scalar = np.array([cdf(float(x), law, TOL) for x in xs])
         # both lie in (0, 1], where the distance of the bit patterns counts ulps
