@@ -103,11 +103,21 @@ def _disc_blocks(rng: np.random.Generator, size: int) -> Iterator[tuple[np.ndarr
 
 
 def _disc_batch(rng: np.random.Generator, size: int) -> tuple[np.ndarray, np.ndarray]:
-    """(x, y) arrays of ``size`` points uniform on the unit disc, from ``_disc_blocks``."""
+    """(x, y) arrays of ``size`` points uniform on the unit disc, from ``_disc_blocks``.
+
+    The walk's rewind drops a buffered 32-bit half-word, which its doubles
+    leave alone, so it is put back: the caller's 32-bit draws continue as
+    they would after the same doubles drawn with ``random``.
+    """
+    before = rng.bit_generator.state
     pts, filled = np.empty((size, 2)), 0
     for half, _, kept in _disc_blocks(rng, size):
         np.multiply(half[kept], 2.0, out=pts[filled : filled + len(kept)])
         filled += len(kept)
+    if before.get("has_uint32"):
+        after = rng.bit_generator.state
+        after["has_uint32"], after["uinteger"] = before["has_uint32"], before["uinteger"]
+        rng.bit_generator.state = after
     return pts[:, 0], pts[:, 1]
 
 

@@ -55,8 +55,25 @@ def _encode(value: Any, as_json: bool) -> str:
     return '"' + text.replace('"', '""') + '"' if any(c in text for c in _CSV_QUOTED) else text
 
 
+class Lookup:
+    """A column whose row i is ``cells[index[i]]``, so that each distinct cell is encoded once."""
+
+    __slots__ = ("cells", "index")
+
+    def __init__(self, cells: list[Any], index: np.ndarray) -> None:
+        self.cells, self.index = cells, index
+
+    def __len__(self) -> int:
+        return len(self.index)
+
+
 # rows per rendered byte block: the renderer's memory follows this, not the row count
 _CHUNK_ROWS = 2**15
+
+
+def _rows(block: np.ndarray) -> np.ndarray:
+    """A (rows, width) block of bytes or masks as one np.void cell per row, copied whole."""
+    return block.view(f"V{block.shape[1]}")[:, 0]
 
 
 def _digits(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -80,19 +97,22 @@ def _digits(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         digit += ord("0")
         block[:, k] = digit
         mag //= 10
-    return block, keep
+    return _rows(block), _rows(keep)
 
 
-def _texts(texts: list[str], index: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Cells as left-aligned UTF-8 texts, picked by index if given, with the mask of the bytes kept."""
+def _texts(texts: list[str]) -> tuple[np.ndarray, np.ndarray]:
+    """Texts as left-aligned UTF-8 cells, one np.void each, with the masks of the bytes kept."""
     import numpy as np
     encoded = [text.encode() for text in texts]
     table = np.array(encoded, dtype="S")
-    block = table.view(np.uint8).reshape(len(table), table.itemsize)
-    lengths = np.array([len(b) for b in encoded])
-    if index is not None:
-        block, lengths = block[index], lengths[index]
-    return block, np.arange(table.itemsize) < lengths[:, None]
+    keep = np.arange(table.itemsize) < np.array([len(b) for b in encoded])[:, None]
+    return table.view(f"V{table.itemsize}"), _rows(keep)
+
+
+def _pick(table: tuple[np.ndarray, np.ndarray], index: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The cells of a ``_texts`` table at ``index``, with their masks."""
+    cells, keep = table
+    return cells[index], keep[index]
 
 
 def _floats(values: np.ndarray, as_json: bool) -> tuple[np.ndarray, np.ndarray]:
@@ -100,18 +120,21 @@ def _floats(values: np.ndarray, as_json: bool) -> tuple[np.ndarray, np.ndarray]:
     import numpy as np
     # unique bit patterns keep -0.0 apart from 0.0
     bits, inverse = np.unique(np.asarray(values, np.float64).view(np.int64), return_inverse=True)
-    return _texts([_encode(v, as_json) for v in bits.view(np.float64).tolist()], inverse)
+    return _pick(_texts([_encode(v, as_json) for v in bits.view(np.float64).tolist()]), inverse)
 
 
 def _column(values: Any, as_json: bool) -> list[Any]:
     """A column as pieces of the row template: texts, and cell makers for the varying parts.
 
-    A column is a constant, a list of cells, a float or integer array, or a
-    (numerators, denominators) pair of integer arrays printed as "n/m" strings.
-    A cell maker takes a row range lo..hi and returns a (rows, width) byte
-    block with the mask of its bytes to keep.
+    A column is a constant, a list of cells, a ``Lookup``, a float or integer
+    array, or a (numerators, denominators) pair of integer arrays printed as
+    "n/m" strings.  A cell maker takes a row range lo..hi and returns its
+    cells as one np.void per row, with the masks of their bytes to keep.
     """
     import numpy as np
+    if isinstance(values, Lookup):
+        table = _texts([_encode(v, as_json) for v in values.cells])
+        return [lambda lo, hi: _pick(table, values.index[lo:hi])]
     if isinstance(values, tuple):
         num, den = values
         quote = '"' if as_json else ""
@@ -130,7 +153,7 @@ def _render(template: list[Any], lo: int, hi: int) -> np.ndarray:
     import numpy as np
     pieces = [piece if isinstance(piece, bytes) else piece(lo, hi) for piece in template]
     # every row starts as the template's texts, with zeros where the cells go
-    row = b"".join(p if isinstance(p, bytes) else bytes(p[0].shape[1]) for p in pieces)
+    row = b"".join(p if isinstance(p, bytes) else bytes(p[0].itemsize) for p in pieces)
     block = np.tile(np.frombuffer(row, np.uint8), (hi - lo, 1))
     keep = np.ones(block.shape, bool)
     at = 0
@@ -139,9 +162,10 @@ def _render(template: list[Any], lo: int, hi: int) -> np.ndarray:
             at += len(piece)
             continue
         cells, cells_keep = piece
-        block[:, at : at + cells.shape[1]] = cells
-        keep[:, at : at + cells.shape[1]] = cells_keep
-        at += cells.shape[1]
+        width = cells.itemsize
+        _rows(block[:, at : at + width])[:] = cells
+        _rows(keep[:, at : at + width])[:] = cells_keep
+        at += width
     return block[keep]
 
 
@@ -156,13 +180,13 @@ def _write(args: argparse.Namespace, text: Iterable[str]) -> int:
 
 
 def _emit(args: argparse.Namespace, columns: dict[str, Any]) -> int:
-    r"""Write a table of two or more columns, each a constant, a sequence or a fraction pair.
+    r"""Write a table of two or more columns: constants, sequences, ``Lookup``s or fraction pairs.
 
     The sequences share one length, the row count, of at least 1; a table of
     constants is one row.  The text equals csv.writer(lineterminator="\n") or
     json.dumps({"rows": [...]}, indent=2) + "\n" on the rows spelled out.
     A table of constants and lists is spelled out here, one CSV line per row;
-    a table holding an array or a fraction pair goes to ``_emit_blocks``.
+    a table holding an array, a ``Lookup`` or a fraction pair goes to ``_emit_blocks``.
     """
     if not all(isinstance(values, (list, str, int, float, type(None))) for values in columns.values()):
         return _emit_blocks(args, columns)
@@ -188,7 +212,7 @@ def _emit_blocks(args: argparse.Namespace, columns: dict[str, Any]) -> int:
         elif i:
             pieces.append(",")
         pieces += _column(values, as_json)
-        if isinstance(values, (list, tuple, np.ndarray)):
+        if isinstance(values, (list, tuple, Lookup, np.ndarray)):
             rows = len(values[0] if isinstance(values, tuple) else values)
     # every JSON row ends in the separator, which the last row drops
     pieces.append("\n    },\n" if as_json else "\n")
@@ -366,7 +390,7 @@ def cmd_sample(args: argparse.Namespace) -> int:
     seed = _resolve_seed(args)
     rng = montecarlo.stream_generator(seed, 0)
     nums, dens = rationals.sample_rational_batch(law, rng, n)
-    # encode (denominator, numerator) pairs so np.unique sorts them stably
+    # encode (denominator, numerator) pairs so that sorting the codes orders the atoms
     base = int(dens.max()) + 1
     if base > _MAX_CODE_BASE:
         raise ValueError(f"drew denominator {base - 1}; sample tabulates up to {_MAX_CODE_BASE - 1}")
@@ -375,10 +399,32 @@ def cmd_sample(args: argparse.Namespace) -> int:
     codes += nums
     # the draws are not needed past this point; freed, they leave room for the rendering
     del nums, dens
-    codes, counts = np.unique(codes, return_counts=True)
-    den, num = np.divmod(codes, base)
+    # sorted in place, the codes of each atom form one run
+    codes.sort()
+    first = np.empty(n, bool)
+    first[0] = True
+    np.not_equal(codes[1:], codes[:-1], out=first[1:])
+    starts = np.flatnonzero(first)
+    del first
+    den, num = np.divmod(codes[starts], base)
     del codes
-    columns = {"q": (num, den), "count": counts, "frequency": counts / n, "n": n, "seed": seed}
+    counts = np.diff(starts, append=n)
+    del starts
+    # count and frequency follow from the count, and a table has few distinct counts:
+    # each is encoded once, and each atom picks it by its rank among them
+    present = np.zeros(int(counts.max()) + 1, bool)
+    present[counts] = True
+    picked = np.cumsum(present)[counts]
+    picked -= 1
+    del counts
+    distinct = np.flatnonzero(present).tolist()
+    columns = {
+        "q": (num, den),
+        "count": Lookup(distinct, picked),
+        "frequency": Lookup([count / n for count in distinct], picked),
+        "n": n,
+        "seed": seed,
+    }
     return _emit(args, {"law": args.law, **columns})
 
 

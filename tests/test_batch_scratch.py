@@ -161,6 +161,20 @@ def test_midpoint_radius_sq_leaves_the_stream_where_the_public_sampler_does(size
     assert np.array_equal(event.random(3), public.random(3))
 
 
+def test_public_midpoint_call_keeps_the_buffered_half_word():
+    """32-bit draws after a public midpoint call continue as after the same doubles drawn with random."""
+    public, twin = np.random.Generator(np.random.PCG64(3)), np.random.Generator(np.random.PCG64(3))
+    assert public.integers(0, 1000, dtype=np.int32) == twin.integers(0, 1000, dtype=np.int32) == 811
+    sample_chord_batch(ChordModel.MIDPOINT_UNIFORM, public, 10)
+    # the walk's proposals replayed on the twin, one (u, v) pair at a time
+    kept = 0
+    while kept < 10:
+        u, v = twin.random(2)
+        kept += (u - 0.5) ** 2 + (v - 0.5) ** 2 <= 0.25
+    draws = [int(rng.integers(0, 1000, dtype=np.int32)) for rng in (public, twin) for _ in range(3)]
+    assert draws[:3] == draws[3:] == [85, 190, 773]
+
+
 class ShortBlock:
     """A generator stand-in: its first block keeps one point, (0.5, 0), and
     proposes the corner (-1, -1) for the rest; later blocks propose the center.

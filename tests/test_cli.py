@@ -10,6 +10,7 @@ import tempfile
 import textwrap
 import tracemalloc
 from argparse import Namespace
+from collections import Counter
 from contextlib import redirect_stdout
 from pathlib import Path
 
@@ -19,8 +20,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bertrand_lab.cli import (
-    _CHUNK_ROWS, DEFAULT_SEED, SEED_ENV_VAR, _emit, _emit_blocks, build_parser, main,
+    _CHUNK_ROWS, DEFAULT_SEED, SEED_ENV_VAR, Lookup, _emit, _emit_blocks, _parse_law, build_parser, main,
 )
+from bertrand_lab.montecarlo import stream_generator
+from bertrand_lab.rationals import sample_rational_batch
 
 
 def run_cli(argv, capsys):
@@ -208,6 +211,51 @@ class TestRationalsCommand:
             n, m = (int(part) for part in r["q"].split("/"))
             assert 0 <= n <= m and math.gcd(n, m) == 1
         assert sum(int(r["count"]) for r in rows) == 5
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("n", [1, 2, 100_000])
+    @pytest.mark.parametrize("law", [
+        "degenerate:1", "degenerate:2", "custom:2=0.5,3=0.25,7=0.25", "poisson:4", "geometric:0.001",
+    ])
+    def test_sample_rows_count_the_draws(self, law, n, fmt, capsys):
+        seed = 5
+        code, out, _ = run_cli(
+            ["rationals", "sample", "--law", law, "--samples", str(n), "--seed", str(seed), "--format", fmt],
+            capsys,
+        )
+        assert code == 0
+        nums, dens = sample_rational_batch(_parse_law(law), stream_generator(seed, 0), n)
+        counted = sorted(Counter(zip(dens.tolist(), nums.tolist())).items())
+        expected = [
+            {"law": law, "q": f"{num}/{den}", "count": count, "frequency": format(count / n, ".9g"),
+             "n": n, "seed": seed}
+            for (den, num), count in counted
+        ]
+        if fmt == "csv":
+            rows = parse_csv(out)
+            expected = [{name: str(value) for name, value in row.items()} for row in expected]
+        else:
+            rows = json.loads(out)["rows"]
+            for row in expected:
+                row["frequency"] = float(row["frequency"])
+        assert rows == expected
+        if law == "geometric:0.001" and n == 100_000:
+            assert len(rows) > 2 * _CHUNK_ROWS  # three blocks
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_sample_memory_holds_no_second_copy_of_the_draws(self, fmt, tmp_path):
+        # the sampler's own arrays (draws, numerators, their gcd: 8 MB each at 1e6 draws) set the
+        # CSV peak, 23.0 MiB (JSON 30.4 MiB); before the codes were sorted in place, np.unique
+        # copied them and the command peaked at 26.1 and 33.1 MiB, and these bounds are those peaks
+        argv = ["rationals", "sample", "--law", "geometric:0.001", "--samples", "1000000",
+                "--seed", "5", "--format", fmt, "--out", str(tmp_path / "table")]
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < {"csv": 26.2, "json": 33.1}[fmt] * 2**20
 
     def test_converge_table(self, capsys):
         code, out, _ = run_cli(
@@ -423,13 +471,19 @@ SEQUENCE_CELLS = {"cells": SCALARS, "floats": FLOATS, "ints": INT64S}
 @st.composite
 def column_tables(draw):
     """Tables of 2-5 columns; each a constant, a list of any cells, a float or int array, texts,
-    or a (numerators, denominators) pair of int arrays."""
+    a Lookup of any cells, or a (numerators, denominators) pair of int arrays."""
     n = draw(st.integers(1, 5))
     columns = {}
     for name in draw(st.lists(TEXTS, min_size=2, max_size=5, unique=True)):
-        kind = draw(st.sampled_from(["constant", "cells", "floats", "ints", "texts", "fractions"]))
+        kind = draw(st.sampled_from(
+            ["constant", "cells", "floats", "ints", "texts", "fractions", "lookup"]
+        ))
         if kind == "constant":
             columns[name] = draw(SCALARS)
+        elif kind == "lookup":
+            cells = draw(st.lists(SCALAR_CELLS, min_size=1, max_size=4))
+            index = draw(st.lists(st.integers(0, len(cells) - 1), min_size=n, max_size=n))
+            columns[name] = Lookup(cells, np.array(index))
         elif kind == "texts":
             columns[name] = draw(st.lists(TEXTS, min_size=n, max_size=n))
         elif kind == "fractions":
@@ -472,6 +526,7 @@ def spelled_rows(columns):
     columns = {
         h: v.tolist() if isinstance(v, np.ndarray)
         else [f"{num}/{den}" for num, den in zip(*v)] if isinstance(v, tuple)
+        else [v.cells[i] for i in v.index] if isinstance(v, Lookup)
         else v
         for h, v in columns.items()
     }
@@ -499,6 +554,10 @@ def many_rows_table():
     floats[::5] = np.resize(specials, len(floats[::5]))
     texts = ["plain", "a,b", 'say "hi"', "\r", "caf\u00e9", "\u0661\u0662", "two\nlines", "", "%d"]
     cells = [None, 2**70, -1.5, "x,y", INT64_MIN, 0.30000000000000004, "\u00e9"]
+    # a Lookup picks every cell and special float, and a different one on each side of a block edge
+    table = [*cells, *specials]
+    picked = i % len(table)
+    picked[edges] = [1, 14, 0, 9, 3]
     return {
         "law": QUOTED_CONSTANT,
         "int": ints,
@@ -506,6 +565,7 @@ def many_rows_table():
         "fr\u00e9q": floats,
         "text,t": [texts[k % len(texts)] for k in range(n)],
         "cell": [cells[k % len(cells)] for k in range(n)],
+        "lookup": Lookup(table, picked),
         "none": None,
     }
 
@@ -513,20 +573,20 @@ def many_rows_table():
 def sample_shaped_table(rows):
     """The columns of a ``rationals sample`` table of ``rows`` distinct atoms."""
     rng = np.random.default_rng(3)
-    counts = rng.integers(1, 5, rows)
+    counts, picked = [1, 2, 3, 4], rng.integers(0, 4, rows)
     return {
         "law": "geometric:0.001",
         "q": (np.arange(rows) % 997, np.sort(rng.integers(1, 5000, rows))),
-        "count": counts,
-        "frequency": counts / 10**6,
+        "count": Lookup(counts, picked),
+        "frequency": Lookup([count / 10**6 for count in counts], picked),
         "n": 10**6,
         "seed": 12345,
     }
 
 
-# the tracemalloc peak of _emit, beyond its input columns, was 7.1 MiB (CSV) and
-# 20.2 MiB (JSON) at 300,000 and at 600,000 rows alike; rendering these 300,000
-# rows as one block peaks at 51 and 141 MiB
+# the tracemalloc peak of _emit, beyond its input columns, was 6.9 MiB (CSV) and
+# 20.1 MiB (JSON) at 300,000 and at 600,000 rows alike; rendering these 300,000
+# rows as one block peaks at 50 and 140 MiB
 EMIT_PEAK_BOUND = {"csv": 12 * 2**20, "json": 32 * 2**20}
 SAMPLE_MANY_ROWS = ["rationals", "sample", "--law", "geometric:0.001", "--samples", "300000", "--seed", "5"]
 

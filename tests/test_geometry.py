@@ -49,6 +49,9 @@ class Draws:
         self.draws = [np.array(d, dtype=float) for d in draws]
         self.position = 0
 
+    # a stream with no buffered 32-bit half-word for the public sampler to put back
+    state = {"has_uint32": 0}
+
     @property
     def bit_generator(self):
         return self
