@@ -389,26 +389,44 @@ def cmd_sample(args: argparse.Namespace) -> int:
     n = _check_samples(args.samples)
     seed = _resolve_seed(args)
     rng = montecarlo.stream_generator(seed, 0)
-    nums, dens = rationals.sample_rational_batch(law, rng, n)
-    # encode (denominator, numerator) pairs so that sorting the codes orders the atoms
-    base = int(dens.max()) + 1
-    if base > _MAX_CODE_BASE:
-        raise ValueError(f"drew denominator {base - 1}; sample tabulates up to {_MAX_CODE_BASE - 1}")
-    codes = dens
-    codes *= base
-    codes += nums
-    # the draws are not needed past this point; freed, they leave room for the rendering
+    # each chunk's (denominator, numerator) pairs become den * _MAX_CODE_BASE + num in the
+    # denominators' own array, so that sorting these codes orders the atoms; it is the one n-sized array
+    codes, walk = rationals._draw(law, rng, n)
+    top = 0
+    for lo, nums in walk:
+        dens = codes[lo : lo + len(nums)]
+        top = max(top, int(dens.max()))
+        # the codes of a run refused below wrap, and are never read
+        dens *= _MAX_CODE_BASE
+        dens += nums
+    # dens is a view: held, it would keep the codes alive past their last read
     del nums, dens
-    # sorted in place, the codes of each atom form one run
+    if top >= _MAX_CODE_BASE:
+        raise ValueError(f"drew denominator {top}; sample tabulates up to {_MAX_CODE_BASE - 1}")
+    # sorted in place, the codes of each atom form one run, whose starts are found a chunk at a time
     codes.sort()
-    first = np.empty(n, bool)
-    first[0] = True
-    np.not_equal(codes[1:], codes[:-1], out=first[1:])
-    starts = np.flatnonzero(first)
-    del first
-    den, num = np.divmod(codes[starts], base)
+    step = rationals._CHUNK_CELLS
+    changed = np.empty(min(n, step), bool)
+    starts = [np.zeros(1, np.int64)]
+    for lo in range(1, n, step):
+        hi = min(lo + step, n)
+        found = np.flatnonzero(np.not_equal(codes[lo:hi], codes[lo - 1 : hi - 1], out=changed[: hi - lo]))
+        found += lo
+        starts.append(found)
+    starts = np.concatenate(starts)
+    # every part of an atom is below _MAX_CODE_BASE < 2**32, so its columns are uint32
+    den = np.empty(len(starts), np.uint32)
+    num = np.empty(len(starts), np.uint32)
+    for lo in range(0, len(starts), step):
+        hi = lo + step
+        np.divmod(codes[starts[lo:hi]], _MAX_CODE_BASE, out=(den[lo:hi], num[lo:hi]), casting="unsafe")
     del codes
-    counts = np.diff(starts, append=n)
+    # each run's length, written over its start a chunk at a time: a chunk reads one start past it
+    counts, last = starts, int(starts[-1])
+    for lo in range(0, len(counts) - 1, step):
+        hi = min(lo + step, len(counts) - 1)
+        np.subtract(counts[lo + 1 : hi + 1], counts[lo:hi], out=counts[lo:hi])
+    counts[-1] = n - last
     del starts
     # count and frequency follow from the count, and a table has few distinct counts:
     # each is encoded once, and each atom picks it by its rank among them

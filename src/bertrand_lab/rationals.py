@@ -189,7 +189,7 @@ class DenominatorLaw(ABC):
 
     @abstractmethod
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        """Draw ``size`` denominators as an int64 array."""
+        """Draw ``size`` denominators as a fresh int64 array, which the caller may write."""
 
     @abstractmethod
     def truncation_index(self, tol: float) -> int:
@@ -239,8 +239,9 @@ def _log_gamma(x: np.ndarray, out: np.ndarray, r: np.ndarray, series: np.ndarray
     """ln Gamma(x) elementwise into ``out`` for x >= 1 (+inf below 1); ``r``
     and ``series`` are float64 work arrays of ``x``'s shape."""
     # Stirling's series everywhere, in place; arguments below _STIRLING_FROM
-    # are overwritten after it, so their warnings are moot
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # are overwritten after it, so their warnings are moot, and above 1.3e154
+    # x * x overflows to inf, whose reciprocal 0 is the series' own limit
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         np.divide(1.0, np.multiply(x, x, out=r), out=r)
         series.fill(0.0)
         for c in reversed(_STIRLING):
@@ -314,7 +315,9 @@ class PoissonLaw(DenominatorLaw):
         return float(self.pmf_array(np.array([max(1, mode), mode + 1])).max())
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        return (1 + rng.poisson(self.mean, size)).astype(np.int64)
+        ms = rng.poisson(self.mean, size).astype(np.int64, copy=False)
+        ms += 1
+        return ms
 
     def __repr__(self) -> str:
         return f"PoissonLaw(mean={self.mean!r})"
@@ -357,7 +360,7 @@ class CustomLaw(DenominatorLaw):
         return int(self._ms[np.count_nonzero(self._above[1:] > tol)])
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        return rng.choice(self._ms, p=self._ps, size=size).astype(np.int64)
+        return rng.choice(self._ms, p=self._ps, size=size).astype(np.int64, copy=False)
 
     def __repr__(self) -> str:
         return f"CustomLaw({dict(zip(map(int, self._ms), map(float, self._ps)))!r})"
@@ -596,16 +599,40 @@ def harmonic_number(k: int) -> float:
     return math.fsum(float(np.divide(1.0, m, out=m).sum()) for m in _blocks(range(1, k + 1)))
 
 
+def _draw(
+    law: DenominatorLaw, rng: np.random.Generator, size: int
+) -> tuple[np.ndarray, Iterator[tuple[int, np.ndarray]]]:
+    """``size`` denominators drawn by ``law.sample``, and the walk that draws their numerators.
+
+    The walk draws the numerators ``_CHUNK_CELLS`` at a time, after every
+    denominator, with ``integers(0, m, endpoint=True)``: the same stream as
+    one ``integers(0, ms + 1)``.  It divides each chunk by its gcd, the
+    denominators in place, and yields the chunk's start and its numerators.
+    So the denominators are the one size-long array.
+    """
+    ms = law.sample(rng, size)
+
+    def walk() -> Iterator[tuple[int, np.ndarray]]:
+        g = np.empty(min(size, _CHUNK_CELLS), np.int64)
+        for lo in range(0, size, _CHUNK_CELLS):
+            m = ms[lo : lo + _CHUNK_CELLS]
+            n = rng.integers(0, m, endpoint=True)
+            gcd = np.gcd(n, m, out=g[: len(m)])
+            n //= gcd
+            m //= gcd
+            yield lo, n
+
+    return ms, walk()
+
+
 def sample_rational_batch(
     law: DenominatorLaw, rng: np.random.Generator, size: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized sampler returning canonical (numerator, denominator) arrays."""
-    ms = law.sample(rng, size)
-    ns = rng.integers(0, ms + 1, dtype=np.int64)
-    g = np.gcd(ns, ms)
-    # ms is the law's fresh array, so both divide in place
-    ns //= g
-    ms //= g
+    ms, walk = _draw(law, rng, size)
+    ns = np.empty_like(ms)
+    for lo, n in walk:
+        ns[lo : lo + len(n)] = n
     return ns, ms
 
 

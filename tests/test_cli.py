@@ -242,20 +242,32 @@ class TestRationalsCommand:
         if law == "geometric:0.001" and n == 100_000:
             assert len(rows) > 2 * _CHUNK_ROWS  # three blocks
 
-    @pytest.mark.parametrize("fmt", ["csv", "json"])
-    def test_sample_memory_holds_no_second_copy_of_the_draws(self, fmt, tmp_path):
-        # the sampler's own arrays (draws, numerators, their gcd: 8 MB each at 1e6 draws) set the
-        # CSV peak, 23.0 MiB (JSON 30.4 MiB); before the codes were sorted in place, np.unique
-        # copied them and the command peaked at 26.1 and 33.1 MiB, and these bounds are those peaks
-        argv = ["rationals", "sample", "--law", "geometric:0.001", "--samples", "1000000",
-                "--seed", "5", "--format", fmt, "--out", str(tmp_path / "table")]
+    @staticmethod
+    def sample_peak(law, n, fmt, out):
+        """The tracemalloc peak of one ``rationals sample`` command written to ``out``."""
+        argv = ["rationals", "sample", "--law", law, "--samples", str(n),
+                "--seed", "5", "--format", fmt, "--out", str(out)]
         tracemalloc.start()
         try:
             assert main(argv) == 0
-            peak = tracemalloc.get_traced_memory()[1]
+            return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < {"csv": 26.2, "json": 33.1}[fmt] * 2**20
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_sample_memory_holds_no_second_copy_of_the_draws(self, fmt, tmp_path):
+        # the codes (8 MB at 1e6 draws) and the run starts set the CSV peak, 15.1 MiB, and the
+        # renderer's blocks the JSON peak, 27.3 MiB; the bounds keep the 3.2 and 2.7 MiB margins
+        # they had over the peaks when the draws, numerators and gcd were three 8 MB arrays
+        peak = self.sample_peak("geometric:0.001", 1_000_000, fmt, tmp_path / "table")
+        assert peak < {"csv": 18.3, "json": 30.0}[fmt] * 2**20
+
+    def test_sample_memory_is_one_int64_per_draw(self, tmp_path):
+        # degenerate:3 has four atoms, so beyond the codes' 8 B per draw the peak holds no
+        # other n-sized array
+        small, large = (self.sample_peak("degenerate:3", n, "csv", tmp_path / "table")
+                        for n in (200_000, 1_000_000))
+        assert large - small <= 9 * 800_000
 
     def test_converge_table(self, capsys):
         code, out, _ = run_cli(
@@ -378,6 +390,22 @@ class TestRationalsCommand:
         assert proc.stderr.startswith("error: ")
         assert "Traceback" not in proc.stderr
 
+    def test_series_overflow_is_refused_without_a_warning(self):
+        # sup_pmf's log-gamma squares the mean, which overflows a float beyond 1.3e154; the
+        # square's reciprocal 0 is right there, so numpy's overflow warning must not reach stderr
+        k = 10**300
+        proc = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "bertrand_lab",
+             "rationals", "converge", "--family", "poisson", "--ks", f"1,{k}"],
+            capture_output=True,
+            text=True,
+            env=src_env(),
+        )
+        m = int(float(k))
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == f"error: series over m = {m}..{m} passes the largest denominator {2**62 - 1}\n"
+
     def test_sample_out_of_memory_is_a_config_error(self, capsys, monkeypatch):
         from bertrand_lab import rationals
 
@@ -385,7 +413,7 @@ class TestRationalsCommand:
             # numpy's _ArrayMemoryError is a MemoryError; nothing is allocated here
             raise MemoryError(f"Unable to allocate 72.8 TiB for an array with shape ({n},)")
 
-        monkeypatch.setattr(rationals, "sample_rational_batch", unable)
+        monkeypatch.setattr(rationals, "_draw", unable)
         argv = ["rationals", "sample", "--law", "geometric:0.5", "--samples", "10000000000000"]
         code, out, err = run_cli(argv, capsys)
         assert code == 2

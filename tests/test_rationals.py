@@ -598,6 +598,43 @@ class TestLawMechanics:
         assert rng.bit_generator.state != state
 
 
+CHUNK = rationals._CHUNK_CELLS
+# geometric on both sides of w = 1/3, where numpy's draw changes from inversion to search,
+# and a table entry above 2**32, whose numerators numpy draws 64 bits at a time
+WALK_LAWS = [
+    GeometricLaw(0.2), GeometricLaw(0.5), PoissonLaw(3.0),
+    CustomLaw({3: 0.5, 7: 0.25, 2**40: 0.25}), DegenerateLaw(6),
+]
+
+
+def numpy_rationals(law, rng, size):
+    """A batch of rationals as numpy draws them: the denominators, then one
+    ``integers(0, ms + 1)``, both divided by their ``np.gcd``."""
+    ms = law.sample(rng, size)
+    ns = rng.integers(0, ms + 1)
+    g = np.gcd(ns, ms)
+    return ns // g, ms // g
+
+
+@pytest.mark.parametrize("size", [1, 7, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 3])
+@pytest.mark.parametrize("law", WALK_LAWS, ids=repr)
+def test_chunk_walk_is_one_numpy_draw(law, size):
+    ref = stream_generator(7, 0)
+    ns_ref, ms_ref = numpy_rationals(law, ref, size)
+    rng = stream_generator(7, 0)
+    ms, walk = rationals._draw(law, rng, size)
+    chunks = list(walk)
+    assert [lo for lo, _ in chunks] == list(range(0, size, CHUNK))
+    assert [len(n) for _, n in chunks] == [min(CHUNK, size - lo) for lo, _ in chunks]
+    assert np.array_equal(np.concatenate([n for _, n in chunks]), ns_ref)
+    assert np.array_equal(ms, ms_ref)
+    # the generator goes on where numpy's one draw left it, in 32-bit and in double draws
+    assert np.array_equal(rng.integers(0, 1000, 3, dtype=np.int32), ref.integers(0, 1000, 3, dtype=np.int32))
+    assert np.array_equal(rng.random(3), ref.random(3))
+    nums, dens = sample_rational_batch(law, stream_generator(7, 0), size)
+    assert np.array_equal(nums, ns_ref) and np.array_equal(dens, ms_ref)
+
+
 class TestSampling:
     def test_samples_are_always_canonical(self):
         rng = stream_generator(13, 0)
