@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import enum
 import math
-from typing import Callable, Iterator, NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -37,21 +37,17 @@ class ChordModel(enum.Enum):
 
 
 class _Chord(NamedTuple):
-    """One chord model: its exact answer, event mass and samplers.
+    """One chord model: its exact answer, event mass and Monte Carlo experiment.
 
     ``exceed(t)`` is the native event mass P(length > t), the model's uniform
-    density times the area of the event; ``sample(rng, size)`` draws the
-    coordinate arrays and ``length`` maps them to chord lengths.
-
-    ``event_sample(rng, size)`` consumes a PCG64 stream as ``sample`` does
-    but builds only the one array the event reads, and ``event(t)`` maps
-    that array to ``length > t``, bit for bit as the public arrays give it.
+    density times the area of the event.  ``event_sample(rng, size)`` draws
+    a batch's chords as ``chord_exceed_experiment`` states them, but builds
+    only the one array the event reads, and ``event(t)`` maps that array to
+    ``length > t``, bit for bit as the chords' coordinates give it.
     """
 
     exact: float
     exceed: Callable[[float], float]
-    sample: Callable[[np.random.Generator, int], tuple[np.ndarray, np.ndarray]]
-    length: Callable[[np.ndarray, np.ndarray], np.ndarray]
     event_sample: Callable[[np.random.Generator, int], np.ndarray]
     event: Callable[[float], Callable[[np.ndarray], np.ndarray]]
 
@@ -70,76 +66,39 @@ def _length_from_radius_sq(s: np.ndarray) -> np.ndarray:
 _DISC_BLOCK = BATCH_SIZE // 2
 
 
-def _disc_blocks(rng: np.random.Generator, size: int) -> Iterator[tuple[np.ndarray, ...]]:
-    """Rejection from the bounding square [-1, 1]^2, about 4/pi proposals per point.
+def _disc_radius_sq(rng: np.random.Generator, size: int) -> np.ndarray:
+    """``x*x + y*y`` of ``size`` points uniform on the unit disc, in the thread's scratch.
 
-    Walks the stream's proposals in blocks until ``size`` lie in the closed
-    unit disc, and yields each block as ``(half, quarter, kept)``: its
-    draws less 1/2 as (u, v) rows, ``(u - 1/2)**2 + (v - 1/2)**2`` and the
-    indices of its first proposals kept.  x = 2u - 1 is 2 * (u - 1/2)
-    exactly, so x*x + y*y is 4 * quarter exactly and the point is kept
-    when quarter is at most 1/4.  A block holds about 4/pi proposals per
-    missing point plus a margin, at most ``_DISC_BLOCK``, and a further
-    block is drawn in the rare case that one falls short.  After the last
-    block the stream is rewound to just past the last proposal kept.  A
-    radius transform is deliberately avoided because it would presuppose
-    the non-uniform r/pi law.  The arrays live in the thread's ``disc.*``
-    scratch.
+    Rejection from the bounding square [-1, 1]^2, about 4/pi proposals per
+    point: the points are the first ``size`` proposals (x, y) = (2u - 1,
+    2v - 1), from the stream's draws taken in (u, v) pairs, that lie in the
+    closed unit disc.  x = 2u - 1 is 2 * (u - 1/2) exactly, so x*x + y*y is
+    4 * ((u - 1/2)**2 + (v - 1/2)**2) exactly, and the point is kept when
+    that quarter is at most 1/4.  The proposals are drawn in blocks of about
+    4/pi per missing point plus a margin, at most ``_DISC_BLOCK``, and a
+    further block is drawn in the rare case that one falls short; the
+    stream is left after the last block.  A radius transform is
+    deliberately avoided because it would presuppose the non-uniform r/pi
+    law.  The blocks live in the thread's ``disc.*`` scratch.
     """
-    missing = size
-    while missing:
+    out, filled = _scratch("batch", size), 0
+    while filled < size:
+        missing = size - filled
         block = min(int(missing * 4.0 / math.pi + 3.0 * math.sqrt(missing) + 16.0), _DISC_BLOCK)
         half = rng.random(out=_scratch("disc.half", 2 * block))
         half -= 0.5
-        # squared apart: the public sampler reads the signs of ``half``
-        quarter = np.square(half[0::2], out=_scratch("disc.quarter_radius_sq", block))
-        quarter += np.square(half[1::2], out=_scratch("disc.square", block))
+        np.square(half, out=half)  # (u - 1/2)**2 and (v - 1/2)**2, interleaved
+        quarter = np.add(half[0::2], half[1::2], out=_scratch("disc.quarter_radius_sq", block))
         accepted = np.less_equal(quarter, 0.25, out=_scratch("disc.accepted", block, np.bool_))
         kept = np.flatnonzero(accepted)[:missing]
-        missing -= len(kept)
-        yield half.reshape(block, 2), quarter, kept
-    if size:
-        rng.bit_generator.advance(-2 * (block - 1 - int(kept[-1])) % 2**128)
-
-
-def _disc_batch(rng: np.random.Generator, size: int) -> tuple[np.ndarray, np.ndarray]:
-    """(x, y) arrays of ``size`` points uniform on the unit disc, from ``_disc_blocks``.
-
-    The walk's rewind drops a buffered 32-bit half-word, which its doubles
-    leave alone, so it is put back: the caller's 32-bit draws continue as
-    they would after the same doubles drawn with ``random``.
-    """
-    before = rng.bit_generator.state
-    pts, filled = np.empty((size, 2)), 0
-    for half, _, kept in _disc_blocks(rng, size):
-        np.multiply(half[kept], 2.0, out=pts[filled : filled + len(kept)])
-        filled += len(kept)
-    if before.get("has_uint32"):
-        after = rng.bit_generator.state
-        after["has_uint32"], after["uinteger"] = before["has_uint32"], before["uinteger"]
-        rng.bit_generator.state = after
-    return pts[:, 0], pts[:, 1]
-
-
-def _disc_radius_sq(rng: np.random.Generator, size: int) -> np.ndarray:
-    """``x*x + y*y`` of the points ``_disc_batch`` draws, in the thread's scratch."""
-    out, filled = _scratch("batch", size), 0
-    for _, quarter, kept in _disc_blocks(rng, size):
         np.take(quarter, kept, out=out[filled : filled + len(kept)], mode="clip")
         filled += len(kept)
     out *= 4.0
     return out
 
 
-def _polar_batch(rng: np.random.Generator, size: int) -> tuple[np.ndarray, np.ndarray]:
-    r = rng.uniform(0.0, 1.0, size)
-    theta = rng.uniform(-math.pi, math.pi, size)
-    theta[theta == -math.pi] = math.pi
-    return r, theta
-
-
 def _tangent_beta(rng: np.random.Generator, size: int) -> np.ndarray:
-    """The tangent angles of the tangent-model sampler; its alphas are skipped.
+    """A batch's tangent angles beta, drawn after its alphas, which are skipped.
 
     PCG64 takes one 64-bit step per double, so advancing ``size`` steps
     leaves the stream where drawing the alphas would.
@@ -214,27 +173,18 @@ _CHORDS = {
     ChordModel.MIDPOINT_UNIFORM: _Chord(
         exact=0.25,
         exceed=lambda t: max(0.0, 1.0 - t * t / 4.0),
-        sample=_disc_batch,
-        length=lambda x, y: _length_from_radius_sq(x * x + y * y),
         event_sample=_disc_radius_sq,
         event=lambda t: _cut_event(_length_from_radius_sq, t),
     ),
     ChordModel.TANGENT_ANGLE_UNIFORM: _Chord(
         exact=1.0 / 3.0,
         exceed=lambda t: max(0.0, math.pi - 2.0 * math.asin(min(1.0, t / 2.0))) / math.pi,
-        sample=lambda rng, size: (
-            rng.uniform(0.0, 2.0 * math.pi, size),
-            rng.uniform(0.0, math.pi, size),
-        ),
-        length=lambda alpha, beta: 2.0 * np.sin(beta),
         event_sample=_tangent_beta,
         event=_tangent_event,
     ),
     ChordModel.POLAR_UNIFORM: _Chord(
         exact=0.5,
         exceed=_event_radius,
-        sample=_polar_batch,
-        length=lambda r, theta: _length_from_radius_sq(r * r),
         # r = rng.uniform(0.0, 1.0) bit for bit; theta, drawn after it, is never read
         event_sample=lambda rng, size: rng.random(out=_scratch("draws", size)),
         event=lambda t: _cut_event(lambda r: _length_from_radius_sq(r * r), t),
@@ -282,25 +232,14 @@ def exceed_probability_under_measure(
     )
 
 
-def sample_chord_batch(
-    model: ChordModel, rng: np.random.Generator, size: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized chord sampler: ``(first, second, length)`` arrays.
-
-    The coordinate order matches the model: (x, y), (alpha, beta) or
-    (r, theta).  Midpoint-uniform chords are drawn by rejection from the
-    bounding square; the draws are fully seed-deterministic.
-    """
-    chord = _CHORDS[model]
-    first, second = chord.sample(rng, size)
-    return first, second, chord.length(first, second)
-
-
 def chord_exceed_experiment(model: ChordModel, threshold: float = TRIANGLE_EDGE) -> Experiment:
     """Bernoulli experiment: does a random chord beat ``threshold``?
 
-    Each batch consumes its stream as ``sample_chord_batch`` does and counts
-    the same chords, but draws and keeps only what the event reads.
+    A batch of n chords is, bit for bit: the first n proposals (2u - 1,
+    2v - 1) of ``rng.random()`` pairs inside the closed unit disc (midpoint);
+    ``rng.uniform(0, 2pi, n)`` then ``rng.uniform(0, pi, n)`` (tangent); or
+    ``rng.uniform(0, 1, n)`` then ``rng.uniform(-pi, pi, n)`` (polar).  Each
+    batch counts those chords, but draws and keeps only what the event reads.
     """
     if not 0.0 <= threshold <= 2.0:
         raise ValueError(f"threshold must lie in [0, 2], got {threshold}")

@@ -8,8 +8,9 @@ the host's cores nor the caller's environment.  Floats are printed with 9 signif
 (round-half-even); exact rationals are printed as "n/m" strings, never as
 decimals.  CSV uses RFC-4180 quoting with LF line endings;
 JSON output is a single object with a "rows" array carrying the same fields.
-Tables of constants and lists are written with the standard library, and only
-tables holding an array import numpy; both writers write the same bytes.
+Tables of constants and lists are written with the standard library; the
+one table of ``Lookup`` columns and fraction pairs, ``rationals sample``'s,
+is rendered in numpy blocks.  Both writers write the same bytes.
 """
 
 from __future__ import annotations
@@ -115,23 +116,14 @@ def _pick(table: tuple[np.ndarray, np.ndarray], index: np.ndarray) -> tuple[np.n
     return cells[index], keep[index]
 
 
-def _floats(values: np.ndarray, as_json: bool) -> tuple[np.ndarray, np.ndarray]:
-    """Float cells, each distinct value encoded once."""
-    import numpy as np
-    # unique bit patterns keep -0.0 apart from 0.0
-    bits, inverse = np.unique(np.asarray(values, np.float64).view(np.int64), return_inverse=True)
-    return _pick(_texts([_encode(v, as_json) for v in bits.view(np.float64).tolist()]), inverse)
-
-
 def _column(values: Any, as_json: bool) -> list[Any]:
     """A column as pieces of the row template: texts, and cell makers for the varying parts.
 
-    A column is a constant, a list of cells, a ``Lookup``, a float or integer
-    array, or a (numerators, denominators) pair of integer arrays printed as
-    "n/m" strings.  A cell maker takes a row range lo..hi and returns its
-    cells as one np.void per row, with the masks of their bytes to keep.
+    A column is a constant, a ``Lookup``, or a (numerators, denominators)
+    pair of integer arrays printed as "n/m" strings.  A cell maker takes a
+    row range lo..hi and returns its cells as one np.void per row, with the
+    masks of their bytes to keep.
     """
-    import numpy as np
     if isinstance(values, Lookup):
         table = _texts([_encode(v, as_json) for v in values.cells])
         return [lambda lo, hi: _pick(table, values.index[lo:hi])]
@@ -139,12 +131,6 @@ def _column(values: Any, as_json: bool) -> list[Any]:
         num, den = values
         quote = '"' if as_json else ""
         return [quote, lambda lo, hi: _digits(num[lo:hi]), "/", lambda lo, hi: _digits(den[lo:hi]), quote]
-    if isinstance(values, np.ndarray):
-        if values.dtype.kind == "f":
-            return [lambda lo, hi: _floats(values[lo:hi], as_json)]
-        return [lambda lo, hi: _digits(values[lo:hi])]
-    if isinstance(values, list):
-        return [lambda lo, hi: _texts([_encode(v, as_json) for v in values[lo:hi]])]
     return [_encode(values, as_json)]
 
 
@@ -180,13 +166,13 @@ def _write(args: argparse.Namespace, text: Iterable[str]) -> int:
 
 
 def _emit(args: argparse.Namespace, columns: dict[str, Any]) -> int:
-    r"""Write a table of two or more columns: constants, sequences, ``Lookup``s or fraction pairs.
+    r"""Write a table of two or more columns: constants, lists, ``Lookup``s or fraction pairs.
 
-    The sequences share one length, the row count, of at least 1; a table of
+    The columns that vary share one length, the row count, of at least 1; a table of
     constants is one row.  The text equals csv.writer(lineterminator="\n") or
     json.dumps({"rows": [...]}, indent=2) + "\n" on the rows spelled out.
     A table of constants and lists is spelled out here, one CSV line per row;
-    a table holding an array, a ``Lookup`` or a fraction pair goes to ``_emit_blocks``.
+    a table of constants, ``Lookup``s and fraction pairs goes to ``_emit_blocks``.
     """
     if not all(isinstance(values, (list, str, int, float, type(None))) for values in columns.values()):
         return _emit_blocks(args, columns)
@@ -200,9 +186,8 @@ def _emit(args: argparse.Namespace, columns: dict[str, Any]) -> int:
 
 
 def _emit_blocks(args: argparse.Namespace, columns: dict[str, Any]) -> int:
-    """``_emit`` for any table: rows are rendered _CHUNK_ROWS at a time as numpy
-    byte blocks, and each block is written as soon as it is built."""
-    import numpy as np
+    """``_emit`` for a table of constants, ``Lookup``s and fraction pairs: rows are rendered
+    _CHUNK_ROWS at a time as numpy byte blocks, and each block is written as soon as it is built."""
     as_json = args.format == "json"
     pieces: list[Any] = []
     rows = 1
@@ -212,7 +197,7 @@ def _emit_blocks(args: argparse.Namespace, columns: dict[str, Any]) -> int:
         elif i:
             pieces.append(",")
         pieces += _column(values, as_json)
-        if isinstance(values, (list, tuple, Lookup, np.ndarray)):
+        if isinstance(values, (tuple, Lookup)):
             rows = len(values[0] if isinstance(values, tuple) else values)
     # every JSON row ends in the separator, which the last row drops
     pieces.append("\n    },\n" if as_json else "\n")

@@ -67,9 +67,8 @@ def _scratch(name: str, size: int, dtype: type = np.float64) -> np.ndarray:
     overwritten by the thread's next request for the same buffer.  Names
     are roles shared by every experiment, so a thread keeps one set: the
     samplers draw into ``"draws"``, the events work in ``"event"``.  The
-    midpoint rejection walk works in ``"disc.*"`` of its own, because the
-    public chord sampler runs it too and must not overwrite a batch that
-    an experiment holds.
+    midpoint rejection walk holds each block of proposals in ``"disc.*"``
+    while it gathers the points it keeps into ``"batch"``.
     """
     if size > _SCRATCH_CAP:
         return np.empty(size, dtype)

@@ -93,19 +93,6 @@ def canonicalize(n: int, m: int) -> Rational:
     return Rational(n // g, m // g)
 
 
-def canonical_rationals(max_denominator: int) -> Iterator[Rational]:
-    """All canonical rationals in [0, 1] with denominator <= max_denominator.
-
-    Ordered by denominator, then numerator.
-    """
-    if max_denominator < 1:
-        raise ValueError("max_denominator must be >= 1")
-    for m in range(1, max_denominator + 1):
-        for n in range(0, m + 1):
-            if math.gcd(n, m) == 1:
-                yield Rational(n, m)
-
-
 def _check_tol(tol: float) -> None:
     # a tol of 1 or more certifies nothing: every law's tail is below it from m = 1
     if not 0.0 < tol < 1.0:  # NaN fails too

@@ -46,9 +46,8 @@ def test_criterion_3_paradox_resolution():
     )
     assert abs(value - 0.25) <= 1e-9
     # the same fact, sampled: midpoint-uniform chords, read off in polar
-    rng = stream_generator(SEED, 0)
-    x, y, _ = bertrand.sample_chord_batch(bertrand.ChordModel.MIDPOINT_UNIFORM, rng, N)
-    p_hat = np.count_nonzero(np.hypot(x, y) < 0.5) / N
+    r = np.sqrt(bertrand._disc_radius_sq(stream_generator(SEED, 0), N))
+    p_hat = np.count_nonzero(r < 0.5) / N
     assert abs(p_hat - 0.25) <= 3.0 * sigma(0.25, N)
     report("3 paradox resolution: midpoint measure in polar coordinates = 1/4")
 
@@ -89,14 +88,17 @@ def test_criterion_6_rationals_analytics():
     assert abs(value - oracle) <= 1e-9
 
     total = sum(
-        rationals.atom_probability(q, rationals.DegenerateLaw(7))
-        for q in rationals.canonical_rationals(7)
+        rationals.atom_probability(rationals.Rational(n, m), rationals.DegenerateLaw(7))
+        for m in range(1, 8)
+        for n in range(m + 1)
+        if math.gcd(n, m) == 1
     )
     assert abs(total - 1.0) <= 1e-10
 
     law = rationals.GeometricLaw(0.3)
-    for q in rationals.canonical_rationals(50):
-        mirrored = rationals.Rational(q.denominator - q.numerator, q.denominator)
+    coprime = [(n, m) for m in range(1, 51) for n in range(m + 1) if math.gcd(n, m) == 1]
+    for n, m in coprime:
+        q, mirrored = rationals.Rational(n, m), rationals.Rational(m - n, m)
         assert abs(
             rationals.atom_probability(q, law) - rationals.atom_probability(mirrored, law)
         ) <= 1e-13

@@ -13,21 +13,13 @@ import subprocess
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from bertrand_lab.bertrand import (
-    TRIANGLE_EDGE,
-    ChordModel,
-    _disc_batch,
-    _disc_radius_sq,
-    chord_exceed_experiment,
-    sample_chord_batch,
-)
+from bertrand_lab.bertrand import TRIANGLE_EDGE, ChordModel, _disc_radius_sq, chord_exceed_experiment
 from bertrand_lab.buffon import (
     _CENTER_ANGLE_BAND,
     NeedleModel,
@@ -39,7 +31,7 @@ from bertrand_lab.buffon import (
 )
 from bertrand_lab.montecarlo import BATCH_SIZE, run, stream_generator
 from bertrand_lab.squares import X_MAX, square_exceed_experiment
-from test_stream_identity import SEEDS, SIZES, needle_crossings, numpy_needles
+from test_stream_identity import SEEDS, SIZES, chord_lengths, needle_crossings, numpy_chords, numpy_needles
 
 TILTS = [
     -math.pi / 2.0,
@@ -149,40 +141,16 @@ def test_square_draw_is_numpy_uniform(size, seed):
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("size", SIZES)
 def test_midpoint_radius_sq_is_the_public_points(size, seed):
-    x, y = _disc_batch(stream_generator(seed, 0), size)
+    x, y = numpy_chords(ChordModel.MIDPOINT_UNIFORM, stream_generator(seed, 0), size)
     assert np.array_equal(_disc_radius_sq(stream_generator(seed, 0), size), x * x + y * y)
-
-
-@pytest.mark.parametrize("size", [1, 5, 1000, 20_000, 40_000])
-def test_midpoint_radius_sq_leaves_the_stream_where_the_public_sampler_does(size):
-    public, event = stream_generator(3, 0), stream_generator(3, 0)
-    sample_chord_batch(ChordModel.MIDPOINT_UNIFORM, public, size)
-    _disc_radius_sq(event, size)
-    assert np.array_equal(event.random(3), public.random(3))
-
-
-def test_public_midpoint_call_keeps_the_buffered_half_word():
-    """32-bit draws after a public midpoint call continue as after the same doubles drawn with random."""
-    public, twin = np.random.Generator(np.random.PCG64(3)), np.random.Generator(np.random.PCG64(3))
-    assert public.integers(0, 1000, dtype=np.int32) == twin.integers(0, 1000, dtype=np.int32) == 811
-    sample_chord_batch(ChordModel.MIDPOINT_UNIFORM, public, 10)
-    # the walk's proposals replayed on the twin, one (u, v) pair at a time
-    kept = 0
-    while kept < 10:
-        u, v = twin.random(2)
-        kept += (u - 0.5) ** 2 + (v - 0.5) ** 2 <= 0.25
-    draws = [int(rng.integers(0, 1000, dtype=np.int32)) for rng in (public, twin) for _ in range(3)]
-    assert draws[:3] == draws[3:] == [85, 190, 773]
 
 
 class ShortBlock:
     """A generator stand-in: its first block keeps one point, (0.5, 0), and
-    proposes the corner (-1, -1) for the rest; later blocks propose the center.
-    It ignores the walk's closing rewind."""
+    proposes the corner (-1, -1) for the rest; later blocks propose the center."""
 
     def __init__(self):
         self.blocks = 0
-        self.bit_generator = SimpleNamespace(advance=lambda delta: None)
 
     def random(self, out):
         out[...] = 0.5 if self.blocks else 0.0
@@ -208,10 +176,11 @@ REUSE_SEED = 7
 
 
 def reference_count(name, size, seed):
-    """The batch's count rebuilt from fresh arrays: sample_chord_batch's chords, or numpy's needles."""
+    """The batch's count rebuilt from fresh arrays: numpy's chords, or numpy's needles."""
     rng = stream_generator(seed, 0)
     if name == "midpoint":
-        return int(np.count_nonzero(sample_chord_batch(ChordModel.MIDPOINT_UNIFORM, rng, size)[2] > TRIANGLE_EDGE))
+        model = ChordModel.MIDPOINT_UNIFORM
+        return int(np.count_nonzero(chord_lengths(model, *numpy_chords(model, rng, size)) > TRIANGLE_EDGE))
     model = NeedleModel.CENTER_ANGLE
     return int(np.count_nonzero(needle_crossings(model, *numpy_needles(model, rng, size))))
 
@@ -253,15 +222,6 @@ def test_scratch_reuse_on_one_thread_counts_as_fresh_processes():
         assert reference_count(name, size, REUSE_SEED) == got[0], (name, size)
         if size % 2 == 0:
             assert run(EXPERIMENTS[name](), size, REUSE_SEED, shards=2).successes == got[1]
-
-
-def test_public_midpoint_call_leaves_a_held_batch_alone():
-    """The public sampler runs the walk the experiment does, but in scratch of its own."""
-    experiment = EXPERIMENTS["center_angle"]()
-    held = experiment.sample(stream_generator(REUSE_SEED, 0), BATCH_SIZE)
-    before = int(np.count_nonzero(experiment.event(held)))
-    sample_chord_batch(ChordModel.MIDPOINT_UNIFORM, stream_generator(REUSE_SEED, 1), BATCH_SIZE)
-    assert int(np.count_nonzero(experiment.event(held))) == before
 
 
 def test_scratch_is_private_to_each_thread():

@@ -8,12 +8,14 @@ from bertrand_lab.bertrand import (
     _CHORDS,
     TRIANGLE_EDGE,
     ChordModel,
+    _disc_radius_sq,
+    _length_from_radius_sq,
     chord_exceed_experiment,
     exact_exceed_probability,
     exceed_probability_under_measure,
-    sample_chord_batch,
 )
 from bertrand_lab.montecarlo import run, stream_generator
+from test_stream_identity import numpy_chords
 
 N = 10**6
 
@@ -27,6 +29,20 @@ class TestExactValues:
         assert exact_exceed_probability(ChordModel.MIDPOINT_UNIFORM) == 0.25
         assert exact_exceed_probability(ChordModel.TANGENT_ANGLE_UNIFORM) == 1.0 / 3.0
         assert exact_exceed_probability(ChordModel.POLAR_UNIFORM) == 0.5
+
+
+def event_lengths(model, array):
+    """Chord lengths from the one array the model's experiment reads: x*x + y*y, beta or r."""
+    if model is ChordModel.MIDPOINT_UNIFORM:
+        return _length_from_radius_sq(array)
+    if model is ChordModel.TANGENT_ANGLE_UNIFORM:
+        return 2.0 * np.sin(array)
+    return _length_from_radius_sq(array * array)
+
+
+def event_batch(model, rng, size):
+    """A fresh copy of the array the model's experiment reads, drawn into the thread's scratch."""
+    return _CHORDS[model].event_sample(rng, size).copy()
 
 
 def event_radius(t: float) -> float:
@@ -138,24 +154,19 @@ class TestSampling:
 
     def test_midpoint_event_is_the_inner_disc(self):
         # P(x^2 + y^2 < 1/4) is the same event as length > sqrt(3)
-        rng = stream_generator(42, 0)
-        x, y, _ = sample_chord_batch(ChordModel.MIDPOINT_UNIFORM, rng, N)
-        p_hat = np.count_nonzero(x * x + y * y < 0.25) / N
+        s = _disc_radius_sq(stream_generator(42, 0), N)
+        p_hat = np.count_nonzero(s < 0.25) / N
         assert abs(p_hat - 0.25) <= 3.0 * sigma(0.25, N)
 
     def test_measure_travels_with_the_samples_not_the_coordinates(self):
         # midpoint-uniform samples, re-read in polar coordinates, still give 1/4
-        rng = stream_generator(42, 0)
-        x, y, _ = sample_chord_batch(ChordModel.MIDPOINT_UNIFORM, rng, N)
-        r = np.hypot(x, y)
+        r = np.sqrt(_disc_radius_sq(stream_generator(42, 0), N))
         p_hat = np.count_nonzero(r < 0.5) / N
         assert abs(p_hat - 0.25) <= 3.0 * sigma(0.25, N)
 
     def test_midpoint_radius_follows_the_pushforward_marginal(self):
         # histogram of r in 100 bins against the 2r marginal density
-        rng = stream_generator(42, 0)
-        x, y, _ = sample_chord_batch(ChordModel.MIDPOINT_UNIFORM, rng, N)
-        r = np.hypot(x, y)
+        r = np.sqrt(_disc_radius_sq(stream_generator(42, 0), N))
         edges = np.linspace(0.0, 1.0, 101)
         observed, _ = np.histogram(r, bins=edges)
         expected = (edges[1:] ** 2 - edges[:-1] ** 2) * N
@@ -164,22 +175,18 @@ class TestSampling:
 
     @pytest.mark.parametrize("model", list(ChordModel))
     def test_batch_coordinates_stay_in_support(self, model):
-        rng = stream_generator(11, 0)
-        a, b, length = sample_chord_batch(model, rng, 50_000)
+        array = event_batch(model, stream_generator(11, 0), 50_000)
+        length = event_lengths(model, array)
         assert np.all((length >= 0.0) & (length <= 2.0))
-        if model is ChordModel.MIDPOINT_UNIFORM:
-            assert np.all(a * a + b * b <= 1.0)
-        elif model is ChordModel.TANGENT_ANGLE_UNIFORM:
-            assert np.all((a >= 0.0) & (a <= 2.0 * math.pi))
-            assert np.all((b >= 0.0) & (b <= math.pi))
-        else:
-            assert np.all((a >= 0.0) & (a <= 1.0))
-            assert np.all((b > -math.pi) & (b <= math.pi))
+        if model is ChordModel.TANGENT_ANGLE_UNIFORM:
+            assert np.all((array >= 0.0) & (array <= math.pi))
+        else:  # x*x + y*y, or r
+            assert np.all((array >= 0.0) & (array <= 1.0))
 
     @pytest.mark.parametrize("model", list(ChordModel))
     def test_batch_lengths_match_scalar_geometry(self, model):
-        rng = stream_generator(5, 0)
-        a, b, length = sample_chord_batch(model, rng, 1000)
+        length = event_lengths(model, event_batch(model, stream_generator(5, 0), 1000))
+        a, b = numpy_chords(model, stream_generator(5, 0), 1000)
         for i in range(0, 1000, 97):
             if model is ChordModel.MIDPOINT_UNIFORM:
                 # the chord is orthogonal to the radius through its midpoint
@@ -192,28 +199,25 @@ class TestSampling:
 
     @pytest.mark.parametrize("model", list(ChordModel))
     def test_scalar_sampler_is_seed_deterministic(self, model):
-        first = sample_chord_batch(model, stream_generator(3, 0), 1)
+        first = event_batch(model, stream_generator(3, 0), 1)
         rng_a = stream_generator(3, 0)
         rng_b = stream_generator(3, 0)
-        run_a = np.array([sample_chord_batch(model, rng_a, 1) for _ in range(200)])
-        run_b = np.array([sample_chord_batch(model, rng_b, 1) for _ in range(200)])
+        run_a = np.array([event_batch(model, rng_a, 1) for _ in range(200)])
+        run_b = np.array([event_batch(model, rng_b, 1) for _ in range(200)])
         assert np.array_equal(run_a, run_b)
-        assert np.array_equal(run_a[0], np.array(first))
+        assert np.array_equal(run_a[0], first)
 
     @pytest.mark.parametrize("model", list(ChordModel))
     def test_scalar_sample_is_well_formed(self, model):
         rng = stream_generator(8, 0)
+        top = math.pi if model is ChordModel.TANGENT_ANGLE_UNIFORM else 1.0
         for _ in range(500):
-            a, b, length = sample_chord_batch(model, rng, 1)
-            for array in (a, b, length):
-                assert array.shape == (1,) and array.dtype == np.float64
+            array = event_batch(model, rng, 1)
+            length = event_lengths(model, array)
+            for values in (array, length):
+                assert values.shape == (1,) and values.dtype == np.float64
             assert 0.0 <= length[0] <= 2.0
-            if model is ChordModel.MIDPOINT_UNIFORM:
-                assert a[0] * a[0] + b[0] * b[0] <= 1.0
-            elif model is ChordModel.TANGENT_ANGLE_UNIFORM:
-                assert 0.0 <= a[0] <= 2.0 * math.pi and 0.0 <= b[0] <= math.pi
-            else:
-                assert 0.0 <= a[0] <= 1.0 and -math.pi < b[0] <= math.pi
+            assert 0.0 <= array[0] <= top
 
     def test_experiment_threshold_validated(self):
         with pytest.raises(ValueError):
@@ -228,17 +232,16 @@ class TestChordSampleInvariants:
         # the kernels clamp at the rim, so no coordinate gives a length
         # outside [0, 2] or a NaN, even a little past the support
         s = np.linspace(0.0, 1.5, 3001)
-        radial = _CHORDS[ChordModel.POLAR_UNIFORM].length(np.sqrt(s), np.zeros_like(s))
+        radial = event_lengths(ChordModel.POLAR_UNIFORM, np.sqrt(s))
         assert np.all((radial >= 0.0) & (radial <= 2.0))
         beta = np.linspace(0.0, math.pi, 3001)
-        tangent = _CHORDS[ChordModel.TANGENT_ANGLE_UNIFORM].length(np.zeros_like(beta), beta)
+        tangent = event_lengths(ChordModel.TANGENT_ANGLE_UNIFORM, beta)
         assert np.all((tangent >= 0.0) & (tangent <= 2.0))
 
     def test_support_enforced(self):
         # midpoints come from rejection, so none falls outside the disc
         # however many rounds a batch takes
         for seed in range(20):
-            x, y, _ = sample_chord_batch(ChordModel.MIDPOINT_UNIFORM, stream_generator(seed, 0), 7)
-            assert np.all(x * x + y * y <= 1.0)
-        r, _, _ = sample_chord_batch(ChordModel.POLAR_UNIFORM, stream_generator(0, 0), 50_000)
+            assert np.all(_disc_radius_sq(stream_generator(seed, 0), 7) <= 1.0)
+        r = event_batch(ChordModel.POLAR_UNIFORM, stream_generator(0, 0), 50_000)
         assert np.all(r <= 1.0)

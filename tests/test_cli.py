@@ -493,33 +493,33 @@ FLOATS = st.one_of(
 )
 SCALARS = st.one_of(st.none(), FLOATS, st.integers(-(2**70), 2**70), TEXTS)
 INT64S = st.integers(-(2**63), 2**63 - 1)
-SEQUENCE_CELLS = {"cells": SCALARS, "floats": FLOATS, "ints": INT64S}
+SEQUENCE_CELLS = {"cells": SCALARS, "floats": FLOATS, "ints": INT64S, "texts": TEXTS}
+
+
+def listed(cells):
+    """A list column as the block renderer takes it: a Lookup of one cell per row."""
+    return Lookup(cells, np.arange(len(cells)))
 
 
 @st.composite
 def column_tables(draw):
-    """Tables of 2-5 columns; each a constant, a list of any cells, a float or int array, texts,
-    a Lookup of any cells, or a (numerators, denominators) pair of int arrays."""
+    """Tables of 2-5 columns; each a constant, a Lookup of any cells, one row per cell of
+    any cells, floats, ints or texts, or a (numerators, denominators) pair of int arrays."""
     n = draw(st.integers(1, 5))
     columns = {}
     for name in draw(st.lists(TEXTS, min_size=2, max_size=5, unique=True)):
-        kind = draw(st.sampled_from(
-            ["constant", "cells", "floats", "ints", "texts", "fractions", "lookup"]
-        ))
+        kind = draw(st.sampled_from(["constant", "fractions", "lookup", *SEQUENCE_CELLS]))
         if kind == "constant":
             columns[name] = draw(SCALARS)
         elif kind == "lookup":
             cells = draw(st.lists(SCALAR_CELLS, min_size=1, max_size=4))
             index = draw(st.lists(st.integers(0, len(cells) - 1), min_size=n, max_size=n))
             columns[name] = Lookup(cells, np.array(index))
-        elif kind == "texts":
-            columns[name] = draw(st.lists(TEXTS, min_size=n, max_size=n))
         elif kind == "fractions":
             pairs = draw(st.lists(st.tuples(INT64S, INT64S), min_size=n, max_size=n))
             columns[name] = tuple(np.array(part, dtype=np.int64) for part in zip(*pairs))
         else:
-            values = draw(st.lists(SEQUENCE_CELLS[kind], min_size=n, max_size=n))
-            columns[name] = values if kind == "cells" else np.array(values)
+            columns[name] = listed(draw(st.lists(SEQUENCE_CELLS[kind], min_size=n, max_size=n)))
     return columns
 
 
@@ -552,8 +552,7 @@ def scalar_tables(draw):
 def spelled_rows(columns):
     """The table as row dicts, with each constant repeated in every row and fractions as "n/m"."""
     columns = {
-        h: v.tolist() if isinstance(v, np.ndarray)
-        else [f"{num}/{den}" for num, den in zip(*v)] if isinstance(v, tuple)
+        h: [f"{num}/{den}" for num, den in zip(*v)] if isinstance(v, tuple)
         else [v.cells[i] for i in v.index] if isinstance(v, Lookup)
         else v
         for h, v in columns.items()
@@ -588,11 +587,11 @@ def many_rows_table():
     picked[edges] = [1, 14, 0, 9, 3]
     return {
         "law": QUOTED_CONSTANT,
-        "int": ints,
+        "int": listed(ints.tolist()),
         "q": (nums, dens),
-        "fr\u00e9q": floats,
-        "text,t": [texts[k % len(texts)] for k in range(n)],
-        "cell": [cells[k % len(cells)] for k in range(n)],
+        "fr\u00e9q": listed(floats.tolist()),
+        "text,t": listed([texts[k % len(texts)] for k in range(n)]),
+        "cell": listed([cells[k % len(cells)] for k in range(n)]),
         "lookup": Lookup(table, picked),
         "none": None,
     }
@@ -637,7 +636,7 @@ class TestOutputFormats:
     @settings(max_examples=300, deadline=None)
     @given(columns=scalar_tables(), fmt=st.sampled_from(["csv", "json"]))
     def test_scalar_writer_matches_block_renderer(self, columns, fmt):
-        def written(emit):
+        def written(emit, columns):
             buf = io.StringIO()
             with redirect_stdout(buf):
                 assert emit(Namespace(format=fmt, out=None), columns) == 0
@@ -646,7 +645,8 @@ class TestOutputFormats:
                 assert emit(Namespace(format=fmt, out=str(path)), columns) == 0
                 return buf.getvalue(), path.read_bytes()
 
-        assert written(_emit) == written(_emit_blocks)
+        lookups = {h: listed(v) if isinstance(v, list) else v for h, v in columns.items()}
+        assert written(_emit, columns) == written(_emit_blocks, lookups)
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_renderer_matches_row_reference_across_blocks(self, fmt, tmp_path):

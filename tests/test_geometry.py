@@ -4,7 +4,7 @@ Each model maps its coordinate pair to a chord length: the midpoint (x, y)
 to ``2 sqrt(1 - x^2 - y^2)``, the tangent angle beta to ``2 sin(beta)`` and
 the chord-diameter intersection (r, theta) to ``2 sqrt(1 - r^2)``.  The
 kernels clamp instead of raising; keeping coordinates inside their support
-is the samplers' job.
+is the experiments' job.
 """
 
 import math
@@ -17,13 +17,12 @@ from hypothesis import strategies as st
 from bertrand_lab.bertrand import (
     _CHORDS,
     ChordModel,
-    _disc_batch,
     _disc_radius_sq,
-    _polar_batch,
+    _length_from_radius_sq,
     _tangent_event,
-    sample_chord_batch,
 )
 from bertrand_lab.montecarlo import stream_generator
+from test_stream_identity import chord_lengths, numpy_chords
 
 SQRT3 = math.sqrt(3.0)
 GEOMETRY_TOL = 1e-12
@@ -34,39 +33,19 @@ POLAR = ChordModel.POLAR_UNIFORM
 
 def length(model, a, b):
     """The model's length kernel at one coordinate pair."""
-    return float(_CHORDS[model].length(np.array([a]), np.array([b]))[0])
+    return float(chord_lengths(model, np.array([a]), np.array([b]))[0])
 
 
 class Draws:
-    """A generator stand-in that hands out the given uniform draws in turn.
+    """A generator stand-in whose ``random(out=)`` fills a block with the given
+    draws, padded with NaN, which no rejection test keeps."""
 
-    ``random(out=)`` fills a block with the next draws, padded with NaN,
-    which no rejection test keeps; ``position`` counts the draws taken, net
-    of the steps ``bit_generator.advance`` moves the stream by.
-    """
-
-    def __init__(self, *draws):
-        self.draws = [np.array(d, dtype=float) for d in draws]
-        self.position = 0
-
-    # a stream with no buffered 32-bit half-word for the public sampler to put back
-    state = {"has_uint32": 0}
-
-    @property
-    def bit_generator(self):
-        return self
-
-    def advance(self, delta):
-        self.position = (self.position + delta) % 2**128
-
-    def uniform(self, low, high, size):
-        return self.draws.pop(0)
+    def __init__(self, draws):
+        self.draws = np.array(draws, dtype=float)
 
     def random(self, out):
-        draws = self.draws.pop(0)
         out[...] = np.nan
-        out[: len(draws)] = draws
-        self.position += len(out)
+        out[: len(self.draws)] = self.draws
         return out
 
 
@@ -81,28 +60,22 @@ class TestChordLengths:
         assert length(MIDPOINT, 1.0, 0.0) == 0.0
 
     def test_midpoint_outside_disc_rejected(self):
-        # the sampler keeps exactly the proposals inside the closed disc, in
-        # stream order, and leaves the stream just past the last one it keeps:
-        # replayed here one proposal at a time, in one block and in several
+        # the walk keeps exactly the proposals inside the closed disc, in
+        # stream order: replayed here one proposal at a time, against one
+        # block and several
         for size in (10_000, 40_000):
-            sampled = stream_generator(5, 0)
-            x, y = _disc_batch(sampled, size)
+            s = _disc_radius_sq(stream_generator(5, 0), size)
             rng, kept, rejected = stream_generator(5, 0), [], 0
             while len(kept) < size:
                 u, v = 2.0 * rng.random() - 1.0, 2.0 * rng.random() - 1.0
                 if u * u + v * v <= 1.0:
-                    kept.append((u, v))
+                    kept.append(u * u + v * v)
                 else:
                     rejected += 1
-            assert np.array_equal(np.column_stack([x, y]), kept)
+            assert np.array_equal(s, kept)
             assert rejected > 0
-            assert sampled.random() == rng.random()
-        # a proposal at (0.9, 0.9) is rejected; the next one, (0, 0), is kept,
-        # and the stream is rewound to the draw after it
-        rng = Draws([0.95, 0.95, 0.5, 0.5])
-        x, y = _disc_batch(rng, 1)
-        assert (x[0], y[0]) == (0.0, 0.0)
-        assert rng.position == 4
+        # a proposal at (0.9, 0.9) is rejected; the next one, (0, 0), is kept
+        assert np.array_equal(_disc_radius_sq(Draws([0.95, 0.95, 0.5, 0.5]), 1), [0.0])
 
     def test_tangent_angle_perpendicular_gives_diameter(self):
         assert length(TANGENT, 0.0, math.pi / 2.0) == 2.0
@@ -143,34 +116,22 @@ class TestTransforms:
     """
 
     def test_unit_x_axis(self):
-        r, theta = _polar_batch(Draws([1.0], [0.0]), 1)
-        assert (r[0], theta[0]) == (math.hypot(1.0, 0.0), math.atan2(0.0, 1.0))
-        assert length(POLAR, r[0], theta[0]) == length(MIDPOINT, 1.0, 0.0) == 0.0
+        r, theta = math.hypot(1.0, 0.0), math.atan2(0.0, 1.0)
+        assert (r, theta) == (1.0, 0.0)
+        assert length(POLAR, r, theta) == length(MIDPOINT, 1.0, 0.0) == 0.0
 
     def test_unit_y_axis(self):
-        r, theta = _polar_batch(Draws([1.0], [math.pi / 2.0]), 1)
-        assert theta[0] == math.atan2(1.0, 0.0)
-        assert length(POLAR, r[0], theta[0]) == length(MIDPOINT, 0.0, 1.0) == 0.0
-
-    def test_negative_x_axis_maps_to_plus_pi(self):
-        assert math.atan2(0.0, -1.0) == math.pi
-        _, theta = _polar_batch(Draws([0.5], [math.pi]), 1)
-        assert theta[0] == math.pi
-
-    def test_negative_zero_y_still_maps_to_plus_pi(self):
-        # atan2 puts (-1, -0.0) at -pi; the sampler folds a draw of -pi onto +pi
-        assert math.atan2(-0.0, -1.0) == -math.pi
-        _, theta = _polar_batch(Draws([0.5, 0.5], [-math.pi, -3.0]), 2)
-        assert list(theta) == [math.pi, -3.0]
+        r, theta = math.hypot(0.0, 1.0), math.atan2(1.0, 0.0)
+        assert (r, theta) == (1.0, math.pi / 2.0)
+        assert length(POLAR, r, theta) == length(MIDPOINT, 0.0, 1.0) == 0.0
 
     def test_round_trip_random_points(self):
-        rng = stream_generator(2024, 0)
-        x, y, lengths = sample_chord_batch(MIDPOINT, rng, 10_000)
+        x, y = numpy_chords(MIDPOINT, stream_generator(2024, 0), 10_000)
         r = np.hypot(x, y)
-        via_polar = _CHORDS[POLAR].length(r, np.arctan2(y, x))
+        via_polar = chord_lengths(POLAR, r, np.arctan2(y, x))
         # squared lengths, 4 (1 - r^2): the length itself amplifies the
         # rounding of r^2 without bound at the rim
-        assert np.max(np.abs(via_polar**2 - lengths**2)) <= 1e-12
+        assert np.max(np.abs(via_polar**2 - chord_lengths(MIDPOINT, x, y) ** 2)) <= 1e-12
         # the event-only kernel reads x*x + y*y of the same points, bit for bit
         assert np.array_equal(_disc_radius_sq(stream_generator(2024, 0), 10_000), x * x + y * y)
 
@@ -218,29 +179,24 @@ class TestConsistency:
 
 
 class TestTypeInvariants:
-    """The coordinate ranges hold for every sampled chord, one at a time or in bulk."""
+    """The ranges hold for every array an experiment reads, drawn one trial at a time or in bulk."""
 
     @staticmethod
     def draws(model, size):
-        rng = stream_generator(9, 0)
-        single = [sample_chord_batch(model, rng, 1) for _ in range(500)]
-        bulk = sample_chord_batch(model, rng, size)
-        return [np.concatenate(parts) for parts in zip(*single, bulk)]
+        rng, sample = stream_generator(9, 0), _CHORDS[model].event_sample
+        # each array is a view of the thread's scratch, copied before the next draw
+        single = [sample(rng, 1).copy() for _ in range(500)]
+        return np.concatenate([*single, sample(rng, size)])
 
     def test_polar_rejects_negative_radius(self):
-        r, _, _ = self.draws(POLAR, 50_000)
+        r = self.draws(POLAR, 50_000)
         assert np.all((r >= 0.0) & (r <= 1.0))
 
-    def test_polar_rejects_angle_outside_half_open_range(self):
-        _, theta, _ = self.draws(POLAR, 50_000)
-        assert np.all((theta > -math.pi) & (theta <= math.pi))
-
     def test_tangent_angles_validated(self):
-        alpha, beta, _ = self.draws(TANGENT, 50_000)
-        assert np.all((alpha >= 0.0) & (alpha <= 2.0 * math.pi))
+        beta = self.draws(TANGENT, 50_000)
         assert np.all((beta >= 0.0) & (beta <= math.pi))
 
     def test_point_must_be_finite(self):
-        x, y, lengths = self.draws(MIDPOINT, 50_000)
-        assert np.all(np.isfinite(x) & np.isfinite(y) & np.isfinite(lengths))
-        assert np.all(x * x + y * y <= 1.0)
+        s = self.draws(MIDPOINT, 50_000)
+        assert np.all(np.isfinite(s) & np.isfinite(_length_from_radius_sq(s)))
+        assert np.all((s >= 0.0) & (s <= 1.0))

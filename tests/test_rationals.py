@@ -20,7 +20,6 @@ from bertrand_lab.rationals import (
     PoissonLaw,
     Rational,
     atom_probability,
-    canonical_rationals,
     canonicalize,
     cdf,
     cdf_grid,
@@ -47,6 +46,16 @@ def brute_atom(n: int, m: int, pmf, terms: int) -> float:
 
 def geometric_pmf(w):
     return lambda k: w * (1.0 - w) ** (k - 1)
+
+
+def coprime_rationals(max_denominator: int) -> list[Rational]:
+    """Every canonical n/m in [0, 1] with m <= max_denominator."""
+    return [
+        Rational(n, m)
+        for m in range(1, max_denominator + 1)
+        for n in range(m + 1)
+        if math.gcd(n, m) == 1
+    ]
 
 
 LAWS_OF_EVERY_KIND = [
@@ -98,11 +107,6 @@ class TestCanonicalize:
         q = canonicalize(n, m)
         assert math.gcd(q.numerator, q.denominator) == 1
         assert q.numerator * m == n * q.denominator  # same value exactly
-
-    def test_enumeration_order(self):
-        # denominators ascending, numerators ascending within each
-        got = [str(q) for q in canonical_rationals(3)]
-        assert got == ["0/1", "1/1", "1/2", "1/3", "2/3"]
 
 
 class TestAtomProbability:
@@ -159,19 +163,19 @@ class TestAtomProbability:
         # gcd(n, m) = 1 iff gcd(m - n, m) = 1, and the numerator law is uniform
         laws = [GeometricLaw(0.3), DegenerateLaw(6), PoissonLaw(3.0)]
         for law in laws:
-            for q in canonical_rationals(50):
+            for q in coprime_rationals(50):
                 mirrored = Rational(q.denominator - q.numerator, q.denominator)
                 assert atom_probability(q, law, TOL) == pytest.approx(
                     atom_probability(mirrored, law, TOL), abs=1e-13
                 )
 
     def test_total_mass_degenerate(self):
-        total = sum(atom_probability(q, DegenerateLaw(7), TOL) for q in canonical_rationals(7))
+        total = sum(atom_probability(q, DegenerateLaw(7), TOL) for q in coprime_rationals(7))
         assert total == pytest.approx(1.0, abs=1e-10)
 
     def test_total_mass_custom(self):
         law = CustomLaw({1: 0.2, 2: 0.3, 5: 0.5})
-        total = sum(atom_probability(q, law, TOL) for q in canonical_rationals(5))
+        total = sum(atom_probability(q, law, TOL) for q in coprime_rationals(5))
         assert total == pytest.approx(1.0, abs=1e-10)
 
 
@@ -686,7 +690,7 @@ class TestPushforwardInvariance:
         for law in [DegenerateLaw(7), GeometricLaw(0.3)]:
             above_half = 0.0
             squared_above_quarter = 0.0
-            for q in canonical_rationals(50):
+            for q in coprime_rationals(50):
                 p = atom_probability(q, law, TOL)
                 if 2 * q.numerator > q.denominator:  # q > 1/2 exactly
                     above_half += p

@@ -2,9 +2,8 @@
 
 An experiment may skip or not materialise the draws its event does not read,
 but each batch's success count must equal the count rebuilt from that
-batch's stream, drawn by the public ``sample_chord_batch`` or, for needles,
-by numpy's documented uniform calls, and the length or crossing rule, for
-any threshold, size and seed.
+batch's stream, drawn by numpy's documented calls that README states, and the
+length or crossing rule, for any threshold, size and seed.
 """
 
 import math
@@ -12,12 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from bertrand_lab.bertrand import (
-    TRIANGLE_EDGE,
-    ChordModel,
-    chord_exceed_experiment,
-    sample_chord_batch,
-)
+from bertrand_lab.bertrand import TRIANGLE_EDGE, ChordModel, _length_from_radius_sq, chord_exceed_experiment
 from bertrand_lab.buffon import NeedleModel, _endpoints_y, needle_cross_experiment
 from bertrand_lab.montecarlo import BATCH_SIZE, run, stream_generator
 
@@ -38,6 +32,32 @@ SEEDS = [0, 42, 2**64 - 1]
 def batches(n):
     """(index, size) of each logical batch of an n-trial run."""
     return [(b, min(BATCH_SIZE, n - lo)) for b, lo in enumerate(range(0, n, BATCH_SIZE))]
+
+
+def numpy_chords(model, rng, size):
+    """A batch of chords as numpy draws them: the first ``size`` proposals (2u - 1, 2v - 1)
+    of ``random()`` pairs inside the closed unit disc; alpha, then beta; or r, then theta."""
+    if model is ChordModel.MIDPOINT_UNIFORM:
+        points = np.empty((0, 2))
+        while len(points) < size:
+            proposals = 2.0 * rng.random((size, 2)) - 1.0
+            inside = proposals[:, 0] * proposals[:, 0] + proposals[:, 1] * proposals[:, 1] <= 1.0
+            points = np.concatenate([points, proposals[inside]])
+        return points[:size, 0], points[:size, 1]
+    if model is ChordModel.TANGENT_ANGLE_UNIFORM:
+        alpha = rng.uniform(0.0, 2.0 * math.pi, size)
+        return alpha, rng.uniform(0.0, math.pi, size)
+    r = rng.uniform(0.0, 1.0, size)
+    return r, rng.uniform(-math.pi, math.pi, size)
+
+
+def chord_lengths(model, first, second):
+    """The length kernel on (x, y), (alpha, beta) or (r, theta): 2 sin(beta), or
+    2 sqrt(1 - s) clamped at the rim, with s = x*x + y*y or r*r."""
+    if model is ChordModel.TANGENT_ANGLE_UNIFORM:
+        return 2.0 * np.sin(second)
+    s = first * first + second * second if model is ChordModel.MIDPOINT_UNIFORM else first * first
+    return _length_from_radius_sq(s)
 
 
 def numpy_needles(model, rng, size):
@@ -70,7 +90,8 @@ def replica_count(experiment, n, seed):
 def test_chord_counts_match_public_sampler(model, seed):
     for n in SIZES:
         lengths = [
-            sample_chord_batch(model, stream_generator(seed, b), size)[2] for b, size in batches(n)
+            chord_lengths(model, *numpy_chords(model, stream_generator(seed, b), size))
+            for b, size in batches(n)
         ]
         for t in THRESHOLDS:
             expected = sum(int(np.count_nonzero(length > t)) for length in lengths)
