@@ -19,7 +19,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from bertrand_lab.bertrand import TRIANGLE_EDGE, ChordModel, _disc_radius_sq, chord_exceed_experiment
+from bertrand_lab.bertrand import (
+    TRIANGLE_EDGE,
+    ChordModel,
+    _disc_radius_sq,
+    _tangent_beta,
+    chord_exceed_experiment,
+)
 from bertrand_lab.buffon import (
     _CENTER_ANGLE_BAND,
     NeedleModel,
@@ -143,6 +149,72 @@ def test_square_draw_is_numpy_uniform(size, seed):
 def test_midpoint_radius_sq_is_the_public_points(size, seed):
     x, y = numpy_chords(ChordModel.MIDPOINT_UNIFORM, stream_generator(seed, 0), size)
     assert np.array_equal(_disc_radius_sq(stream_generator(seed, 0), size), x * x + y * y)
+
+
+class Recorded:
+    """A generator wrapper that notes the length of each block the walk draws."""
+
+    def __init__(self, rng):
+        self.rng, self.blocks = rng, []
+
+    def random(self, out):
+        self.blocks.append(len(out))
+        return self.rng.random(out=out)
+
+
+def walk_blocks(rng, size):
+    """The lengths of the blocks the midpoint walk draws for ``size`` points from ``rng``."""
+    recorded = Recorded(rng)
+    _disc_radius_sq(recorded, size)
+    return recorded.blocks
+
+
+def kept_points(draws):
+    """How many of the (u, v) pairs in ``draws`` the walk keeps."""
+    half = np.square(draws - 0.5)
+    return int(np.count_nonzero(half[0::2] + half[1::2] <= 0.25))
+
+
+@pytest.mark.parametrize("size", [1, 5, 1000, 20_000, 40_000])
+def test_midpoint_radius_sq_leaves_the_stream_after_its_last_block(size):
+    """The walk draws whole blocks, stops at the first that completes the batch, and draws nothing else."""
+    rng, twin = stream_generator(3, 0), stream_generator(3, 0)
+    blocks = walk_blocks(stream_generator(3, 0), size)
+    _disc_radius_sq(rng, size)
+    kept = [kept_points(twin.random(block)) for block in blocks]
+    assert sum(kept[:-1]) < size <= sum(kept)
+    assert np.array_equal(rng.random(3), twin.random(3))
+
+
+def test_midpoint_walk_keeps_the_buffered_half_word():
+    """32-bit draws after the walk continue as after the same blocks drawn with random."""
+    rng, recorded, twin = (np.random.Generator(np.random.PCG64(3)) for _ in range(3))
+    assert rng.integers(0, 1000, dtype=np.int32) == twin.integers(0, 1000, dtype=np.int32) == 811
+    recorded.integers(0, 1000, dtype=np.int32)
+    _disc_radius_sq(rng, 10)
+    for block in walk_blocks(recorded, 10):
+        twin.random(block)
+    draws = [int(g.integers(0, 1000, dtype=np.int32)) for g in (rng, twin) for _ in range(3)]
+    assert draws[:3] == draws[3:]
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("size", SIZES)
+def test_tangent_beta_is_the_public_beta(size, seed):
+    """The tangent experiment's beta is numpy's, and its stream ends where numpy's does."""
+    rng, reference = stream_generator(seed, 0), stream_generator(seed, 0)
+    _, beta = numpy_chords(ChordModel.TANGENT_ANGLE_UNIFORM, reference, size)
+    assert np.array_equal(_tangent_beta(rng, size), beta)
+    assert rng.random() == reference.random()
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("size", SIZES)
+def test_polar_radius_is_the_public_r(size, seed):
+    """The polar experiment's r is numpy's; it never draws the theta numpy draws after r."""
+    model = ChordModel.POLAR_UNIFORM
+    r, _ = numpy_chords(model, stream_generator(seed, 0), size)
+    assert np.array_equal(chord_exceed_experiment(model).sample(stream_generator(seed, 0), size), r)
 
 
 class ShortBlock:

@@ -125,6 +125,11 @@ class TestTransforms:
         assert (r, theta) == (1.0, math.pi / 2.0)
         assert length(POLAR, r, theta) == length(MIDPOINT, 0.0, 1.0) == 0.0
 
+    def test_negative_x_axis_maps_to_plus_pi(self):
+        r, theta = math.hypot(-1.0, 0.0), math.atan2(0.0, -1.0)
+        assert (r, theta) == (1.0, math.pi)
+        assert length(POLAR, r, theta) == length(MIDPOINT, -1.0, 0.0) == 0.0
+
     def test_round_trip_random_points(self):
         x, y = numpy_chords(MIDPOINT, stream_generator(2024, 0), 10_000)
         r = np.hypot(x, y)
