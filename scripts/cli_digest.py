@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Digest the stdout of a fixed matrix of 200 CLI commands and 2 script runs.
+"""Digest the stdout of a fixed matrix of 204 CLI commands and 2 script runs.
 
     python3 scripts/cli_digest.py [CHECKOUT] > digest.txt
 
@@ -164,6 +164,14 @@ def commands() -> list[list[str]]:
     out += [
         ["bertrand", "--model", "polar", "--seed", "-1"],
         ["buffon", "--model", "endpoints", "--seed", "-1"],
+    ]
+    # both routes of an atom: at geometric:1e-5, L = 2,302,574 and 1517**2 <= L < 1518**2;
+    # the filter where the series is long (geometric:1e-7, L = 230,258,498) or the mean large
+    out += [
+        ["rationals", "atom", "--q", "1/1517", "--law", "geometric:1e-5"],
+        ["rationals", "atom", "--q", "1/1518", "--law", "geometric:1e-5"],
+        ["rationals", "atom", "--q", "1/2", "--law", "geometric:1e-7"],
+        ["rationals", "atom", "--q", "3/7", "--law", "poisson:1000000"],
     ]
     return out
 

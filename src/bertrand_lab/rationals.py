@@ -13,16 +13,19 @@ Flattening the denominator law (success rate 1/k geometric, or mean-k
 Poisson) drives every atom's probability to zero while interval
 probabilities converge to interval length: the law becomes asymptotically
 equiprobable even though no uniform distribution on the rationals exists.
-All series are truncated where the denominator law's exact tail mass drops
-below ``tol``, which bounds the truncation error by ``tol`` because every
-summand is dominated by its pmf factor.  They stream over the denominators in
-chunks of ``_CHUNK_CELLS`` denominators, so memory does not grow with the
-truncation index L; a series of more than ``_BUDGET_CELLS`` cells
-(denominators times evaluation points, or for ``cdf_grid``'s fold on a grid
-i/n the cells it computes), or one past ``_MAX_DENOMINATOR``, raises
-``ValueError`` before any work, naming its range.  Each chunk is
-computed in place, in buffers allocated once per call (``cdf_grid``'s tiles
-once per chunk), a chunk whose pmf is 0
+The geometric and Poisson laws also state G(z) = E[z^M / (M + 1)] in closed
+form, and an atom n/d of theirs is the roots-of-unity filter of G: d values
+of G instead of L/d terms (``atom_probability`` says when it is taken).
+Every other quantity is a series, truncated where the denominator law's exact
+tail mass drops below ``tol``, which bounds the truncation error by ``tol``
+because every summand is dominated by its pmf factor.  The series stream over
+the denominators in chunks of ``_CHUNK_CELLS`` denominators, so memory does
+not grow with the truncation index L; a series of more than ``_BUDGET_CELLS``
+cells (denominators times evaluation points, or for ``cdf_grid``'s fold on a
+grid i/n the cells it computes), or one past ``_MAX_DENOMINATOR``, raises
+``ValueError`` before any work, naming its range, and so does an atom whose
+series would.  Each chunk is computed in place, in buffers allocated once per
+call (``cdf_grid``'s tiles once per chunk), a chunk whose pmf is 0
 everywhere is skipped (it would add +0.0), and a one-point series exactly
 rounds the sum of its chunk sums with ``math.fsum``.  No series calls BLAS.
 """
@@ -66,6 +69,12 @@ _SPLIT = float((1 << 27) + 1)
 # ties to the walk.
 _FOLD_CELLS = 4
 
+# A law's G is within this of G(1) of its value at the float point it is given:
+# 256 ulps.  Both closed forms cancel by at most a factor 6 against G(1) (for
+# q >= 1/2, 1/(ln 2 - 1/2); for means >= 1, (mean + 1)/(mean - 1 + e^-mean)),
+# and Horner's sum of N < 55 terms errs by under 2 N ulps.
+_G_ERROR = 2.0**-44
+
 
 @dataclass(frozen=True)
 class Rational:
@@ -99,16 +108,10 @@ def _check_tol(tol: float) -> None:
         raise ValueError(f"tol must lie in (0, 1), got {tol}")
 
 
-def _blocks(ms: range, points: int = 1) -> Iterator[np.ndarray]:
-    """The denominators ``ms`` in order, as arrays of ``_CHUNK_CELLS``.
-
-    They are float64 while the walk stays below ``_EXACT_FLOAT``, and int64
-    from there on, so every denominator is exact.  Each is a view of one
-    buffer allocated once per walk: the caller may overwrite it, and the next
-    block does.  Raises ValueError before the first block when the walk exceeds
+def _check_walk(ms: range, points: int = 1) -> None:
+    """Raise ValueError when the walk over the denominators ``ms`` exceeds
     ``_BUDGET_CELLS`` cells (denominators times ``points`` evaluation points)
-    or reaches past ``_MAX_DENOMINATOR``.
-    """
+    or reaches past ``_MAX_DENOMINATOR``; an empty walk passes."""
     if not ms:
         return
     # from the ends, which stay exact where len() overflows sys.maxsize
@@ -123,7 +126,20 @@ def _blocks(ms: range, points: int = 1) -> Iterator[np.ndarray]:
         raise ValueError(
             f"series over m = {lo}..{hi} passes the largest denominator {_MAX_DENOMINATOR}"
         )
-    dtype = np.float64 if hi < _EXACT_FLOAT else np.int64
+
+
+def _blocks(ms: range, points: int = 1) -> Iterator[np.ndarray]:
+    """The denominators ``ms`` in order, as arrays of ``_CHUNK_CELLS``.
+
+    They are float64 while the walk stays below ``_EXACT_FLOAT``, and int64
+    from there on, so every denominator is exact.  Each is a view of one
+    buffer allocated once per walk: the caller may overwrite it, and the next
+    block does.  ``_check_walk(ms, points)`` runs before the first block.
+    """
+    if not ms:
+        return
+    _check_walk(ms, points)
+    dtype = np.float64 if max(ms[0], ms[-1]) < _EXACT_FLOAT else np.int64
     steps = np.arange(min(_CHUNK_CELLS, len(ms)), dtype=dtype) * ms.step
     buf = np.empty_like(steps)
     starts = ms[::_CHUNK_CELLS]
@@ -152,18 +168,34 @@ def _chunks(law: DenominatorLaw, ms: range, points: int = 1) -> Iterator[tuple[n
             yield m, p, w, v
 
 
-def _series(law: DenominatorLaw, tol: float, term: Callable, step: int = 1) -> float:
-    """The one-point series over m = step, 2 step, ... up to the law's
+def _series(law: DenominatorLaw, top: int, term: Callable, step: int = 1) -> float:
+    """The one-point series over m = step, 2 step, ... up to ``top``, the law's
     truncation index: ``term(m, p, w, v)`` turns each chunk of ``_chunks`` into
     its terms, in its arrays, and ``math.fsum`` exactly rounds the chunk sums.
     """
     # a walk from 1 has at most _BUDGET_CELLS denominators, so there m is float64
-    ms = range(step, law.truncation_index(tol) + 1, step)
+    ms = range(step, top + 1, step)
     return math.fsum(float(term(*chunk).sum()) for chunk in _chunks(law, ms))
 
 
+def _power_series(c: np.ndarray, coefficients: list[float]) -> np.ndarray:
+    """The sum over j of coefficients[j] c^j, by Horner's rule."""
+    acc = np.full_like(c, coefficients[-1])
+    for a in coefficients[-2::-1]:
+        acc *= c
+        acc += a
+    return acc
+
+
 class DenominatorLaw(ABC):
-    """A probability mass function over denominators m = 1, 2, ..."""
+    """A probability mass function over denominators m = 1, 2, ...
+
+    A law that has G(z) = E[z^M / (M + 1)] in closed form states it as a
+    method ``G`` of complex arrays z on the unit circle, each value within
+    ``_G_ERROR`` * G(1); the table laws have none.
+    """
+
+    G: Callable[[np.ndarray], np.ndarray] | None = None
 
     @abstractmethod
     def pmf_array(self, ms: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -192,6 +224,13 @@ class GeometricLaw(DenominatorLaw):
             raise ValueError(f"w must lie in (0, 1), got {w}")
         self.w = float(w)
         self._log_1mw = math.log1p(-self.w)
+        self._q = 1.0 - self.w
+        # for q < 1/2 the power series of G in c = q z, to q^N / (N + 2) < 2**-54
+        self._g_series = (
+            [1.0 / (j + 2) for j in range(math.ceil(-54 * math.log(2.0) / math.log(self._q)))]
+            if self._q < 0.5
+            else None
+        )
 
     def pmf_array(self, ms: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         ms = np.asarray(ms)
@@ -203,6 +242,15 @@ class GeometricLaw(DenominatorLaw):
 
     def sup_pmf(self) -> float:
         return self.w
+
+    def G(self, z: np.ndarray) -> np.ndarray:
+        """With c = q z and q = 1 - w: (w/q) (-log(1 - c) - c) / c, where 1 - c is
+        formed as (1 - z) + w z so that z = 1 loses nothing; for q < 1/2, where
+        that form cancels, w z times the sum over j of c^j / (j + 2)."""
+        c = self._q * z
+        if self._g_series is not None:
+            return self.w * z * _power_series(c, self._g_series)
+        return self.w / self._q * (-np.log((1.0 - z) + self.w * z) - c) / c
 
     def truncation_index(self, tol: float) -> int:
         _check_tol(tol)
@@ -254,6 +302,13 @@ class PoissonLaw(DenominatorLaw):
             raise ValueError(f"mean must be finite and > 0, got {mean}")
         self.mean = float(mean)
         self._log_mean = math.log(self.mean)
+        # for mean < 1 the power series of G in c = mean z, to mean^N / N! < 2**-55
+        self._g_series = None
+        if self.mean < 1.0:
+            self._g_series, inverse_factorial = [], 1.0
+            while inverse_factorial * self.mean ** len(self._g_series) >= 2.0**-55:
+                self._g_series.append(inverse_factorial / (len(self._g_series) + 2))
+                inverse_factorial /= len(self._g_series)
 
     def pmf_array(self, ms: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         # log-space evaluation stays finite far into the tail and for large means
@@ -295,6 +350,14 @@ class PoissonLaw(DenominatorLaw):
                 return max(1, int(m[np.searchsorted(run, tol, side="right")]))
             above = float(run[-1])
         return max(1, lo - 1)
+
+    def G(self, z: np.ndarray) -> np.ndarray:
+        """With c = mean z: z ((c - 1) e^(c - mean) + e^-mean) / c^2; for mean < 1,
+        where that form cancels, z e^-mean times the sum over j of c^j / (j! (j + 2))."""
+        c = self.mean * z
+        if self._g_series is not None:
+            return math.exp(-self.mean) * z * _power_series(c, self._g_series)
+        return z * ((c - 1.0) * np.exp(c - self.mean) + math.exp(-self.mean)) / (c * c)
 
     def sup_pmf(self) -> float:
         # Poisson mode at floor(mean) (two tied modes for integer mean)
@@ -369,15 +432,56 @@ class DegenerateLaw(CustomLaw):
 
 
 def atom_probability(q: Rational, law: DenominatorLaw, tol: float = DEFAULT_TOL) -> float:
-    """P{Q = q}: the series over all representations l*n / l*m of q.
+    """P{Q = q} for q = n/d: the sum of P{M = l d} / (l d + 1) over l >= 1, the
+    representations l n / l d of q.
 
-    Truncated once the law's tail mass P{M > L} drops below ``tol``; each
-    dropped term is at most its pmf factor, so the truncation error is at
-    most ``tol``.
+    By one of two routes, after the law's truncation index L and the series'
+    refusals (``_check_walk``), so that both refuse the same inputs:
+
+    - the roots-of-unity filter ``_filter_atom``, (1/d) Re sum over k < d of
+      G(e^(2 pi i k/d)), for a law that states G, when d^2 <= L (d values of G
+      against the series' L/d terms) and the filter's error bound is at most
+      ``tol``.  Each value is within ``_G_ERROR`` * G(1) of G at its float
+      point, which with the rounding of c in G lies within 16 ulps of the root
+      of unity, and |G'| <= 1 on the disc; the sum, of terms at most G(1) in
+      modulus, adds d ulps of G(1).  So the filter is within
+      (``_G_ERROR`` + d 2**-52) G(1) + 16 * 2**-52.
+      Past d^2 > L the atom may lie below that bound, and the series is short.
+    - otherwise the series ``_series_atom``, truncated once the law's tail mass
+      P{M > L} drops below ``tol``: each dropped term is at most its pmf factor,
+      so the truncation error is at most ``tol``.
     """
-    return _series(
-        law, tol, lambda m, p, w, _: np.divide(p, np.add(m, 1.0, out=w), out=w), q.denominator
+    d = q.denominator
+    top = law.truncation_index(tol)
+    _check_walk(range(d, top + 1, d))
+    if law.G is not None and d * d <= top:
+        value, bound = _filter_atom(law, d)
+        if bound <= tol:
+            return value
+    return _series_atom(law, top, d)
+
+
+def _series_atom(law: DenominatorLaw, top: int, d: int) -> float:
+    """The atom series over m = d, 2 d, ... up to the truncation index ``top``."""
+    return _series(law, top, lambda m, p, w, _: np.divide(p, np.add(m, 1.0, out=w), out=w), d)
+
+
+def _filter_atom(law: DenominatorLaw, d: int) -> tuple[float, float]:
+    """(1/d) Re sum over k < d of ``law.G``(e^(2 pi i k/d)), and the bound on its
+    error that ``atom_probability`` states.
+
+    The points k and d - k are conjugate, and so are their values of G, so the
+    sum is G(1) + 2 Re sum over 0 < k < d/2 of G(e^(2 pi i k/d)), plus G(-1)
+    for even d.  The pairs are summed in blocks of ``_CHUNK_CELLS``, and the
+    block sums exactly rounded with ``math.fsum``.
+    """
+    g1, g_half = law.G(np.array([1.0, -1.0], dtype=complex)).real.tolist()
+    pairs = math.fsum(
+        float(law.G(np.exp(k * (2j * math.pi / d))).real.sum())
+        for k in _blocks(range(1, (d + 1) // 2))
     )
+    value = (g1 + 2.0 * pairs + (g_half if d % 2 == 0 else 0.0)) / d
+    return value, (_G_ERROR + d * 2.0**-52) * g1 + 16 * 2.0**-52
 
 
 def cdf(x: float, law: DenominatorLaw, tol: float = DEFAULT_TOL) -> float:
@@ -398,7 +502,7 @@ def cdf(x: float, law: DenominatorLaw, tol: float = DEFAULT_TOL) -> float:
         np.add(np.floor(np.multiply(m, x, out=w), out=w), 1.0, out=w)
         return np.divide(np.multiply(w, p, out=w), np.add(m, 1.0, out=m), out=w)
 
-    return _series(law, tol, term)
+    return _series(law, law.truncation_index(tol), term)
 
 
 def cdf_grid(xs: np.ndarray, law: DenominatorLaw, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -564,7 +668,7 @@ def interval_probability(a: float, b: float, law: DenominatorLaw, tol: float = D
         high -= np.floor(np.multiply(m, a, out=low), out=low)
         return np.divide(np.multiply(high, p, out=high), np.add(m, 1.0, out=m), out=high)
 
-    return _series(law, tol, term)
+    return _series(law, law.truncation_index(tol), term)
 
 
 def mean_reciprocal(law: DenominatorLaw, tol: float = DEFAULT_TOL) -> float:
@@ -573,7 +677,7 @@ def mean_reciprocal(law: DenominatorLaw, tol: float = DEFAULT_TOL) -> float:
     Every atom probability is below it, and interval probabilities differ
     from interval length by at most (1 + length) times it.
     """
-    return _series(law, tol, lambda m, p, *_: np.divide(p, m, out=p))
+    return _series(law, law.truncation_index(tol), lambda m, p, *_: np.divide(p, m, out=p))
 
 
 def harmonic_number(k: int) -> float:

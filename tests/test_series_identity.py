@@ -5,7 +5,10 @@ boundaries (``_CHUNK_CELLS`` denominators), the same pmf formulas and the same
 operation and accumulation order as the library, written without its
 buffers.  Results must agree with ``==``, not within a tolerance.
 
-The series also call no BLAS, so their bits do not depend on the host's BLAS
+Where an atom takes the roots-of-unity filter instead, the series route is
+pinned by calling it directly, and the atom is held to ``atom_oracle``.
+
+The series (and the filter) also call no BLAS, so their bits do not depend on the host's BLAS
 thread count, ``cdf`` lies within 2 ulps of the exactly rounded sum of its
 terms, and ``cdf_grid`` within 8 ulps of ``cdf``.
 """
@@ -19,6 +22,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from atom_oracle import oracle_atom
 from test_cli import src_env
 
 from bertrand_lab import rationals
@@ -324,8 +328,17 @@ class TestOnePointSeries:
 
     def test_atom_probability(self, law_id):
         law, pmf = LAWS[law_id]
+        top = law.truncation_index(TOL)
         for q in (Rational(0, 1), Rational(1, 2), Rational(3, 7)):
-            assert atom_probability(q, law, TOL) == ref_atom(q, law, pmf)
+            d = q.denominator
+            if law.G is None or d * d > top:
+                assert atom_probability(q, law, TOL) == ref_atom(q, law, pmf)
+                continue
+            # the filter answers: the series route is pinned, the answer held to the oracle
+            assert rationals._series_atom(law, top, d) == ref_atom(q, law, pmf)
+            value, bound = rationals._filter_atom(law, d)
+            assert atom_probability(q, law, TOL) == value
+            assert abs(value - oracle_atom(law, d)) <= bound
 
     def test_mean_reciprocal(self, law_id):
         law, pmf = LAWS[law_id]
@@ -379,10 +392,21 @@ def test_one_point_series_call_no_blas(monkeypatch):
         assert 0.0 < interval_probability(0.2, 0.7, law, TOL) < 1.0
         assert 0.0 < atom_probability(Rational(1, 3), law, TOL) < 1.0
         assert 0.0 < mean_reciprocal(law, TOL) < 1.0
+        if law.G is not None:
+            assert 0.0 < rationals._filter_atom(law, 3)[0] < 1.0
         # nor does the grid, at one point and at the script's 1,000
         assert 0.0 < cdf_grid(np.array([0.37]), law, TOL)[0] < 1.0
         grid = cdf_grid(np.arange(1000) / 1000, law, TOL)
         assert np.all((0.0 < grid) & (grid < 1.0))
+    # nor does the filter, through either form of G and over two blocks of pairs
+    for law, d in (
+        (GeometricLaw(1e-4), 7),
+        (GeometricLaw(0.999), 2),
+        (PoissonLaw(1e4), 7),
+        (PoissonLaw(0.5), 2),
+        (GeometricLaw(1e-9), 150_000),
+    ):
+        assert 0.0 < rationals._filter_atom(law, d)[0] < 1.0
 
 
 # the one-point series at 23 interior points of linspace(0, 1, 25), as raw bytes
