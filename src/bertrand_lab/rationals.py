@@ -13,9 +13,10 @@ Flattening the denominator law (success rate 1/k geometric, or mean-k
 Poisson) drives every atom's probability to zero while interval
 probabilities converge to interval length: the law becomes asymptotically
 equiprobable even though no uniform distribution on the rationals exists.
-The geometric and Poisson laws also state G(z) = E[z^M / (M + 1)] in closed
-form, and an atom n/d of theirs is the roots-of-unity filter of G: d values
-of G instead of L/d terms (``atom_probability`` says when it is taken).
+A geometric law with 1 - w >= 1/2 and a Poisson law with mean >= 1 also
+state G(z) = E[z^M / (M + 1)] in closed form, and an atom n/d of theirs is the
+roots-of-unity filter of G: d values of G instead of L/d terms
+(``atom_probability`` says when it is taken).
 Every other quantity is a series, truncated where the denominator law's exact
 tail mass drops below ``tol``, which bounds the truncation error by ``tol``
 because every summand is dominated by its pmf factor.  The series stream over
@@ -71,8 +72,7 @@ _FOLD_CELLS = 4
 
 # A law's G is within this of G(1) of its value at the float point it is given:
 # 256 ulps.  Both closed forms cancel by at most a factor 6 against G(1) (for
-# q >= 1/2, 1/(ln 2 - 1/2); for means >= 1, (mean + 1)/(mean - 1 + e^-mean)),
-# and Horner's sum of N < 55 terms errs by under 2 N ulps.
+# q >= 1/2, 1/(ln 2 - 1/2); for means >= 1, (mean + 1)/(mean - 1 + e^-mean)).
 _G_ERROR = 2.0**-44
 
 
@@ -178,21 +178,13 @@ def _series(law: DenominatorLaw, top: int, term: Callable, step: int = 1) -> flo
     return math.fsum(float(term(*chunk).sum()) for chunk in _chunks(law, ms))
 
 
-def _power_series(c: np.ndarray, coefficients: list[float]) -> np.ndarray:
-    """The sum over j of coefficients[j] c^j, by Horner's rule."""
-    acc = np.full_like(c, coefficients[-1])
-    for a in coefficients[-2::-1]:
-        acc *= c
-        acc += a
-    return acc
-
-
 class DenominatorLaw(ABC):
     """A probability mass function over denominators m = 1, 2, ...
 
-    A law that has G(z) = E[z^M / (M + 1)] in closed form states it as a
-    method ``G`` of complex arrays z on the unit circle, each value within
-    ``_G_ERROR`` * G(1); the table laws have none.
+    A law states G(z) = E[z^M / (M + 1)] as a method ``G`` of complex arrays
+    z on the unit circle, each value within ``_G_ERROR`` * G(1), only where
+    its closed form holds to that; elsewhere ``G`` is None, as for the table
+    laws, and its atoms take the series.
     """
 
     G: Callable[[np.ndarray], np.ndarray] | None = None
@@ -201,10 +193,6 @@ class DenominatorLaw(ABC):
     def pmf_array(self, ms: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """P{M = m} at each m of an array of integers (integer or exact float
         dtype), written into the float64 array ``out`` of its shape if given."""
-
-    @abstractmethod
-    def sup_pmf(self) -> float:
-        """Supremum of the pmf over its support."""
 
     @abstractmethod
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
@@ -225,12 +213,9 @@ class GeometricLaw(DenominatorLaw):
         self.w = float(w)
         self._log_1mw = math.log1p(-self.w)
         self._q = 1.0 - self.w
-        # for q < 1/2 the power series of G in c = q z, to q^N / (N + 2) < 2**-54
-        self._g_series = (
-            [1.0 / (j + 2) for j in range(math.ceil(-54 * math.log(2.0) / math.log(self._q)))]
-            if self._q < 0.5
-            else None
-        )
+        # below q = 1/2 the closed form cancels, and L < _CHUNK_CELLS even at tol 5e-324
+        if self._q < 0.5:
+            self.G = None
 
     def pmf_array(self, ms: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         ms = np.asarray(ms)
@@ -244,12 +229,9 @@ class GeometricLaw(DenominatorLaw):
         return self.w
 
     def G(self, z: np.ndarray) -> np.ndarray:
-        """With c = q z and q = 1 - w: (w/q) (-log(1 - c) - c) / c, where 1 - c is
-        formed as (1 - z) + w z so that z = 1 loses nothing; for q < 1/2, where
-        that form cancels, w z times the sum over j of c^j / (j + 2)."""
+        """With c = q z and q = 1 - w >= 1/2: (w/q) (-log(1 - c) - c) / c, where
+        1 - c is formed as (1 - z) + w z so that z = 1 loses nothing."""
         c = self._q * z
-        if self._g_series is not None:
-            return self.w * z * _power_series(c, self._g_series)
         return self.w / self._q * (-np.log((1.0 - z) + self.w * z) - c) / c
 
     def truncation_index(self, tol: float) -> int:
@@ -302,13 +284,9 @@ class PoissonLaw(DenominatorLaw):
             raise ValueError(f"mean must be finite and > 0, got {mean}")
         self.mean = float(mean)
         self._log_mean = math.log(self.mean)
-        # for mean < 1 the power series of G in c = mean z, to mean^N / N! < 2**-55
-        self._g_series = None
+        # below mean 1 the closed form cancels, and L < _CHUNK_CELLS even at tol 5e-324
         if self.mean < 1.0:
-            self._g_series, inverse_factorial = [], 1.0
-            while inverse_factorial * self.mean ** len(self._g_series) >= 2.0**-55:
-                self._g_series.append(inverse_factorial / (len(self._g_series) + 2))
-                inverse_factorial /= len(self._g_series)
+            self.G = None
 
     def pmf_array(self, ms: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         # log-space evaluation stays finite far into the tail and for large means
@@ -352,11 +330,8 @@ class PoissonLaw(DenominatorLaw):
         return max(1, lo - 1)
 
     def G(self, z: np.ndarray) -> np.ndarray:
-        """With c = mean z: z ((c - 1) e^(c - mean) + e^-mean) / c^2; for mean < 1,
-        where that form cancels, z e^-mean times the sum over j of c^j / (j! (j + 2))."""
+        """With c = mean z and mean >= 1: z ((c - 1) e^(c - mean) + e^-mean) / c^2."""
         c = self.mean * z
-        if self._g_series is not None:
-            return math.exp(-self.mean) * z * _power_series(c, self._g_series)
         return z * ((c - 1.0) * np.exp(c - self.mean) + math.exp(-self.mean)) / (c * c)
 
     def sup_pmf(self) -> float:
@@ -400,9 +375,6 @@ class CustomLaw(DenominatorLaw):
         out.fill(0.0)
         np.copyto(out, self._ps[i], where=self._ms[i] == ms)
         return out
-
-    def sup_pmf(self) -> float:
-        return float(self._ps.max())
 
     def truncation_index(self, tol: float) -> int:
         _check_tol(tol)

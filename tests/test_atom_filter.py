@@ -2,14 +2,15 @@
 
 Both routes of ``atom_probability`` are held against ``atom_oracle``, a
 term-by-term sum in ``decimal`` at 40 digits: the filter within the bound it
-states, the series within ``tol``.
+states, the series within ``tol``.  A law states G only where its closed form
+holds (1 - w >= 1/2, mean >= 1); elsewhere its atoms take the series.
 """
 
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from atom_oracle import oracle_atom
@@ -37,9 +38,27 @@ def test_both_routes_match_the_oracle(data, kind):
     top = law.truncation_index(TOL)
     d = data.draw(st.integers(1, math.isqrt(top)), label="d")
     want = oracle_atom(law, d)
-    value, bound = rationals._filter_atom(law, d)
-    assert abs(value - want) <= bound
-    assert abs(rationals._series_atom(law, top, d) - want) <= TOL
+    series = rationals._series_atom(law, top, d)
+    assert abs(series - want) <= TOL
+    if law.G is None:
+        assert atom_probability(Rational(1, d), law, TOL) == series
+    else:
+        value, bound = rationals._filter_atom(law, d)
+        assert abs(value - want) <= bound
+
+
+@example(w=0.5, mean=1.0)
+@example(w=math.nextafter(0.5, 1.0), mean=math.nextafter(1.0, 0.0))
+@given(
+    w=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    mean=st.floats(0.0, exclude_min=True, allow_infinity=False),
+)
+def test_a_law_states_g_only_where_its_closed_form_holds(w, mean):
+    for law, cancels in ((GeometricLaw(w), w > 0.5), (PoissonLaw(mean), mean < 1.0)):
+        assert (law.G is None) == cancels
+        # there the series is one chunk long even at the smallest tol
+        if law.G is None:
+            assert law.truncation_index(5e-324) < rationals._CHUNK_CELLS
 
 
 FIXED = [
@@ -51,7 +70,7 @@ FIXED = [
     )
     for d in (1, 2, 7)
 ] + [
-    # the power series of G: the closed forms cancel at w = 0.999 and at mean 1e-3
+    # no G: the closed forms would cancel at w = 0.999 and at mean 1e-3
     pytest.param(GeometricLaw(0.999), 2, id="geometric:0.999-2"),
     pytest.param(PoissonLaw(1e-3), 2, id="poisson:1e-3-2"),
 ]
@@ -59,8 +78,13 @@ FIXED = [
 
 @pytest.mark.parametrize("law, d", FIXED)
 def test_filtered_atom_matches_the_oracle(law, d):
-    value, bound = rationals._filter_atom(law, d)
-    assert atom_probability(Rational(1, d), law, TOL) == value
+    value = atom_probability(Rational(1, d), law, TOL)
+    if law.G is None:
+        assert value == rationals._series_atom(law, law.truncation_index(TOL), d)
+        assert abs(value - oracle_atom(law, d)) <= TOL
+        return
+    filtered, bound = rationals._filter_atom(law, d)
+    assert value == filtered
     assert abs(value - oracle_atom(law, d)) <= bound
 
 
@@ -100,7 +124,7 @@ def test_atom_route(monkeypatch):
         # L = 34: the filter at 1/2, the series at 3/7
         (GeometricLaw(0.5), Rational(1, 2), TOL),
         (GeometricLaw(0.5), Rational(3, 7), TOL),
-        # L = 4: at 1/7 the atom, about 1e-22, is below the filter's rounding
+        # no G below mean 1
         (PoissonLaw(1e-3), Rational(1, 2), TOL),
         (PoissonLaw(1e-3), Rational(1, 7), TOL),
         # a tol below the filter's bound
@@ -113,7 +137,7 @@ def test_atom_route(monkeypatch):
         calls.append([])
         atom_probability(q, law, tol)
     filtered, walked = ["_filter_atom"], ["_series_atom"]
-    assert calls == [filtered, walked] * 3 + [filtered + walked, walked, walked]
+    assert calls == [filtered, walked] * 2 + [walked, walked, filtered + walked, walked, walked]
 
 
 @pytest.mark.parametrize(
@@ -136,7 +160,7 @@ def test_filter_refuses_what_the_series_refuses(law, q, message, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "law", [GeometricLaw(1e-5), GeometricLaw(0.999), PoissonLaw(1e4), PoissonLaw(0.5)], ids=repr
+    "law", [GeometricLaw(1e-5), GeometricLaw(0.5), PoissonLaw(1e4), PoissonLaw(1.0)], ids=repr
 )
 def test_g_is_real_and_largest_at_one(law):
     z = np.exp(2j * math.pi * np.arange(13) / 13)

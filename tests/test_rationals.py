@@ -447,9 +447,6 @@ class TestSupPmf:
     def test_geometric_mode_at_one(self):
         assert GeometricLaw(0.1).sup_pmf() == 0.1
 
-    def test_degenerate(self):
-        assert DegenerateLaw(7).sup_pmf() == 1.0
-
     def test_poisson_at_integer_mean(self):
         # mode of the shifted pmf sits at m = 5 for mean 4
         brute = max(
@@ -460,9 +457,6 @@ class TestSupPmf:
 
     def test_poisson_small_mean(self):
         assert PoissonLaw(0.5).sup_pmf() == pytest.approx(math.exp(-0.5), abs=1e-15)
-
-    def test_custom(self):
-        assert CustomLaw({1: 0.25, 3: 0.75}).sup_pmf() == 0.75
 
 
 class TestLawMechanics:
@@ -585,7 +579,6 @@ class TestLawMechanics:
             ms = np.arange(1, 2 * v + 2, dtype=dtype)
             assert degenerate.pmf_array(ms).tobytes() == table.pmf_array(ms).tobytes()
         assert degenerate.truncation_index(TOL) == table.truncation_index(TOL) == v
-        assert degenerate.sup_pmf() == table.sup_pmf() == 1.0
         for q in (Rational(0, 1), Rational(1, v), Rational(1, 2)):
             assert atom_probability(q, degenerate, TOL) == atom_probability(q, table, TOL)
         assert cdf(0.37, degenerate, TOL) == cdf(0.37, table, TOL)

@@ -398,12 +398,12 @@ def test_one_point_series_call_no_blas(monkeypatch):
         assert 0.0 < cdf_grid(np.array([0.37]), law, TOL)[0] < 1.0
         grid = cdf_grid(np.arange(1000) / 1000, law, TOL)
         assert np.all((0.0 < grid) & (grid < 1.0))
-    # nor does the filter, through either form of G and over two blocks of pairs
+    # nor does the filter, through each closed form, at its edge, and over two blocks of pairs
     for law, d in (
         (GeometricLaw(1e-4), 7),
-        (GeometricLaw(0.999), 2),
+        (GeometricLaw(0.5), 2),
         (PoissonLaw(1e4), 7),
-        (PoissonLaw(0.5), 2),
+        (PoissonLaw(1.0), 2),
         (GeometricLaw(1e-9), 150_000),
     ):
         assert 0.0 < rationals._filter_atom(law, d)[0] < 1.0
