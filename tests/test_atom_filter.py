@@ -56,9 +56,19 @@ def test_both_routes_match_the_oracle(data, kind):
 def test_a_law_states_g_only_where_its_closed_form_holds(w, mean):
     for law, cancels in ((GeometricLaw(w), w > 0.5), (PoissonLaw(mean), mean < 1.0)):
         assert (law.G is None) == cancels
-        # there the series is one chunk long even at the smallest tol
-        if law.G is None:
-            assert law.truncation_index(5e-324) < rationals._CHUNK_CELLS
+
+
+@example(w=math.nextafter(0.5, 1.0), mean=math.nextafter(1.0, 0.0))
+@example(w=math.nextafter(1.0, 0.0), mean=5e-324)
+@given(
+    w=st.floats(0.5, 1.0, exclude_min=True, exclude_max=True),
+    mean=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+)
+def test_a_law_without_g_sums_one_chunk_at_the_smallest_tol(w, mean):
+    # where a law states no G the filter would save nothing: the series is one chunk long
+    for law in (GeometricLaw(w), PoissonLaw(mean)):
+        assert law.G is None
+        assert law.truncation_index(5e-324) < rationals._CHUNK_CELLS
 
 
 FIXED = [
