@@ -11,8 +11,9 @@ Each model makes a different pair of chord coordinates uniform:
 The three choices are mutually incompatible measures, which is why the
 probability that a chord beats the inscribed-triangle edge comes out as
 1/4, 1/3 or 1/2 depending on the model.  ``exceed_probability_under_measure``
-evaluates the event under one measure while parameterizing it in another
-coordinate system, which is where the apparent paradox dissolves.
+evaluates the event under the midpoint measure in polar coordinates and
+gets the midpoint model's 1/4, not the polar model's 1/2: the measure
+decides, not the coordinates, which is where the apparent paradox dissolves.
 """
 
 from __future__ import annotations
@@ -37,17 +38,15 @@ class ChordModel(enum.Enum):
 
 
 class _Chord(NamedTuple):
-    """One chord model: its exact answer, event mass and Monte Carlo experiment.
+    """One chord model: its exact answer and Monte Carlo experiment.
 
-    ``exceed(t)`` is the native event mass P(length > t), the model's uniform
-    density times the area of the event.  ``event_sample(rng, size)`` draws
-    a batch's chords as ``chord_exceed_experiment`` states them, but builds
-    only the one array the event reads, and ``event(t)`` maps that array to
-    ``length > t``, bit for bit as the chords' coordinates give it.
+    ``event_sample(rng, size)`` draws a batch's chords as
+    ``chord_exceed_experiment`` states them, but builds only the one array
+    the event reads, and ``event(t)`` maps that array to ``length > t``, bit
+    for bit as the chords' coordinates give it.
     """
 
     exact: float
-    exceed: Callable[[float], float]
     event_sample: Callable[[np.random.Generator, int], np.ndarray]
     event: Callable[[float], Callable[[np.ndarray], np.ndarray]]
 
@@ -172,19 +171,16 @@ def _tangent_event(threshold: float) -> Callable[[np.ndarray], np.ndarray]:
 _CHORDS = {
     ChordModel.MIDPOINT_UNIFORM: _Chord(
         exact=0.25,
-        exceed=lambda t: max(0.0, 1.0 - t * t / 4.0),
         event_sample=_disc_radius_sq,
         event=lambda t: _cut_event(_length_from_radius_sq, t),
     ),
     ChordModel.TANGENT_ANGLE_UNIFORM: _Chord(
         exact=1.0 / 3.0,
-        exceed=lambda t: max(0.0, math.pi - 2.0 * math.asin(min(1.0, t / 2.0))) / math.pi,
         event_sample=_tangent_beta,
         event=_tangent_event,
     ),
     ChordModel.POLAR_UNIFORM: _Chord(
         exact=0.5,
-        exceed=_event_radius,
         # r = rng.uniform(0.0, 1.0) bit for bit; theta, drawn after it, is never read
         event_sample=lambda rng, size: rng.random(out=_scratch("draws", size)),
         event=lambda t: _cut_event(lambda r: _length_from_radius_sq(r * r), t),
@@ -206,17 +202,16 @@ def exceed_probability_under_measure(
 
     The event is coordinate-free, so the answer depends only on the measure;
     evaluating it in a foreign coordinate system requires the pushforward
-    density rather than the foreign model's own uniform one.  Supported
-    pairs: the three native (measure == evaluation_system) cases and
-    midpoint-uniform evaluated in polar coordinates: the density r/pi
-    (the disc's 1/pi times r, the inverse of the polar Jacobian 1/r),
-    integrated over theta in (-pi, pi] and r in [0, R], is R**2.
+    density rather than the foreign model's own uniform one.  The one
+    supported pair is midpoint-uniform evaluated in polar coordinates: the
+    density r/pi (the disc's 1/pi times r, the inverse of the polar Jacobian
+    1/r), integrated over theta in (-pi, pi] and r in [0, R], is R**2.
+    Every other pair, a model in its own coordinates included, raises
+    ``NotImplementedError``; a threshold outside [0, 2] raises
+    ``ValueError`` first.
     """
     if not 0.0 <= threshold <= 2.0:
         raise ValueError(f"threshold must lie in [0, 2], got {threshold}")
-
-    if measure is evaluation_system:
-        return _CHORDS[measure].exceed(threshold)
 
     if (
         measure is ChordModel.MIDPOINT_UNIFORM

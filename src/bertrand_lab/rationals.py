@@ -128,17 +128,17 @@ def _check_walk(ms: range, points: int = 1) -> None:
         )
 
 
-def _blocks(ms: range, points: int = 1) -> Iterator[np.ndarray]:
+def _blocks(ms: range) -> Iterator[np.ndarray]:
     """The denominators ``ms`` in order, as arrays of ``_CHUNK_CELLS``.
 
     They are float64 while the walk stays below ``_EXACT_FLOAT``, and int64
     from there on, so every denominator is exact.  Each is a view of one
     buffer allocated once per walk: the caller may overwrite it, and the next
-    block does.  ``_check_walk(ms, points)`` runs before the first block.
+    block does.  ``_check_walk(ms)`` runs before the first block.
     """
     if not ms:
         return
-    _check_walk(ms, points)
+    _check_walk(ms)
     dtype = np.float64 if max(ms[0], ms[-1]) < _EXACT_FLOAT else np.int64
     steps = np.arange(min(_CHUNK_CELLS, len(ms)), dtype=dtype) * ms.step
     buf = np.empty_like(steps)
@@ -149,15 +149,14 @@ def _blocks(ms: range, points: int = 1) -> Iterator[np.ndarray]:
     yield np.add(steps[:n], starts[-1], out=buf[:n])
 
 
-def _chunks(law: DenominatorLaw, ms: range, points: int = 1) -> Iterator[tuple[np.ndarray, ...]]:
-    """Yield ``(m, p, w, v)`` over ``_blocks(ms, points)``: ``p`` is
+def _chunks(law: DenominatorLaw, ms: range) -> Iterator[tuple[np.ndarray, ...]]:
+    """Yield ``(m, p, w, v)`` over ``_blocks(ms)``: ``p`` is
     ``law.pmf_array(m)``, and ``w`` and ``v`` free float64 arrays of its length,
     all reused like ``m``.  A block whose pmf is 0 everywhere (it underflowed)
-    is skipped, because it would add +0.0 to every series.  ``points`` only
-    scales the cell budget: every series walks the same blocks.
+    is skipped, because it would add +0.0 to every series.
     """
     buf = None
-    for m in _blocks(ms, points):
+    for m in _blocks(ms):
         # the first block is the longest, so its buffer serves every later one
         if buf is None:
             buf = np.empty((3, len(m)))
@@ -515,9 +514,11 @@ def cdf_grid(xs: np.ndarray, law: DenominatorLaw, tol: float = DEFAULT_TOL) -> n
         if fold < points * top and fold <= _BUDGET_CELLS:
             out[inside] = _fold(xin, i, n, below, law, top)
             return out
+    walk = range(1, top + 1)
+    _check_walk(walk, points)
     acc = np.zeros_like(xin)
     # at most _BUDGET_CELLS denominators from 1, so m is float64
-    for m, p, w, _ in _chunks(law, range(1, top + 1), points):
+    for m, p, w, _ in _chunks(law, walk):
         p /= np.add(m, 1.0, out=w)
         acc += _floor_sums(xin, m, p, np.floor) + p.sum()
     out[inside] = acc

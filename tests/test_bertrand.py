@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -45,46 +46,6 @@ def event_batch(model, rng, size):
     return _CHORDS[model].event_sample(rng, size).copy()
 
 
-def event_radius(t: float) -> float:
-    """Radius of the disc of midpoints (or intersections) whose chord beats ``t``."""
-    return math.sqrt(1.0 - t * t / 4.0)
-
-
-class TestDensity:
-    """Each native event mass is the model's uniform density times the event's area."""
-
-    THRESHOLDS = (0.0, 0.5, 1.0, TRIANGLE_EDGE, 1.9, 2.0)
-
-    def test_midpoint_density_values(self):
-        # 1/pi on the unit disc; the event is the inner disc of radius rho
-        model = ChordModel.MIDPOINT_UNIFORM
-        for t in self.THRESHOLDS:
-            area = math.pi * event_radius(t) ** 2
-            value = exceed_probability_under_measure(model, model, t)
-            assert value == pytest.approx(area / math.pi, abs=1e-15)
-
-    def test_polar_density_values(self):
-        # 1/(2 pi) on [0, 1] x (-pi, pi]; the event is the strip r < rho
-        model = ChordModel.POLAR_UNIFORM
-        for t in self.THRESHOLDS:
-            area = event_radius(t) * 2.0 * math.pi
-            value = exceed_probability_under_measure(model, model, t)
-            assert value == pytest.approx(area / (2.0 * math.pi), abs=1e-15)
-
-    def test_tangent_density_value(self):
-        # 1/(2 pi^2) on [0, 2pi] x [0, pi]; the event is asin(t/2) < beta < pi - asin(t/2)
-        model = ChordModel.TANGENT_ANGLE_UNIFORM
-        for t in self.THRESHOLDS:
-            area = 2.0 * math.pi * (math.pi - 2.0 * math.asin(t / 2.0))
-            value = exceed_probability_under_measure(model, model, t)
-            assert value == pytest.approx(area / (2.0 * math.pi**2), abs=1e-15)
-
-    @pytest.mark.parametrize("model", list(ChordModel))
-    def test_normalization(self, model):
-        # every chord is longer than 0, so the event mass at 0 is the total mass
-        assert exceed_probability_under_measure(model, model, 0.0) == pytest.approx(1.0, abs=1e-6)
-
-
 class TestPushforward:
     def test_normalization(self):
         value = exceed_probability_under_measure(
@@ -105,44 +66,34 @@ class TestPushforward:
 
 
 class TestExceedUnderMeasure:
+    """The measure decides, not the coordinates: the midpoint measure read in
+    polar coordinates keeps the midpoint model's answer."""
+
     def test_midpoint_measure_in_polar_coordinates_gives_one_quarter(self):
         value = exceed_probability_under_measure(
             ChordModel.MIDPOINT_UNIFORM, ChordModel.POLAR_UNIFORM
         )
-        assert value == pytest.approx(0.25, abs=1e-9)
-
-    @pytest.mark.parametrize("model", list(ChordModel))
-    def test_native_coordinates_reproduce_exact_values(self, model):
-        value = exceed_probability_under_measure(model, model)
-        assert value == pytest.approx(exact_exceed_probability(model), abs=1e-9)
-
-    def test_zero_threshold_is_certain(self):
-        value = exceed_probability_under_measure(
-            ChordModel.MIDPOINT_UNIFORM, ChordModel.MIDPOINT_UNIFORM, threshold=0.0
+        assert value == pytest.approx(
+            exact_exceed_probability(ChordModel.MIDPOINT_UNIFORM), abs=1e-9
         )
-        assert value == pytest.approx(1.0, abs=1e-9)
-
-    def test_max_threshold_is_impossible(self):
-        value = exceed_probability_under_measure(
-            ChordModel.POLAR_UNIFORM, ChordModel.POLAR_UNIFORM, threshold=2.0
+        assert value != pytest.approx(
+            exact_exceed_probability(ChordModel.POLAR_UNIFORM), abs=1e-9
         )
-        assert value == pytest.approx(0.0, abs=1e-12)
 
     def test_threshold_out_of_range_rejected(self):
-        with pytest.raises(ValueError):
-            exceed_probability_under_measure(
-                ChordModel.POLAR_UNIFORM, ChordModel.POLAR_UNIFORM, threshold=2.5
-            )
+        # before any pair is looked at, the supported one included
+        for measure, system in itertools.product(ChordModel, repeat=2):
+            with pytest.raises(ValueError):
+                exceed_probability_under_measure(measure, system, threshold=2.5)
 
     def test_unsupported_pushforward_pairs(self):
-        with pytest.raises(NotImplementedError):
-            exceed_probability_under_measure(
-                ChordModel.POLAR_UNIFORM, ChordModel.MIDPOINT_UNIFORM
-            )
-        with pytest.raises(NotImplementedError):
-            exceed_probability_under_measure(
-                ChordModel.TANGENT_ANGLE_UNIFORM, ChordModel.POLAR_UNIFORM
-            )
+        # every pair but (midpoint, polar), a model in its own coordinates included
+        pairs = set(itertools.product(ChordModel, repeat=2))
+        pairs.remove((ChordModel.MIDPOINT_UNIFORM, ChordModel.POLAR_UNIFORM))
+        assert len(pairs) == 8
+        for measure, system in pairs:
+            with pytest.raises(NotImplementedError):
+                exceed_probability_under_measure(measure, system)
 
 
 class TestSampling:

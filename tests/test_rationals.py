@@ -384,6 +384,51 @@ class TestIntervalProbability:
                 assert p <= (b - a) + (a - b + 1.0) * mu + 1e-9
 
 
+def dyadic(data, label: str, top: int = 0) -> float:
+    """k / 2**j with j <= 20 in [0, 1), or [0, 1] with top=1: m x is then exact in
+    float for every m < 2**32, so the float floors are the exact ones."""
+    j = data.draw(st.integers(0, 20), label=f"{label} j")
+    return data.draw(st.integers(0, 2**j - 1 + top), label=f"{label} k") / 2**j
+
+
+def within_ulps(value: float, exact: Fraction, ulps: int = 4) -> bool:
+    expected = float(exact)  # the oracle rounded once
+    return abs(value - expected) <= ulps * math.ulp(expected)
+
+
+@settings(max_examples=200)
+@given(data=st.data())
+def test_table_law_matches_the_fraction_oracle(data):
+    # each table probability p read exactly, as Fraction(p), and every floor exact
+    ms = data.draw(st.lists(st.integers(1, 999), min_size=1, max_size=6, unique=True), label="ms")
+    if len(ms) == 1 and data.draw(st.booleans(), label="degenerate"):
+        table, law = {ms[0]: 1.0}, DegenerateLaw(ms[0])
+    else:
+        weights = data.draw(st.lists(st.integers(1, 100), min_size=len(ms), max_size=len(ms)))
+        table = {m: w / sum(weights) for m, w in zip(ms, weights)}
+        law = CustomLaw(table)
+    exact = {m: Fraction(p) for m, p in table.items()}
+
+    x = dyadic(data, "x")
+    cdf_oracle = sum(p * (math.floor(m * Fraction(x)) + 1) / (m + 1) for m, p in exact.items())
+    assert within_ulps(cdf(x, law, TOL), cdf_oracle)
+
+    a, b = sorted((dyadic(data, "a", top=1), dyadic(data, "b", top=1)))
+    if a < b:
+        window = sum(
+            p * (math.floor(m * Fraction(b)) - math.floor(m * Fraction(a))) / (m + 1)
+            for m, p in exact.items()
+        )
+        assert within_ulps(interval_probability(a, b, law, TOL), window)
+
+    # a denominator that divides some entry, or any one
+    d = data.draw(st.one_of(st.integers(1, 999), st.sampled_from(ms).flatmap(
+        lambda m: st.sampled_from([k for k in range(1, m + 1) if m % k == 0]))), label="d")
+    q = canonicalize(data.draw(st.integers(0, d), label="n"), d)
+    atom = sum(p / (m + 1) for m, p in exact.items() if m % q.denominator == 0)
+    assert within_ulps(atom_probability(q, law, TOL), atom)
+
+
 class TestMeanReciprocal:
     def test_degenerate_one(self):
         assert mean_reciprocal(DegenerateLaw(1), TOL) == 1.0
