@@ -46,6 +46,60 @@ def event_batch(model, rng, size):
     return _CHORDS[model].event_sample(rng, size).copy()
 
 
+def event_radius(t: float) -> float:
+    """Radius of the disc of midpoints (or intersections) whose chord beats ``t``."""
+    return math.sqrt(1.0 - t * t / 4.0)
+
+
+# Each model's uniform density times the area of the event length > t in its
+# own coordinates: the inner disc of radius rho (density 1/pi on the unit
+# disc), the strip r < rho (1/(2 pi) on [0, 1] x (-pi, pi]), and the band
+# asin(t/2) < beta < pi - asin(t/2) (1/(2 pi^2) on [0, 2pi] x [0, pi]).
+AREA_FRACTION = {
+    ChordModel.MIDPOINT_UNIFORM: lambda t: math.pi * event_radius(t) ** 2 / math.pi,
+    ChordModel.POLAR_UNIFORM: lambda t: event_radius(t) * 2.0 * math.pi / (2.0 * math.pi),
+    ChordModel.TANGENT_ANGLE_UNIFORM: lambda t: (
+        2.0 * math.pi * (math.pi - 2.0 * math.asin(t / 2.0)) / (2.0 * math.pi**2)
+    ),
+}
+
+
+class TestDensity:
+    """Each model's Monte Carlo answer at a threshold is its uniform density
+    times the event's area; only the midpoint measure has a closed form off
+    sqrt(3), so the experiment stands for the others."""
+
+    THRESHOLDS = (0.0, 0.5, 1.0, TRIANGLE_EDGE, 1.9, 2.0)
+    SIZE = 200_000
+
+    def check(self, model):
+        for t in self.THRESHOLDS:
+            p = AREA_FRACTION[model](t)
+            est = run(chord_exceed_experiment(model, t), self.SIZE, seed=42)
+            # at t = 0 and t = 2 the event is certain or impossible, so sigma is 0
+            assert abs(est.p_hat - p) <= 4.0 * sigma(p, self.SIZE) + 1e-12, t
+
+    def test_midpoint_density_values(self):
+        self.check(ChordModel.MIDPOINT_UNIFORM)
+
+    def test_polar_density_values(self):
+        self.check(ChordModel.POLAR_UNIFORM)
+
+    def test_tangent_density_value(self):
+        self.check(ChordModel.TANGENT_ANGLE_UNIFORM)
+
+    @pytest.mark.parametrize("model", list(ChordModel))
+    def test_normalization(self, model):
+        # the density is one over the support's measure: the coordinate the
+        # event reads (x*x + y*y, beta or r) is uniform over its whole support
+        top = math.pi if model is ChordModel.TANGENT_ANGLE_UNIFORM else 1.0
+        array = event_batch(model, stream_generator(42, 0), self.SIZE)
+        observed, _ = np.histogram(array, bins=50, range=(0.0, top))
+        assert observed.sum() == self.SIZE
+        _, p_value = stats.chisquare(observed, np.full(50, self.SIZE / 50))
+        assert p_value > 0.001
+
+
 class TestPushforward:
     def test_normalization(self):
         value = exceed_probability_under_measure(
@@ -79,6 +133,33 @@ class TestExceedUnderMeasure:
         assert value != pytest.approx(
             exact_exceed_probability(ChordModel.POLAR_UNIFORM), abs=1e-9
         )
+
+    @pytest.mark.parametrize("model", list(ChordModel))
+    def test_native_coordinates_reproduce_exact_values(self, model):
+        # each closed form is the model's density times the event's area at sqrt(3)
+        assert AREA_FRACTION[model](TRIANGLE_EDGE) == pytest.approx(
+            exact_exceed_probability(model), abs=1e-12
+        )
+
+    def test_zero_threshold_is_certain(self):
+        value = exceed_probability_under_measure(
+            ChordModel.MIDPOINT_UNIFORM, ChordModel.POLAR_UNIFORM, threshold=0.0
+        )
+        assert value == 1.0
+        for model in ChordModel:
+            array = event_batch(model, stream_generator(9, 0), 10_000)
+            assert np.all(chord_exceed_experiment(model, 0.0).event(array))
+
+    def test_max_threshold_is_impossible(self):
+        value = exceed_probability_under_measure(
+            ChordModel.MIDPOINT_UNIFORM, ChordModel.POLAR_UNIFORM, threshold=2.0
+        )
+        assert value == 0.0
+        # no chord beats the diameter, not even one through the centre
+        for model in ChordModel:
+            top = math.pi if model is ChordModel.TANGENT_ANGLE_UNIFORM else 1.0
+            array = np.append(np.linspace(0.0, top, 10_001), top / 2.0)
+            assert not np.any(chord_exceed_experiment(model, 2.0).event(array))
 
     def test_threshold_out_of_range_rejected(self):
         # before any pair is looked at, the supported one included
