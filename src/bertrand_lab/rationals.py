@@ -16,7 +16,7 @@ equiprobable even though no uniform distribution on the rationals exists.
 A geometric law with 1 - w >= 1/2 and a Poisson law with mean >= 1 also
 state G(z) = E[z^M / (M + 1)] in closed form, and an atom n/d of theirs is the
 roots-of-unity filter of G: d values of G instead of L/d terms
-(``atom_probability`` says when it is taken).
+(``atom_probability`` says when it is taken).  E[1/M] and H_k are closed forms.
 Every other quantity is a series, truncated where the denominator law's exact
 tail mass drops below ``tol``, which bounds the truncation error by ``tol``
 because every summand is dominated by its pmf factor.  The series stream over
@@ -47,6 +47,7 @@ DEFAULT_TOL = 1e-10
 _STIRLING_FROM = 16.0
 _STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360)
 _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
+_EULER_GAMMA = 0.5772156649015329
 
 # A series is summed 2**16 denominators at a time, and refused beyond 2**32
 # cells (denominators times evaluation points).
@@ -187,6 +188,7 @@ class DenominatorLaw(ABC):
     """
 
     G: Callable[[np.ndarray], np.ndarray] | None = None
+    mean_reciprocal: float  # E[1/M], which each law sets from its closed form
 
     @abstractmethod
     def pmf_array(self, ms: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -212,6 +214,7 @@ class GeometricLaw(DenominatorLaw):
         self.w = float(w)
         self._log_1mw = math.log1p(-self.w)
         self._q = 1.0 - self.w
+        self.mean_reciprocal = -self.w * math.log(self.w) / self._q
         # below q = 1/2 the closed form cancels, and L < _CHUNK_CELLS even at tol 5e-324
         if self._q < 0.5:
             self.G = None
@@ -283,6 +286,7 @@ class PoissonLaw(DenominatorLaw):
             raise ValueError(f"mean must be finite and > 0, got {mean}")
         self.mean = float(mean)
         self._log_mean = math.log(self.mean)
+        self.mean_reciprocal = -math.expm1(-self.mean) / self.mean
         # below mean 1 the closed form cancels, and L < _CHUNK_CELLS even at tol 5e-324
         if self.mean < 1.0:
             self.G = None
@@ -364,6 +368,7 @@ class CustomLaw(DenominatorLaw):
             raise ValueError(f"table sums to {total}, not 1")
         self._ms = ms
         self._ps = ps
+        self.mean_reciprocal = math.fsum(p / m for m, p in zip(ms.tolist(), ps.tolist()))
         # _above[i] = P{M >= ms[i]}, with a trailing 0 for P{M > ms[-1]}
         self._above = np.append(np.cumsum(ps[::-1])[::-1], 0.0)
 
@@ -644,23 +649,26 @@ def interval_probability(a: float, b: float, law: DenominatorLaw, tol: float = D
     return _series(law, law.truncation_index(tol), term)
 
 
-def mean_reciprocal(law: DenominatorLaw, tol: float = DEFAULT_TOL) -> float:
-    """E[1/M]: the quantity that controls how far the law is from equiprobable.
+def mean_reciprocal(law: DenominatorLaw) -> float:
+    """E[1/M], the law's distance from equiprobable: every atom is below it, and an
+    interval's probability is within (1 + length) times it of the interval's length.
 
-    Every atom probability is below it, and interval probabilities differ
-    from interval length by at most (1 + length) times it.
+    Each law's closed form (-w ln w / (1 - w), -expm1(-mean) / mean, a table's fsum of
+    p / m) is within 3 ulps, or 1 subnormal step below 2.2e-308 (w < 3e-311, mean > 4.4e307).
     """
-    return _series(law, law.truncation_index(tol), lambda m, p, *_: np.divide(p, m, out=p))
+    return law.mean_reciprocal
 
 
 def harmonic_number(k: int) -> float:
-    """H_k = 1 + 1/2 + ... + 1/k, summed in blocks like the series.
-
-    k above ``_BUDGET_CELLS`` raises ValueError.
-    """
+    """H_k = 1 + 1/2 + ... + 1/k within 2 ulps: ``math.fsum`` of its terms below k = 64,
+    then ln k + gamma + 1/(2k) - 1/(12k^2) + 1/(120k^4) - 1/(252k^6) (Abramowitz &
+    Stegun 6.3.18, next term under 2e-17), 1/(2k) and 1/k^2 int by int: no k overflows."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    return math.fsum(float(np.divide(1.0, m, out=m).sum()) for m in _blocks(range(1, k + 1)))
+    if k < 64:
+        return math.fsum(1 / m for m in range(1, k + 1))
+    r = 1 / (k * k)
+    return math.log(k) + (_EULER_GAMMA + (1 / (2 * k) - r * (1 / 12 - r * (1 / 120 - r / 252))))
 
 
 def _draw(
@@ -753,9 +761,9 @@ def convergence_table(
 ) -> list[ConvergenceDiagnostics]:
     """Diagnostics along a family: flatness, E[1/M], and a probe-interval error.
 
-    ``interval_error`` is |P{a < Q <= b} - (b - a)| for the probe interval;
-    it is bounded by (1 + (b - a)) * mean_reciprocal, so the rows exhibit
-    the approach to equiprobability as k grows.
+    ``interval_error`` is |P{a < Q <= b} - (b - a)| for the probe interval, at most
+    (1 + (b - a)) E[1/M]: -w ln w / (1 - w) or -expm1(-k) / k, within 3 ulps, as H_k is
+    (a fsum below k = 64, A&S 6.3.18 from there); ``tol`` bounds the probe's series.
     """
     if not ks:
         raise ValueError("ks must be non-empty")
@@ -768,7 +776,7 @@ def convergence_table(
     for k in ks:
         law = family.law(k)
         s = law.sup_pmf()
-        mu = mean_reciprocal(law, tol)
+        mu = mean_reciprocal(law)
         err = abs(interval_probability(a, b, law, tol) - (b - a))
         rows.append(ConvergenceDiagnostics(k, s, s * math.log(k), harmonic_number(k), mu, err))
     return rows

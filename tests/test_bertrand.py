@@ -107,17 +107,6 @@ class TestPushforward:
         )
         assert value == pytest.approx(1.0, abs=1e-6)
 
-    def test_only_midpoint_base_supported(self):
-        # r/pi is the midpoint measure read in polar coordinates, and nothing else
-        with pytest.raises(NotImplementedError):
-            exceed_probability_under_measure(
-                ChordModel.TANGENT_ANGLE_UNIFORM, ChordModel.POLAR_UNIFORM
-            )
-        with pytest.raises(NotImplementedError):
-            exceed_probability_under_measure(
-                ChordModel.MIDPOINT_UNIFORM, ChordModel.TANGENT_ANGLE_UNIFORM
-            )
-
 
 class TestExceedUnderMeasure:
     """The measure decides, not the coordinates: the midpoint measure read in

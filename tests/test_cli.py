@@ -284,6 +284,12 @@ class TestRationalsCommand:
         for r in rows:
             assert float(r["interval_error"]) <= 1.5 * float(r["mean_reciprocal"])
 
+    def test_converge_prints_the_closed_form_of_e_inverse_m(self, capsys):
+        # (1 - e^-k) / k; the series over its L = 1,006,369 denominators printed 9.99999999e-07
+        code, out, _ = run_cli(["rationals", "converge", "--family", "poisson", "--ks", "1000000"], capsys)
+        assert code == 0
+        assert parse_csv(out)[0]["mean_reciprocal"] == "1e-06"
+
     def test_bad_law_string(self, capsys):
         code, _, err = run_cli(
             ["rationals", "atom", "--q", "1/2", "--law", "zipf:3"], capsys

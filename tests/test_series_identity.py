@@ -7,6 +7,7 @@ buffers.  Results must agree with ``==``, not within a tolerance.
 
 Where an atom takes the roots-of-unity filter instead, the series route is
 pinned by calling it directly, and the atom is held to ``atom_oracle``.
+E[1/M] is each law's closed form, held to the reference series within ``TOL``.
 
 The series (and the filter) also call no BLAS, so their bits do not depend on the host's BLAS
 thread count, ``cdf`` lies within 2 ulps of the exactly rounded sum of its
@@ -21,6 +22,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from atom_oracle import oracle_atom
 from test_cli import src_env
@@ -341,8 +344,28 @@ class TestOnePointSeries:
             assert abs(value - oracle_atom(law, d)) <= bound
 
     def test_mean_reciprocal(self, law_id):
+        # the series truncated at L falls short of the whole by at most P{M > L} <= TOL
         law, pmf = LAWS[law_id]
-        assert mean_reciprocal(law, TOL) == ref_mean_reciprocal(law, pmf)
+        assert abs(mean_reciprocal(law) - ref_mean_reciprocal(law, pmf)) <= TOL
+
+
+def table_and_pmf(weights: dict[int, int]):
+    table = {m: w / sum(weights.values()) for m, w in weights.items()}
+    return CustomLaw(table), custom_pmf(table)
+
+
+@settings(max_examples=60)
+@given(
+    law_and_pmf=st.one_of(
+        st.floats(1e-4, 0.99).map(lambda w: (GeometricLaw(w), geometric_pmf(w))),
+        st.floats(0.01, 1e4).map(lambda mean: (PoissonLaw(mean), poisson_pmf(mean))),
+        st.dictionaries(st.integers(1, 10**6), st.integers(1, 100), min_size=1, max_size=6)
+        .map(table_and_pmf),
+    )
+)
+def test_mean_reciprocal_is_its_series(law_and_pmf):
+    law, pmf = law_and_pmf
+    assert abs(mean_reciprocal(law) - ref_mean_reciprocal(law, pmf)) <= TOL
 
 
 def test_atom_compares_int64_denominators_exactly():
@@ -391,7 +414,7 @@ def test_one_point_series_call_no_blas(monkeypatch):
         assert 0.0 < cdf(0.37, law, TOL) < 1.0
         assert 0.0 < interval_probability(0.2, 0.7, law, TOL) < 1.0
         assert 0.0 < atom_probability(Rational(1, 3), law, TOL) < 1.0
-        assert 0.0 < mean_reciprocal(law, TOL) < 1.0
+        assert 0.0 < mean_reciprocal(law) < 1.0
         if law.G is not None:
             assert 0.0 < rationals._filter_atom(law, 3)[0] < 1.0
         # nor does the grid, at one point and at the script's 1,000
