@@ -78,20 +78,17 @@ def _rows(block: np.ndarray) -> np.ndarray:
 
 
 def _digits(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Integers as a sign byte and right-aligned ASCII digits, with the mask of the bytes kept."""
+    """Non-negative integers as right-aligned ASCII digits, with the mask of the bytes kept."""
     import numpy as np
-    neg = values < 0
-    # negating the wrapped uint64 of a negative value gives its magnitude, also at int64 min
     mag = values.astype(np.uint64)
-    np.negative(mag, out=mag, where=neg)
     width = len(str(mag.max()))
-    block = np.empty((len(mag), width + 1), np.uint8)
+    block = np.empty((len(mag), width), np.uint8)
     keep = np.empty(block.shape, bool)
-    block[:, 0], keep[:, 0], keep[:, width] = ord("-"), neg, True
-    # column k holds the digit of 10**(width - k), kept when the cell is that long
-    for k in range(1, width):
-        keep[:, k] = mag >= 10 ** (width - k)
-    for k in range(width, 0, -1):
+    keep[:, width - 1] = True
+    # column k holds the digit of 10**(width - 1 - k), kept when the cell is that long
+    for k in range(width - 1):
+        keep[:, k] = mag >= 10 ** (width - 1 - k)
+    for k in range(width - 1, -1, -1):
         digit = mag // 10
         digit *= 10
         np.subtract(mag, digit, out=digit)

@@ -26,9 +26,10 @@ cells (denominators times evaluation points, or for ``cdf_grid``'s fold on a
 grid i/n the cells it computes), or one past ``_MAX_DENOMINATOR``, raises
 ``ValueError`` before any work, naming its range, and so does an atom whose
 series would.  Each chunk is computed in place, in buffers allocated once per
-call (``cdf_grid``'s tiles once per chunk), a chunk whose pmf is 0
-everywhere is skipped (it would add +0.0), and a one-point series exactly
-rounds the sum of its chunk sums with ``math.fsum``.  No series calls BLAS.
+call (``PoissonLaw.pmf_array``'s and ``cdf_grid``'s fold's once per chunk), a
+chunk whose pmf is 0 everywhere is skipped (it would add +0.0), and a window
+series exactly rounds each point's chunk sums with ``math.fsum``.  No series
+calls BLAS.
 """
 
 from __future__ import annotations
@@ -168,14 +169,34 @@ def _chunks(law: DenominatorLaw, ms: range) -> Iterator[tuple[np.ndarray, ...]]:
             yield m, p, w, v
 
 
-def _series(law: DenominatorLaw, top: int, term: Callable, step: int = 1) -> float:
-    """The one-point series over m = step, 2 step, ... up to ``top``, the law's
-    truncation index: ``term(m, p, w, v)`` turns each chunk of ``_chunks`` into
-    its terms, in its arrays, and ``math.fsum`` exactly rounds the chunk sums.
+def _series(law: DenominatorLaw, top: int, xs: np.ndarray, a=None, step: int = 1) -> np.ndarray:
+    """For each point x of the float64 array ``xs``, the window series over
+    m = step, 2 step, ... up to ``top``, the law's truncation index: the sum of
+    p (floor(m x) - floor(m a)) / (m + 1), with floor(m a) = -1 without ``a``.
+    ``_floor_sums`` computes each chunk's cells in that order and sums each
+    point's row pairwise, and ``math.fsum`` exactly rounds each point's chunk sums.
     """
     # a walk from 1 has at most _BUDGET_CELLS denominators, so there m is float64
     ms = range(step, top + 1, step)
-    return math.fsum(float(term(*chunk).sum()) for chunk in _chunks(law, ms))
+    _check_walk(ms, xs.size)
+    # a tile of one point is one row, the chunk's free w; more points need a buffer
+    sums, cells = [], None if xs.size == 1 else np.empty(min(xs.size * len(ms), _CHUNK_CELLS))
+    for m, p, w, v in _chunks(law, ms):
+        low = -1.0 if a is None else np.floor(np.multiply(m, a, out=v), out=v)
+        # one tile has taken its products when it divides, so m + 1 may overwrite a
+        # float m; else m1 holds it, in v for one point (an int64 m is an atom's: no a)
+        in_place = m.dtype == np.float64 and xs.size * len(m) <= _CHUNK_CELLS
+        m1 = None if in_place else np.add(m, 1.0, out=v if cells is None else w)
+
+        def cell(grid, out):
+            # p (floor(x m) - floor(a m)) / (m + 1), in place and in that order
+            np.multiply(np.subtract(np.floor(grid, out=grid), low, out=grid), p, out=grid)
+            grid /= np.add(m, 1.0, out=m) if m1 is None else m1
+
+        sums.append(_floor_sums(xs, m, None, cell, w if cells is None else cells))
+    sums = np.reshape(sums, (-1, xs.size))
+    # one chunk sum is exactly rounded as it stands, and most grids take one chunk
+    return sums[0] if len(sums) == 1 else np.array([math.fsum(s) for s in sums.T.tolist()])
 
 
 class DenominatorLaw(ABC):
@@ -438,8 +459,10 @@ def atom_probability(q: Rational, law: DenominatorLaw, tol: float = DEFAULT_TOL)
 
 
 def _series_atom(law: DenominatorLaw, top: int, d: int) -> float:
-    """The atom series over m = d, 2 d, ... up to the truncation index ``top``."""
-    return _series(law, top, lambda m, p, w, _: np.divide(p, np.add(m, 1.0, out=w), out=w), d)
+    """The atom series over m = d, 2 d, ... up to the truncation index ``top``: the
+    window series at x = 0, whose one numerator per denominator makes each term
+    p / (m + 1)."""
+    return _series(law, top, np.zeros(1), step=d).item()
 
 
 def _filter_atom(law: DenominatorLaw, d: int) -> tuple[float, float]:
@@ -464,39 +487,28 @@ def cdf(x: float, law: DenominatorLaw, tol: float = DEFAULT_TOL) -> float:
     """F_Q(x) = P{Q <= x}: 0 below 0, 1 from 1 up, a rational staircase between.
 
     For 0 <= x < 1 the per-denominator factor is (floor(m x) + 1)/(m + 1),
-    counting the numerators 0..m that keep n/m <= x.  Its chunk sums are
-    exactly rounded; ``cdf_grid`` adds them in order.
+    counting the numerators 0..m that keep n/m <= x.
     """
     _check_tol(tol)
     if math.isnan(x):
         raise ValueError("x must not be NaN")
     if not 0.0 <= x < 1.0:
         return 0.0 if x < 0.0 else 1.0
-
-    def term(m, p, w, _):
-        # p * (floor(m x) + 1) / (m + 1), in place and in that order
-        np.add(np.floor(np.multiply(m, x, out=w), out=w), 1.0, out=w)
-        return np.divide(np.multiply(w, p, out=w), np.add(m, 1.0, out=m), out=w)
-
-    return _series(law, law.truncation_index(tol), term)
+    return _series(law, law.truncation_index(tol), np.array([x], float)).item()
 
 
 def cdf_grid(xs: np.ndarray, law: DenominatorLaw, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """``cdf`` at each point of ``xs`` to a few ulps, not bit for bit, by the
-    route that computes fewer cells.
+    """``cdf`` at each point of ``xs``, by the route that computes fewer cells.
 
-    The walk takes the chunks of ``cdf``: a chunk adds to each point the
-    pairwise sum of p floor(m x) / (m + 1) (``_floor_sums``) plus the sum of
-    p / (m + 1), and the chunk results are added in order where ``cdf`` rounds
-    them exactly.  That is points * L cells.  When every point is the float of
+    The walk is ``cdf``'s series at every point, so it equals ``cdf`` bit for
+    bit, in points * L cells.  When every point is the float of
     some i/n with n <= 2**12, the fold (``_fold``) gives the same float floors
     from ``_FOLD_CELLS`` * L + points * n cells, plus L / b for each point that
     lies below its i/n, b being the reduced denominator of i/n.  Those points
     are sought (``_below``) only when the first two terms are already fewer
     than the walk's cells, and the fold is taken when the whole is fewer (and
     within ``_BUDGET_CELLS``).  On the grid i/1000 the fold, taken from
-    geometric k = 1e2 and Poisson k = 1e3 on, stays within 4 ulps of ``cdf``,
-    and so does the walk below.
+    geometric k = 1e2 and Poisson k = 1e3 on, stays within 4 ulps of ``cdf``.
     """
     _check_tol(tol)
     xs = np.asarray(xs, dtype=np.float64)
@@ -519,29 +531,24 @@ def cdf_grid(xs: np.ndarray, law: DenominatorLaw, tol: float = DEFAULT_TOL) -> n
         if fold < points * top and fold <= _BUDGET_CELLS:
             out[inside] = _fold(xin, i, n, below, law, top)
             return out
-    walk = range(1, top + 1)
-    _check_walk(walk, points)
-    acc = np.zeros_like(xin)
-    # at most _BUDGET_CELLS denominators from 1, so m is float64
-    for m, p, w, _ in _chunks(law, walk):
-        p /= np.add(m, 1.0, out=w)
-        acc += _floor_sums(xin, m, p, np.floor) + p.sum()
-    out[inside] = acc
+    out[inside] = _series(law, top, xin)
     return out
 
 
-def _floor_sums(xs: np.ndarray, ms: np.ndarray, weights: np.ndarray, op: Callable) -> np.ndarray:
-    """For each point x of ``xs`` the pairwise sum over k of op(x ms[k]) weights[k],
-    where ``op(cells, out=cells)`` maps the products in place, over tiles of at
-    most ``_CHUNK_CELLS`` cells."""
+def _floor_sums(xs: np.ndarray, ms: np.ndarray, weights, op: Callable, cells=None) -> np.ndarray:
+    """For each point x of ``xs`` the pairwise sum over k of op(x ms[k]) weights[k]
+    (of op(x ms[k]) if ``weights`` is None), where ``op(cells, out=cells)`` maps
+    the products in place, over tiles of at most ``_CHUNK_CELLS`` cells, in the
+    buffer ``cells`` if given: min(points * len(ms), ``_CHUNK_CELLS``) floats."""
     sums = np.empty_like(xs)
     tile = _CHUNK_CELLS // max(len(ms), 1)
-    cells = np.empty(min(xs.size, tile) * len(ms))
+    cells = np.empty(min(xs.size, tile) * len(ms)) if cells is None else cells
     for s in range(0, xs.size, tile):
         x = xs[s : s + tile, None]
         grid = np.multiply(x, ms, out=cells[: x.size * len(ms)].reshape(x.size, len(ms)))
         op(grid, out=grid)
-        grid *= weights
+        if weights is not None:
+            grid *= weights
         grid.sum(axis=1, out=sums[s : s + tile])
     return sums
 
@@ -639,14 +646,7 @@ def interval_probability(a: float, b: float, law: DenominatorLaw, tol: float = D
     """
     if not (0.0 <= a < b <= 1.0):
         raise ValueError(f"need 0 <= a < b <= 1, got a={a}, b={b}")
-
-    def term(m, p, high, low):
-        # p * (floor(m b) - floor(m a)) / (m + 1), in place and in that order
-        np.floor(np.multiply(m, b, out=high), out=high)
-        high -= np.floor(np.multiply(m, a, out=low), out=low)
-        return np.divide(np.multiply(high, p, out=high), np.add(m, 1.0, out=m), out=high)
-
-    return _series(law, law.truncation_index(tol), term)
+    return _series(law, law.truncation_index(tol), np.array([b], float), a).item()
 
 
 def mean_reciprocal(law: DenominatorLaw) -> float:

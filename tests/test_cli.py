@@ -499,6 +499,8 @@ FLOATS = st.one_of(
 )
 SCALARS = st.one_of(st.none(), FLOATS, st.integers(-(2**70), 2**70), TEXTS)
 INT64S = st.integers(-(2**63), 2**63 - 1)
+# the numerators and denominators of a fraction column, as rationals sample writes them
+FRACTION_PARTS = st.integers(0, 2**63 - 1)
 SEQUENCE_CELLS = {"cells": SCALARS, "floats": FLOATS, "ints": INT64S, "texts": TEXTS}
 
 
@@ -510,7 +512,7 @@ def listed(cells):
 @st.composite
 def column_tables(draw):
     """Tables of 2-5 columns; each a constant, a Lookup of any cells, one row per cell of
-    any cells, floats, ints or texts, or a (numerators, denominators) pair of int arrays."""
+    any cells, floats, ints or texts, or a (numerators, denominators) pair of non-negative int arrays."""
     n = draw(st.integers(1, 5))
     columns = {}
     for name in draw(st.lists(TEXTS, min_size=2, max_size=5, unique=True)):
@@ -522,7 +524,7 @@ def column_tables(draw):
             index = draw(st.lists(st.integers(0, len(cells) - 1), min_size=n, max_size=n))
             columns[name] = Lookup(cells, np.array(index))
         elif kind == "fractions":
-            pairs = draw(st.lists(st.tuples(INT64S, INT64S), min_size=n, max_size=n))
+            pairs = draw(st.lists(st.tuples(FRACTION_PARTS, FRACTION_PARTS), min_size=n, max_size=n))
             columns[name] = tuple(np.array(part, dtype=np.int64) for part in zip(*pairs))
         else:
             columns[name] = listed(draw(st.lists(SEQUENCE_CELLS[kind], min_size=n, max_size=n)))
@@ -580,8 +582,10 @@ def many_rows_table():
     edges = [0, _CHUNK_ROWS - 1, _CHUNK_ROWS, 2 * _CHUNK_ROWS - 1, 2 * _CHUNK_ROWS]
     ints = i * 7919 - 3000 * n
     ints[edges] = [INT64_MIN, INT64_MAX, INT64_MIN, INT64_MAX, INT64_MIN]
-    nums, dens = ints[::-1].copy(), i + 1
-    dens[edges] = [INT64_MAX, INT64_MIN, -1, INT64_MIN, INT64_MAX]
+    # fraction parts are never negative: the widest and the narrowest on each side of an edge
+    nums, dens = np.abs(ints[::-1]), i + 1
+    nums[edges] = [0, INT64_MAX, 0, INT64_MAX, 0]
+    dens[edges] = [INT64_MAX, 0, 1, 0, INT64_MAX]
     floats = i / 7.0
     specials = [-0.0, math.nan, math.inf, -math.inf, 0.1234567895, 1e-05, 2.0000000005, -3.5e300]
     floats[::5] = np.resize(specials, len(floats[::5]))

@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -243,15 +244,13 @@ class TestCdf:
         ids=["geometric-1e3", "geometric-1e4", "poisson-1e4", "geometric-1e5", "poisson-1e5"],
     )
     def test_grid_stays_within_64_ulps_of_scalar(self, law):
-        # random points lie on no grid, so they take the walk, which adds its chunk
-        # sums in order where cdf rounds their sum exactly: the gap may grow with the
-        # chunk count, 36 at geometric 1e5 (L = 2,302,574), past the 8-ulp tests'
-        # k = 1e4; here it is at most 3, 3, 2, 4 and 2 ulps
+        # random points lie on no grid, so they take the walk, which is cdf's series
+        # at every point, exactly rounded over up to 36 chunks at geometric 1e5
+        # (L = 2,302,574): no ulp apart
         xs = np.random.default_rng(0).random(40)
         grid = cdf_grid(xs, law, TOL)
         scalar = np.array([cdf(float(x), law, TOL) for x in xs])
-        # both lie in (0, 1], where the distance of the bit patterns counts ulps
-        assert np.abs(grid.view(np.int64) - scalar.view(np.int64)).max() <= 64
+        assert grid.tobytes() == scalar.tobytes()
 
     @pytest.mark.parametrize(
         "law",
@@ -274,11 +273,11 @@ class TestCdf:
     )
     def test_walk_stays_within_8_ulps_of_scalar(self, law):
         # the grid i/143 takes the fold; one float up, on no grid, its points take
-        # the walk, whose in-order chunk additions alone part it from cdf
+        # the walk, which is cdf at each point bit for bit
         xs = np.nextafter(np.arange(143) / 143, 1.0)
         grid = cdf_grid(xs, law, TOL)
         scalar = np.array([cdf(float(x), law, TOL) for x in xs])
-        assert np.abs(grid.view(np.int64) - scalar.view(np.int64)).max() <= 8
+        assert grid.tobytes() == scalar.tobytes()
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
@@ -427,6 +426,63 @@ def test_table_law_matches_the_fraction_oracle(data):
     q = canonicalize(data.draw(st.integers(0, d), label="n"), d)
     atom = sum(p / (m + 1) for m, p in exact.items() if m % q.denominator == 0)
     assert within_ulps(atom_probability(q, law, TOL), atom)
+
+
+def reference_pmf(law) -> np.ndarray:
+    """P{M = m} for m = 1, 2, ... until the tail P{M > m} is below 1e-18, not by the
+    library's formulas: w (1 - w)**(m - 1), or the recurrence p(m + 1) = p(m) mean / m
+    from the Poisson mode both ways, normalized by its exactly rounded sum."""
+    if isinstance(law, GeometricLaw):
+        top = math.ceil(math.log(1e-18) / math.log1p(-law.w))
+        return law.w * (1.0 - law.w) ** np.arange(top, dtype=np.float64)
+    # mean + 40 sqrt(mean) + 40 is past Bernstein's tail bound of 1e-18 from mean 1 up
+    mean, mode = law.mean, math.floor(law.mean)
+    top = math.ceil(mean + 40.0 * math.sqrt(mean) + 40.0)
+    up = np.cumprod(mean / np.arange(mode + 1, top))
+    down = np.cumprod(np.arange(mode, 0, -1) / mean)[::-1]
+    q = np.concatenate((down, [1.0], up))
+    return q / math.fsum(q.tolist())
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_geometric_and_poisson_match_an_exact_floor_reference(data):
+    # at k / 2**j with j <= 12, where every floor is the integer (m k) >> j, and each
+    # route of cdf_grid: the reference sums past a tail of 1e-18, so 2 tol holds
+    if data.draw(st.booleans(), label="geometric"):
+        law = GeometricLaw(data.draw(st.floats(1e-3, 0.5), label="w"))
+    else:
+        law = PoissonLaw(data.draw(st.floats(1.0, 1e3), label="mean"))
+    p = reference_pmf(law)
+    m = np.arange(1, p.size + 1, dtype=np.int64)
+
+    def window(k: int, j: int, low: int = -1) -> float:
+        # sum of p (floor(m k / 2**j) - floor(m low / 2**j)) / (m + 1), -1 for no low
+        floors = ((m * k) >> j) - (-1 if low < 0 else (m * low) >> j)
+        return math.fsum((p * floors / (m + 1)).tolist())
+
+    j = data.draw(st.integers(0, 12), label="j")
+    ks = data.draw(st.lists(st.integers(0, 2**j - 1), min_size=1, max_size=4), label="ks")
+    want = np.array([window(k, j) for k in ks])
+    xs = np.array(ks) / 2**j
+    assert np.abs(np.array([cdf(x, law, TOL) for x in xs]) - want).max() <= 2 * TOL
+
+    a, b = sorted(data.draw(st.lists(st.integers(0, 2**j), min_size=2, max_size=2, unique=True)))
+    got = interval_probability(a / 2**j, b / 2**j, law, TOL)
+    assert abs(got - window(b, j, a)) <= 2 * TOL
+
+    # 2**-13 is the float of no i/n with n <= 2**12, so every point walks
+    assert np.abs(cdf_grid(np.append(xs, 2**-13), law, TOL)[:-1] - want).max() <= 2 * TOL
+    # d points copied nine times on a grid of n < L / 2: the fold's 4 L + 9 d n cells are
+    # fewer than the walk's 9 d L
+    fold_j = min(j, (law.truncation_index(TOL) - 1).bit_length() - 2)
+    shift = j - fold_j
+    want = np.array([window(k >> shift, fold_j) for k in ks])
+    xs = np.repeat(np.array(ks) >> shift, 9) / 2**fold_j
+    with mock.patch.object(rationals, "_fold", wraps=rationals._fold) as fold:
+        got = cdf_grid(xs, law, TOL)
+    assert fold.called
+    assert np.abs(got - np.repeat(want, 9)).max() <= 2 * TOL
 
 
 class TestMeanReciprocal:
