@@ -130,35 +130,35 @@ def _check_walk(ms: range, points: int = 1) -> None:
         )
 
 
-def _blocks(ms: range) -> Iterator[np.ndarray]:
-    """The denominators ``ms`` in order, as arrays of ``_CHUNK_CELLS``.
+def _blocks(ms: range) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The denominators ``ms`` in order, as arrays ``m`` of ``_CHUNK_CELLS``, each
+    with ``after``, the denominators that follow them: m + ``ms.step``.
 
     They are float64 while the walk stays below ``_EXACT_FLOAT``, and int64
-    from there on, so every denominator is exact.  Each is a view of one
-    buffer allocated once per walk: the caller may overwrite it, and the next
-    block does.  ``_check_walk(ms)`` runs before the first block.
+    from there on, so every denominator is exact.  Both are views of one buffer
+    allocated once per walk, one entry apart: the caller may overwrite them, and
+    the next block does.  ``_check_walk(ms)`` runs before the first block.
     """
     if not ms:
         return
     _check_walk(ms)
     dtype = np.float64 if max(ms[0], ms[-1]) < _EXACT_FLOAT else np.int64
-    steps = np.arange(min(_CHUNK_CELLS, len(ms)), dtype=dtype) * ms.step
+    steps = np.arange(min(_CHUNK_CELLS, len(ms)) + 1, dtype=dtype) * ms.step
     buf = np.empty_like(steps)
-    starts = ms[::_CHUNK_CELLS]
-    for start in starts[:-1]:
-        yield np.add(steps, start, out=buf)
-    n = len(ms) - (len(starts) - 1) * _CHUNK_CELLS
-    yield np.add(steps[:n], starts[-1], out=buf[:n])
+    for s in range(0, len(ms), _CHUNK_CELLS):
+        n = min(_CHUNK_CELLS, len(ms) - s)
+        np.add(steps[: n + 1], ms[s], out=buf[: n + 1])
+        yield buf[:n], buf[1 : n + 1]
 
 
 def _chunks(law: DenominatorLaw, ms: range) -> Iterator[tuple[np.ndarray, ...]]:
-    """Yield ``(m, p, w, v)`` over ``_blocks(ms)``: ``p`` is
+    """Yield ``(m, p, w, v, after)`` over ``_blocks(ms)``: ``p`` is
     ``law.pmf_array(m)``, and ``w`` and ``v`` free float64 arrays of its length,
     all reused like ``m``.  A block whose pmf is 0 everywhere (it underflowed)
     is skipped, because it would add +0.0 to every series.
     """
     buf = None
-    for m in _blocks(ms):
+    for m, after in _blocks(ms):
         # the first block is the longest, so its buffer serves every later one
         if buf is None:
             buf = np.empty((3, len(m)))
@@ -166,7 +166,7 @@ def _chunks(law: DenominatorLaw, ms: range) -> Iterator[tuple[np.ndarray, ...]]:
         law.pmf_array(m, out=p)
         # testing the ends first spares most blocks the full scan
         if p[0] or p[-1] or p.any():
-            yield m, p, w, v
+            yield m, p, w, v, after
 
 
 def _series(law: DenominatorLaw, top: int, xs: np.ndarray, a=None, step: int = 1) -> np.ndarray:
@@ -174,28 +174,26 @@ def _series(law: DenominatorLaw, top: int, xs: np.ndarray, a=None, step: int = 1
     m = step, 2 step, ... up to ``top``, the law's truncation index: the sum of
     p (floor(m x) - floor(m a)) / (m + 1), with floor(m a) = -1 without ``a``.
     ``_floor_sums`` computes each chunk's cells in that order and sums each
-    point's row pairwise, and ``math.fsum`` exactly rounds each point's chunk sums.
-    """
-    # a walk from 1 has at most _BUDGET_CELLS denominators, so there m is float64
+    point's row pairwise, and ``math.fsum`` exactly rounds each point's chunk sums."""
+    # a walk from 1 has at most _BUDGET_CELLS denominators: m is float64, and m + 1
+    # its blocks' ``after``; v holds floor(m a) there, or m + 1 on an atom's walk
     ms = range(step, top + 1, step)
     _check_walk(ms, xs.size)
-    # a tile of one point is one row, the chunk's free w; more points need a buffer
+    assert a is None or step == 1
+    # one point tiles into the chunk's free row w, more points into one buffer
     sums, cells = [], None if xs.size == 1 else np.empty(min(xs.size * len(ms), _CHUNK_CELLS))
-    for m, p, w, v in _chunks(law, ms):
+
+    def cell(grid, out):
+        # p (floor(x m) - floor(a m)) / (m + 1), in place and in that order
+        np.multiply(np.subtract(np.floor(grid, out=grid), low, out=grid), p, out=grid)
+        grid /= m1
+
+    for m, p, w, v, after in _chunks(law, ms):
         low = -1.0 if a is None else np.floor(np.multiply(m, a, out=v), out=v)
-        # one tile has taken its products when it divides, so m + 1 may overwrite a
-        # float m; else m1 holds it, in v for one point (an int64 m is an atom's: no a)
-        in_place = m.dtype == np.float64 and xs.size * len(m) <= _CHUNK_CELLS
-        m1 = None if in_place else np.add(m, 1.0, out=v if cells is None else w)
-
-        def cell(grid, out):
-            # p (floor(x m) - floor(a m)) / (m + 1), in place and in that order
-            np.multiply(np.subtract(np.floor(grid, out=grid), low, out=grid), p, out=grid)
-            grid /= np.add(m, 1.0, out=m) if m1 is None else m1
-
+        m1 = after if step == 1 else np.add(m, 1.0, out=v)
         sums.append(_floor_sums(xs, m, None, cell, w if cells is None else cells))
     sums = np.reshape(sums, (-1, xs.size))
-    # one chunk sum is exactly rounded as it stands, and most grids take one chunk
+    # one chunk's sums are exactly rounded as they stand, and most grids take one chunk
     return sums[0] if len(sums) == 1 else np.array([math.fsum(s) for s in sums.T.tolist()])
 
 
@@ -477,7 +475,7 @@ def _filter_atom(law: DenominatorLaw, d: int) -> tuple[float, float]:
     g1, g_half = law.G(np.array([1.0, -1.0], dtype=complex)).real.tolist()
     pairs = math.fsum(
         float(law.G(np.exp(k * (2j * math.pi / d))).real.sum())
-        for k in _blocks(range(1, (d + 1) // 2))
+        for k, _ in _blocks(range(1, (d + 1) // 2))
     )
     value = (g1 + 2.0 * pairs + (g_half if d % 2 == 0 else 0.0)) / d
     return value, (_G_ERROR + d * 2.0**-52) * g1 + 16 * 2.0**-52
@@ -545,11 +543,13 @@ def _floor_sums(xs: np.ndarray, ms: np.ndarray, weights, op: Callable, cells=Non
     cells = np.empty(min(xs.size, tile) * len(ms)) if cells is None else cells
     for s in range(0, xs.size, tile):
         x = xs[s : s + tile, None]
-        grid = np.multiply(x, ms, out=cells[: x.size * len(ms)].reshape(x.size, len(ms)))
-        op(grid, out=grid)
+        grid = cells[: x.size * len(ms)].reshape(x.size, len(ms))
+        # a tile of one point is a vector, which numpy maps faster than a grid of one row
+        x, grid = (x[0, 0], grid[0]) if x.size == 1 else (x, grid)
+        op(np.multiply(x, ms, out=grid), out=grid)
         if weights is not None:
             grid *= weights
-        grid.sum(axis=1, out=sums[s : s + tile])
+        sums[s : s + tile] = grid.sum(axis=-1)
     return sums
 
 
@@ -612,7 +612,7 @@ def _fold(
         return np.not_equal(t, np.floor(t), out=out)
 
     weights, k_sums, lost = np.zeros(n), [], np.zeros_like(xs)
-    for m, p, w, _ in _chunks(law, range(1, top + 1)):
+    for m, p, w, *_ in _chunks(law, range(1, top + 1)):
         p /= np.add(m, 1.0, out=w)
         # the k-th denominator of a chunk is m[0] + k, in the bin k mod n rolled
         # by m[0]; a bin, a row of the chunk's transposed copy, is summed pairwise
