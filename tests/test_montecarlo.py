@@ -1,21 +1,28 @@
 import concurrent.futures
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from bertrand_lab import bertrand, montecarlo
 from bertrand_lab.montecarlo import (
+    _GOLDEN,
+    _MASK64,
+    _MIX1,
+    _MIX2,
     BATCH_SIZE,
     Estimate,
     Experiment,
+    _stream_states,
     derive_stream_seed,
     run,
     stream_generator,
     wilson_interval,
 )
+from test_stream_identity import replica_count
 
 
 def constant_experiment(value: bool) -> Experiment:
@@ -115,6 +122,20 @@ class TestWorkerCap:
         monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", SerialPool)
         return sizes
 
+    @pytest.fixture
+    def host(self, monkeypatch):
+        """Make ``os.sched_getaffinity`` give ``affinity`` (no such call when
+        None) and ``os.cpu_count()`` give ``count``."""
+
+        def set_host(affinity, count):
+            if affinity is None:
+                monkeypatch.delattr(montecarlo.os, "sched_getaffinity", raising=False)
+            else:
+                monkeypatch.setattr(montecarlo.os, "sched_getaffinity", lambda pid: affinity, raising=False)
+            monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: count)
+
+        return set_host
+
     @pytest.mark.parametrize(
         "shards, n_batches, cpus, workers",
         [
@@ -125,17 +146,30 @@ class TestWorkerCap:
             (8, 9, None, 1),  # unknown CPU count runs serially
         ],
     )
-    def test_workers_capped_by_batches_and_cpus(
-        self, pools, monkeypatch, shards, n_batches, cpus, workers
-    ):
-        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: cpus)
+    def test_workers_capped_by_batches_and_cpus(self, pools, host, shards, n_batches, cpus, workers):
+        host(None if cpus is None else set(range(cpus)), cpus)
         n = shards * (n_batches * BATCH_SIZE // shards)
         assert (n + BATCH_SIZE - 1) // BATCH_SIZE == n_batches
         est = run(fair_coin(), n, seed=21, shards=shards)
         assert pools == ([workers] if workers > 1 else [])
         assert est == run(fair_coin(), n, seed=21)
 
-    def test_one_task_per_worker(self, pools, monkeypatch):
+    @pytest.mark.parametrize(
+        "affinity, count, workers",
+        [
+            ({0}, 64, 1),  # as under ``taskset -c 0``: no pool
+            ({0, 5}, 64, 2),
+            (None, 3, 3),  # no affinity call: os.cpu_count()
+        ],
+    )
+    def test_cpus_are_those_the_process_may_run_on(self, pools, host, affinity, count, workers):
+        host(affinity, count)
+        n = 9 * BATCH_SIZE
+        est = run(fair_coin(), n, seed=21, shards=8)
+        assert pools == ([workers] if workers > 1 else [])
+        assert est == run(fair_coin(), n, seed=21)
+
+    def test_one_task_per_worker(self, pools, host, monkeypatch):
         mapped = []
 
         class RecordingPool(concurrent.futures.ThreadPoolExecutor):
@@ -145,7 +179,7 @@ class TestWorkerCap:
                 return super().map(fn, items)
 
         monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordingPool)
-        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 3)
+        host({0, 1, 2}, 3)
         n = 3 * (10 * BATCH_SIZE + 5)  # 31 batches, the last one ragged
         est = run(fair_coin(), n, seed=21, shards=3)
         assert pools == [3] and mapped == [3]
@@ -167,6 +201,79 @@ class TestStreamSeeding:
         a = stream_generator(42, 5).random(8)
         b = stream_generator(42, 5).random(8)
         assert np.array_equal(a, b)
+
+
+def unmix(z: int) -> int:
+    """The input of SplitMix64's finalizer that gives ``z``: each xorshift
+    and odd multiplier undone, last first, mod 2**64."""
+    for shift, mult in ((31, _MIX2), (27, _MIX1), (30, 1)):
+        x = z
+        for _ in range(64 // shift):
+            x = z ^ (x >> shift)
+        z = x * pow(mult, -1, 1 << 64) & _MASK64
+    return z
+
+
+def numpy_states(seed, indices):
+    return [np.random.PCG64(derive_stream_seed(seed, b)).state for b in indices]
+
+
+class TestStreamStates:
+    """``run``'s batch states are numpy's ``PCG64(derive_stream_seed(seed, b))``."""
+
+    @given(
+        seed=st.integers(min_value=0, max_value=2**64 - 1),
+        start=st.integers(min_value=0, max_value=2**64),
+        count=st.integers(min_value=1, max_value=40),
+    )
+    @example(seed=0, start=0, count=1)
+    @example(seed=2**64 - 1, start=2**64 - 40, count=40)
+    def test_states_are_numpy_pcg64_states(self, seed, start, count):
+        indices = range(start, start + count)
+        assert list(_stream_states(seed, indices)) == numpy_states(seed, indices)
+
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
+    def test_states_at_the_extreme_seeds(self, seed):
+        indices = range(300)
+        assert list(_stream_states(seed, indices)) == numpy_states(seed, indices)
+
+    @pytest.mark.parametrize("derived", [0, 1, 12345, 2**32 - 1, 2**32])
+    def test_derived_seed_of_one_entropy_word(self, derived):
+        # SeedSequence hashes a seed below 2**32 as one 32-bit word
+        b = 5
+        seed = (unmix(derived) - (b + 1) * _GOLDEN) & _MASK64
+        assert derive_stream_seed(seed, b) == derived
+        indices = range(b - 2, b + 3)
+        assert list(_stream_states(seed, indices)) == numpy_states(seed, indices)
+
+
+class TestStateBlocks:
+    @pytest.mark.parametrize("model", list(bertrand.ChordModel))
+    def test_runs_of_several_blocks_count_what_their_streams_draw(self, model):
+        # 301 batches, the last ragged: 3 state blocks at shards 1, 2 per worker at shards 2
+        n = 300 * BATCH_SIZE + 17
+        assert (n + BATCH_SIZE - 1) // BATCH_SIZE > 2 * montecarlo._STATE_BLOCK
+        experiment = bertrand.chord_exceed_experiment(model)
+        expected = replica_count(experiment, n, 2**64 - 5)
+        for shards in (1, 2):
+            assert run(experiment, n, 2**64 - 5, shards).successes == expected, shards
+
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_peak_memory_does_not_grow_with_the_batch_count(self, shards):
+        # 4 draws a batch, so the batch states are what could grow; all
+        # 1,024 states at once would take about 350 KiB more than 64
+        experiment = Experiment("four_draws", lambda rng, size: rng.random(4), lambda u: u < 0.5)
+
+        def peak(batches):
+            run(experiment, batches * BATCH_SIZE, 7, shards)
+            tracemalloc.start()
+            try:
+                run(experiment, batches * BATCH_SIZE, 7, shards)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(1024) - peak(64) < 160 * 1024
 
 
 class TestWilsonInterval:
