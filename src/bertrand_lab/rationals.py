@@ -26,10 +26,11 @@ cells (denominators times evaluation points, or for ``cdf_grid``'s fold on a
 grid i/n the cells it computes), or one past ``_MAX_DENOMINATOR``, raises
 ``ValueError`` before any work, naming its range, and so does an atom whose
 series would.  Each chunk is computed in place, in buffers allocated once per
-call (``PoissonLaw.pmf_array``'s and ``cdf_grid``'s fold's once per chunk), a
-chunk whose pmf is 0 everywhere is skipped (it would add +0.0), and a window
-series exactly rounds each point's chunk sums with ``math.fsum``.  No series
-calls BLAS.
+walk (``_chunks``), but for ``PoissonLaw.pmf_array``'s two work rows and
+``cdf_grid``'s fold's transposed bins, allocated per chunk.  A chunk whose pmf
+is 0 everywhere is skipped (it would add +0.0), and the atom series and each
+point of a window series exactly round their chunk sums with ``math.fsum``.  No
+series calls BLAS.
 """
 
 from __future__ import annotations
@@ -130,67 +131,57 @@ def _check_walk(ms: range, points: int = 1) -> None:
         )
 
 
-def _blocks(ms: range) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """The denominators ``ms`` in order, as arrays ``m`` of ``_CHUNK_CELLS``, each
-    with ``after``, the denominators that follow them: m + ``ms.step``.
+def _chunks(law: DenominatorLaw, ms: range) -> Iterator[tuple[np.ndarray, ...]]:
+    """Yield ``(m, p, w, v, after)`` over the denominators ``ms`` in order, in
+    blocks ``m`` of ``_CHUNK_CELLS``: ``after`` holds the denominators that follow
+    them, m + ``ms.step``, ``p`` is ``law.pmf_array(m)``, and ``w`` and ``v`` are
+    free float64 rows of its length.
 
-    They are float64 while the walk stays below ``_EXACT_FLOAT``, and int64
-    from there on, so every denominator is exact.  Both are views of one buffer
-    allocated once per walk, one entry apart: the caller may overwrite them, and
-    the next block does.  ``_check_walk(ms)`` runs before the first block.
+    ``m`` and ``after`` are float64 while the walk stays below ``_EXACT_FLOAT``,
+    and int64 from there on, so every denominator is exact; they are views of
+    one buffer, one entry apart.  That buffer and the rows are allocated once per
+    walk: the caller may overwrite them, and the next block does.
+    ``_check_walk(ms)`` runs before the first block, and a block whose pmf is 0
+    everywhere (it underflowed) is skipped, because it would add +0.0 to every
+    series.
     """
     if not ms:
         return
     _check_walk(ms)
+    size = min(_CHUNK_CELLS, len(ms))
     dtype = np.float64 if max(ms[0], ms[-1]) < _EXACT_FLOAT else np.int64
-    steps = np.arange(min(_CHUNK_CELLS, len(ms)) + 1, dtype=dtype) * ms.step
-    buf = np.empty_like(steps)
+    steps = np.arange(size + 1, dtype=dtype) * ms.step
+    ends, rows = np.empty_like(steps), np.empty((3, size))
     for s in range(0, len(ms), _CHUNK_CELLS):
         n = min(_CHUNK_CELLS, len(ms) - s)
-        np.add(steps[: n + 1], ms[s], out=buf[: n + 1])
-        yield buf[:n], buf[1 : n + 1]
-
-
-def _chunks(law: DenominatorLaw, ms: range) -> Iterator[tuple[np.ndarray, ...]]:
-    """Yield ``(m, p, w, v, after)`` over ``_blocks(ms)``: ``p`` is
-    ``law.pmf_array(m)``, and ``w`` and ``v`` free float64 arrays of its length,
-    all reused like ``m``.  A block whose pmf is 0 everywhere (it underflowed)
-    is skipped, because it would add +0.0 to every series.
-    """
-    buf = None
-    for m, after in _blocks(ms):
-        # the first block is the longest, so its buffer serves every later one
-        if buf is None:
-            buf = np.empty((3, len(m)))
-        p, w, v = buf[:, : len(m)]
-        law.pmf_array(m, out=p)
+        np.add(steps[: n + 1], ms[s], out=ends[: n + 1])
+        p, w, v = rows[:, :n]
+        law.pmf_array(ends[:n], out=p)
         # testing the ends first spares most blocks the full scan
         if p[0] or p[-1] or p.any():
-            yield m, p, w, v, after
+            yield ends[:n], p, w, v, ends[1 : n + 1]
 
 
-def _series(law: DenominatorLaw, top: int, xs: np.ndarray, a=None, step: int = 1) -> np.ndarray:
+def _series(law: DenominatorLaw, top: int, xs: np.ndarray, a=None) -> np.ndarray:
     """For each point x of the float64 array ``xs``, the window series over
-    m = step, 2 step, ... up to ``top``, the law's truncation index: the sum of
+    m = 1..``top``, the law's truncation index: the sum of
     p (floor(m x) - floor(m a)) / (m + 1), with floor(m a) = -1 without ``a``.
     ``_floor_sums`` computes each chunk's cells in that order and sums each
     point's row pairwise, and ``math.fsum`` exactly rounds each point's chunk sums."""
-    # a walk from 1 has at most _BUDGET_CELLS denominators: m is float64, and m + 1
-    # its blocks' ``after``; v holds floor(m a) there, or m + 1 on an atom's walk
-    ms = range(step, top + 1, step)
+    # a walk from 1 has at most _BUDGET_CELLS denominators: m is float64, m + 1
+    # its blocks' ``after``, and v holds floor(m a)
+    ms = range(1, top + 1)
     _check_walk(ms, xs.size)
-    assert a is None or step == 1
     # one point tiles into the chunk's free row w, more points into one buffer
     sums, cells = [], None if xs.size == 1 else np.empty(min(xs.size * len(ms), _CHUNK_CELLS))
 
     def cell(grid, out):
         # p (floor(x m) - floor(a m)) / (m + 1), in place and in that order
         np.multiply(np.subtract(np.floor(grid, out=grid), low, out=grid), p, out=grid)
-        grid /= m1
+        grid /= after
 
     for m, p, w, v, after in _chunks(law, ms):
         low = -1.0 if a is None else np.floor(np.multiply(m, a, out=v), out=v)
-        m1 = after if step == 1 else np.add(m, 1.0, out=v)
         sums.append(_floor_sums(xs, m, None, cell, w if cells is None else cells))
     sums = np.reshape(sums, (-1, xs.size))
     # one chunk's sums are exactly rounded as they stand, and most grids take one chunk
@@ -458,9 +449,12 @@ def atom_probability(q: Rational, law: DenominatorLaw, tol: float = DEFAULT_TOL)
 
 def _series_atom(law: DenominatorLaw, top: int, d: int) -> float:
     """The atom series over m = d, 2 d, ... up to the truncation index ``top``: the
-    window series at x = 0, whose one numerator per denominator makes each term
-    p / (m + 1)."""
-    return _series(law, top, np.zeros(1), step=d).item()
+    sum of p / (m + 1), each chunk's terms summed pairwise and the chunk sums
+    exactly rounded with ``math.fsum``."""
+    return math.fsum(
+        float(np.divide(p, np.add(m, 1.0, out=w), out=w).sum())
+        for m, p, w, *_ in _chunks(law, range(d, top + 1, d))
+    )
 
 
 def _filter_atom(law: DenominatorLaw, d: int) -> tuple[float, float]:
@@ -473,9 +467,10 @@ def _filter_atom(law: DenominatorLaw, d: int) -> tuple[float, float]:
     block sums exactly rounded with ``math.fsum``.
     """
     g1, g_half = law.G(np.array([1.0, -1.0], dtype=complex)).real.tolist()
+    half, turn = (d + 1) // 2, 2j * math.pi / d
     pairs = math.fsum(
-        float(law.G(np.exp(k * (2j * math.pi / d))).real.sum())
-        for k, _ in _blocks(range(1, (d + 1) // 2))
+        float(law.G(np.exp(np.arange(k, min(k + _CHUNK_CELLS, half), 1.0) * turn)).real.sum())
+        for k in range(1, half, _CHUNK_CELLS)
     )
     value = (g1 + 2.0 * pairs + (g_half if d % 2 == 0 else 0.0)) / d
     return value, (_G_ERROR + d * 2.0**-52) * g1 + 16 * 2.0**-52
@@ -536,11 +531,12 @@ def cdf_grid(xs: np.ndarray, law: DenominatorLaw, tol: float = DEFAULT_TOL) -> n
 def _floor_sums(xs: np.ndarray, ms: np.ndarray, weights, op: Callable, cells=None) -> np.ndarray:
     """For each point x of ``xs`` the pairwise sum over k of op(x ms[k]) weights[k]
     (of op(x ms[k]) if ``weights`` is None), where ``op(cells, out=cells)`` maps
-    the products in place, over tiles of at most ``_CHUNK_CELLS`` cells, in the
-    buffer ``cells`` if given: min(points * len(ms), ``_CHUNK_CELLS``) floats."""
+    the products in place, in tiles of as many points as the buffer ``cells``
+    holds rows of ``ms``: by default min(points * len(ms), ``_CHUNK_CELLS``) floats,
+    and at least len(ms) if given."""
     sums = np.empty_like(xs)
-    tile = _CHUNK_CELLS // max(len(ms), 1)
-    cells = np.empty(min(xs.size, tile) * len(ms)) if cells is None else cells
+    cells = np.empty(min(xs.size * len(ms), _CHUNK_CELLS)) if cells is None else cells
+    tile = max(cells.size // max(len(ms), 1), 1)
     for s in range(0, xs.size, tile):
         x = xs[s : s + tile, None]
         grid = cells[: x.size * len(ms)].reshape(x.size, len(ms))
@@ -612,8 +608,8 @@ def _fold(
         return np.not_equal(t, np.floor(t), out=out)
 
     weights, k_sums, lost = np.zeros(n), [], np.zeros_like(xs)
-    for m, p, w, *_ in _chunks(law, range(1, top + 1)):
-        p /= np.add(m, 1.0, out=w)
+    for m, p, w, v, after in _chunks(law, range(1, top + 1)):
+        p /= after
         # the k-th denominator of a chunk is m[0] + k, in the bin k mod n rolled
         # by m[0]; a bin, a row of the chunk's transposed copy, is summed pairwise
         depth = len(m) // n
@@ -626,7 +622,7 @@ def _fold(
         # what a point x below a/b loses: the multiples m of b where fl(m x) is no integer
         for b, rows in below:
             first = -int(m[0]) % b
-            lost[rows] += _floor_sums(xs[rows], m[first::b], p[first::b], not_integer)
+            lost[rows] += _floor_sums(xs[rows], m[first::b], p[first::b], not_integer, v)
     # i (j/n + 1/(2 n**2)) is i j/n raised by less than 1/(2 n), which is 1/n or
     # more below the next integer, and for i >= 1 by 2**-25 or more, far above
     # the rounding (under 2**-39): the float's floor is floor(i j / n)

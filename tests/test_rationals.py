@@ -530,8 +530,11 @@ class TestSeriesMemory:
             lambda law: cdf_grid(np.linspace(0.0, 1.0, 70_000), GeometricLaw(0.02), TOL),
             lambda law: interval_probability(0.2, 0.7, law, TOL),
             lambda law: mean_reciprocal(law),
+            # the atom above takes the filter (3**2 <= L); its series walks 767,524
+            # denominators in 12 chunks
+            lambda law: rationals._series_atom(law, law.truncation_index(TOL), 3),
         ],
-        ids=["atom", "cdf", "cdf_grid", "cdf_grid_wide", "interval", "mean_reciprocal"],
+        ids=["atom", "cdf", "cdf_grid", "cdf_grid_wide", "interval", "mean_reciprocal", "atom_series"],
     )
     def test_peak_is_bounded_for_a_long_series(self, call):
         law = GeometricLaw(1e-5)  # L = 2,302,574 denominators

@@ -185,6 +185,16 @@ def ref_atom(q: Rational, law, pmf) -> float:
     return math.fsum(float((pmf(m) / (m + 1.0)).sum()) for m in blocks(ms))
 
 
+def ref_filter_atom(law, d: int) -> float:
+    """The roots-of-unity filter, with its float64 blocks of k = 1 .. (d + 1)//2 - 1
+    written out: G(1) + 2 fsum of the blocks' real sums (+ G(-1) for even d), over d."""
+    ks = np.arange(1, (d + 1) // 2, dtype=np.float64)
+    blocks = [ks[s : s + CHUNK] for s in range(0, ks.size, CHUNK)]
+    pairs = math.fsum(float(law.G(np.exp(k * (2j * math.pi / d))).real.sum()) for k in blocks)
+    g1, g_half = law.G(np.array([1.0, -1.0], dtype=complex)).real.tolist()
+    return (g1 + 2.0 * pairs + (g_half if d % 2 == 0 else 0.0)) / d
+
+
 def ref_mean_reciprocal(law, pmf) -> float:
     return math.fsum(
         float((pmf(m) / m).sum()) for m in blocks(range(1, law.truncation_index(TOL) + 1))
@@ -287,6 +297,16 @@ def test_cdf_grid_fold_is_bit_identical(xs, n, law_id):
     assert cdf_grid(xs, law, TOL).tobytes() == ref_fold(xs, n, law, pmf).tobytes()
 
 
+@pytest.mark.parametrize("law_id", ["geometric:0.05", "custom:gapped"])
+def test_cdf_grid_fold_tiles_repeated_points_below(law_id):
+    # 400 points below 1/3 and 2/3, and 200 below 7/10: more rows of their multiples
+    # of b than a chunk's free row holds, so the fold tiles them in several passes
+    law, pmf = LAWS[law_id]
+    xs = np.repeat([1 / 3, 2 / 3, 0.1, 0.7], 200)
+    assert rationals._grid_denominator(xs) == 30
+    assert cdf_grid(xs, law, TOL).tobytes() == ref_fold(xs, 30, law, pmf).tobytes()
+
+
 def test_grid_denominator_is_the_least_n_up_to_2_12():
     assert rationals._grid_denominator(np.arange(4096) / 4096) == 4096
     assert rationals._grid_denominator(np.arange(4097) / 4097) == 0
@@ -349,6 +369,13 @@ class TestOnePointSeries:
         # the series truncated at L falls short of the whole by at most P{M > L} <= TOL
         law, pmf = LAWS[law_id]
         assert abs(mean_reciprocal(law) - ref_mean_reciprocal(law, pmf)) <= TOL
+
+
+# 150,000 has 74,999 conjugate pairs: two blocks of k
+@pytest.mark.parametrize("d", [7, 8, 150_000])
+@pytest.mark.parametrize("law", [GeometricLaw(1e-4), GeometricLaw(0.5), PoissonLaw(1e4)], ids=repr)
+def test_filter_atom_is_bit_identical(law, d):
+    assert rationals._filter_atom(law, d)[0] == ref_filter_atom(law, d)
 
 
 def table_and_pmf(weights: dict[int, int]):
